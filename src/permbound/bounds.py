@@ -12,14 +12,15 @@ partition of the columns (or a composition of the level) dominate the
 normalized permanent or hafnian; the ``*_bound`` functions return the
 corresponding absolute bounds.
 
-Unit-modulus matrices admit closed trigonometric forms; the
-``unit_circle_*`` functions evaluate those directly from a phase matrix and
-return bounds on |per| / n!.
+Blocks of two columns have a closed form: ``pair_bound`` and
+``avg_pair_bound`` bound |per| / n! from the pair means f_set(Z, (u, v))
+without enumerating minors. The ``unit_circle_*`` functions apply them to
+exp(i t x) for a phase matrix x.
 
 Baselines (operator-norm powers, singular-value means, column-norm
 products, the rank bound for sign matrices) are included for comparison
-tables. Spectral quantities are computed by in-package iterative routines
-(power iteration, cyclic Jacobi) with fixed tolerances.
+tables. Spectral quantities (the 2-norm, singular values, the rank) come
+from numpy.linalg.
 """
 
 from __future__ import annotations
@@ -37,10 +38,15 @@ from .combinatorics import (
     subset_count,
     validate_partition,
 )
-from .errors import DomainError, NumericError
-from .exact import hafnian, hyperhafnian, multidim_permanent, permanent, permanent_D
-
-_POWER_SEED = 20260815
+from .errors import DomainError
+from .exact import (
+    _as_square,
+    hafnian,
+    hyperhafnian,
+    multidim_permanent,
+    permanent,
+    permanent_D,
+)
 
 
 def _as_matrix(z) -> np.ndarray:
@@ -51,13 +57,6 @@ def _as_matrix(z) -> np.ndarray:
         raise DomainError(
             f"need at least as many rows as columns, got shape {a.shape}"
         )
-    return a
-
-
-def _as_square(z) -> np.ndarray:
-    a = np.asarray(z, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -361,16 +360,7 @@ def hyperhafnian_bound(t, parts: Sequence[int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# unit-modulus closed forms
-
-
-def _as_phase_matrix(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square phase matrix, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise DomainError("unit-circle bounds need dimension >= 2")
-    return a
+# pair bounds: column blocks of size two in closed form
 
 
 def _validate_perm(s, n: int) -> tuple[int, ...]:
@@ -382,48 +372,80 @@ def _validate_perm(s, n: int) -> tuple[int, ...]:
     return perm
 
 
-def _mean_cos_sq(x: np.ndarray, t: float, u: int, v: int) -> float:
-    """Mean over ordered index pairs (j, k), j != k, of
-    cos(t * (x[j,u] - x[k,u] - x[j,v] + x[k,v]) / 2) ** 2."""
-    n = x.shape[0]
-    d = x[:, u] - x[:, v]
-    y = d[:, None] - d[None, :]
-    c = np.cos(0.5 * t * y) ** 2
-    return float((c.sum() - n) / (n * (n - 1)))
+def _pair_mean(z: np.ndarray, u, v) -> np.ndarray:
+    """f_set(z, (u, v)) in closed form: the mean over ordered row pairs
+    (j, k), j != k, of |z[j,u] z[k,v] + z[k,u] z[j,v]|^2 / 4.
+
+    ``u`` and ``v`` are column indices or index arrays that broadcast
+    against each other; the result has their broadcast shape.
+    """
+    n = z.shape[0]
+    outer = z[:, u].T[..., :, None] * z[:, v].T[..., None, :]
+    sym = np.abs(outer + np.swapaxes(outer, -1, -2)) ** 2 / 4.0
+    off = sym.sum(axis=(-2, -1)) - np.trace(sym, axis1=-2, axis2=-1)
+    return off / (n * (n - 1))
 
 
-def unit_circle_pair_bound(x, t: float, s: Sequence[int] | None = None) -> float:
-    """Pairing bound on |per(exp(i t x))| / n! for a unit-modulus matrix.
+def pair_bound(z, s: Sequence[int] | None = None) -> float:
+    """Pairing bound on |per(z)| / n! for a square matrix, n >= 2.
 
     Columns are paired by the permutation s (default identity): block r is
-    (s[2r], s[2r+1]). The bound is the product over the floor(n/2) pairs of
-    the square roots of the pair cosine averages; for odd n the unpaired
-    column contributes the factor 1.
+    (s[2r], s[2r+1]) and contributes sqrt(f_set(z, block)). For odd n the
+    unpaired column s[n-1] contributes sqrt(mean_j |z[j, s[n-1]]|^2), which
+    is 1 for unit-modulus z.
     """
-    a = _as_phase_matrix(x)
+    a = _as_square(z)
     n = a.shape[0]
+    if n < 2:
+        raise DomainError("pair bound needs n >= 2")
     perm = _validate_perm(s, n)
-    out = 1.0
-    for r in range(n // 2):
-        out *= math.sqrt(_mean_cos_sq(a, t, perm[2 * r], perm[2 * r + 1]))
+    means = _pair_mean(a, list(perm[:-1:2]), list(perm[1::2]))
+    out = float(np.sqrt(means).prod())
+    if n % 2:
+        out *= math.sqrt(float((np.abs(a[:, perm[-1]]) ** 2).mean()))
     return out
 
 
-def unit_circle_avg_bound(x, t: float) -> float:
-    """Permutation-free averaged bound on |per(exp(i t x))| / n!.
+def avg_pair_bound(z) -> float:
+    """Permutation-free averaged bound on |per(z)| / n! for a square matrix.
 
-    Averages the pair cosine mean over all ordered column pairs and raises
-    it to the power floor(n/2) / 2.
+    The mean of f_set(z, (u, v)) over all ordered column pairs u != v,
+    raised to the power floor(n/2) / 2; for odd n times sqrt(mean over all
+    entries of |z|^2), which is 1 for unit-modulus z. Requires n >= 2.
     """
-    a = _as_phase_matrix(x)
+    a = _as_square(z)
     n = a.shape[0]
+    if n < 2:
+        raise DomainError("averaged bound needs n >= 2")
+    # one column against all others at a time keeps memory at O(n^3)
     total = 0.0
     for u in range(n):
-        for v in range(n):
-            if u != v:
-                total += _mean_cos_sq(a, t, u, v)
-    avg = total / (n * (n - 1))
-    return avg ** (0.5 * (n // 2))
+        for mean in _pair_mean(a, u, np.delete(np.arange(n), u)).tolist():
+            total += mean
+    out = (total / (n * (n - 1))) ** (0.5 * (n // 2))
+    if n % 2:
+        out *= math.sqrt(float((np.abs(a) ** 2).mean()))
+    return out
+
+
+def _as_phase_matrix(x) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square phase matrix, got shape {a.shape}")
+    if a.shape[0] < 2:
+        raise DomainError("unit-circle bounds need dimension >= 2")
+    return a
+
+
+def unit_circle_pair_bound(x, t: float, s: Sequence[int] | None = None) -> float:
+    """:func:`pair_bound` of exp(i t x); each pair mean is the mean of
+    cos(t (x[j,u] - x[k,u] - x[j,v] + x[k,v]) / 2)^2 over rows j != k."""
+    return pair_bound(np.exp(1j * t * _as_phase_matrix(x)), s)
+
+
+def unit_circle_avg_bound(x, t: float) -> float:
+    """:func:`avg_pair_bound` of exp(i t x) for a square phase matrix x."""
+    return avg_pair_bound(np.exp(1j * t * _as_phase_matrix(x)))
 
 
 def unit_circle_theta_bound(x, t: float) -> float:
@@ -480,101 +502,11 @@ def baseline_ckp_minor(z, cols: Sequence[int] | None = None) -> float:
     return float(means.prod())
 
 
-def spectral_norm(z, *, tol: float = 1e-12, maxiter: int = 10000) -> float:
-    """Largest singular value via power iteration on z^H z.
-
-    Deterministic seeded start vector; stops when the Rayleigh quotient
-    changes by at most tol * max(1, value). Raises NumericError with the
-    final iterates if maxiter is exceeded.
-    """
-    a = np.asarray(z, dtype=complex)
-    if a.ndim != 2:
-        raise DomainError(f"expected a matrix, got shape {a.shape}")
-    m = a.shape[1]
-    if m == 0 or a.shape[0] == 0:
-        return 0.0
-    h = a.conj().T @ a
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    v /= math.sqrt(float((np.abs(v) ** 2).sum()))
-    lam = 0.0
-    for _ in range(maxiter):
-        w = h @ v
-        norm = math.sqrt(float((np.abs(w) ** 2).sum()))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float((v.conj() @ (h @ v)).real)
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return math.sqrt(max(new, 0.0))
-        lam = new
-    raise NumericError(
-        f"power iteration did not converge in {maxiter} iterations "
-        f"(last value {lam!r})"
-    )
-
-
-def singular_values(z, *, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """All singular values via cyclic Jacobi diagonalization of z^H z.
-
-    Returns the values in descending order. Convergence is declared when the
-    off-diagonal Frobenius norm drops below tol times the matrix norm;
-    exceeding ``max_sweeps`` raises NumericError.
-    """
-    a = np.asarray(z, dtype=complex)
-    if a.ndim != 2:
-        raise DomainError(f"expected a matrix, got shape {a.shape}")
-    m = a.shape[1]
-    if m == 0:
-        return np.zeros(0)
-    h = (a.conj().T @ a).astype(complex)
-    h = (h + h.conj().T) / 2.0
-    scale = math.sqrt(float((np.abs(h) ** 2).sum()))
-    if scale == 0.0:
-        return np.zeros(m)
-
-    def offdiag() -> float:
-        off = h - np.diag(np.diag(h))
-        return math.sqrt(float((np.abs(off) ** 2).sum()))
-
-    for _ in range(max_sweeps):
-        if offdiag() <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = h[p, q]
-                if abs(apq) <= tol * scale / m:
-                    continue
-                phase = apq / abs(apq)
-                tau = (h[q, q].real - h[p, p].real) / (2.0 * abs(apq))
-                sign = 1.0 if tau >= 0 else -1.0
-                tt = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + tt * tt)
-                s = tt * c
-                col_p = h[:, p].copy()
-                col_q = h[:, q].copy()
-                h[:, p] = c * col_p - s * np.conj(phase) * col_q
-                h[:, q] = s * phase * col_p + c * col_q
-                row_p = h[p, :].copy()
-                row_q = h[q, :].copy()
-                h[p, :] = c * row_p - s * phase * row_q
-                h[q, :] = s * np.conj(phase) * row_p + c * row_q
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-    else:
-        raise NumericError(
-            f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {offdiag()!r})"
-        )
-    eig = np.sort(np.diag(h).real)[::-1]
-    return np.sqrt(np.clip(eig, 0.0, None))
-
-
 def baseline_opnorm(z, p) -> float:
     """Operator-norm bound ||z||_p ** n >= |per(z)| for p in {1, 2, inf}.
 
     p = 1 is the maximum column absolute sum, p = inf the maximum row
-    absolute sum, p = 2 the largest singular value (power iteration).
+    absolute sum, p = 2 the largest singular value.
     """
     a = _as_square(z)
     n = a.shape[0]
@@ -586,7 +518,7 @@ def baseline_opnorm(z, p) -> float:
     elif key in ("inf", "infinity"):
         norm = float(np.abs(a).sum(axis=1).max())
     elif key == "2":
-        norm = spectral_norm(a)
+        norm = float(np.linalg.norm(a, 2))
     else:
         raise DomainError(f"unsupported operator norm p={p!r}")
     return norm**n
@@ -598,32 +530,8 @@ def baseline_singular(z) -> float:
     n = a.shape[0]
     if n == 0:
         return 1.0
-    sv = singular_values(a)
+    sv = np.linalg.svd(a, compute_uv=False)
     return float(math.sqrt((sv ** (2 * n)).sum() / n))
-
-
-def real_rank(a, *, pivot_tol: float = 1e-9) -> int:
-    """Rank of a real matrix by Gaussian elimination with partial pivoting.
-
-    A pivot below ``pivot_tol`` in absolute value ends the elimination.
-    """
-    m = np.asarray(a, dtype=float).copy()
-    if m.ndim != 2:
-        raise DomainError(f"expected a matrix, got shape {m.shape}")
-    rows, cols = m.shape
-    rank = 0
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        pivot = row + int(np.argmax(np.abs(m[row:, col])))
-        if abs(m[pivot, col]) <= pivot_tol:
-            continue
-        m[[row, pivot]] = m[[pivot, row]]
-        m[row + 1 :] -= np.outer(m[row + 1 :, col] / m[row, col], m[row])
-        row += 1
-        rank += 1
-    return rank
 
 
 def baseline_krauter(z, *, atol: float = 1e-12) -> int | None:
@@ -631,8 +539,8 @@ def baseline_krauter(z, *, atol: float = 1e-12) -> int | None:
 
     For an n x n matrix with entries +-1 (within ``atol``) and n >= 5,
     returns the exact integer permanent_D(n, rank - 1) dominating |per(z)|,
-    where the rank is computed by real Gaussian elimination. Any other input
-    returns None (the not-applicable signal, not an error).
+    with the rank from numpy.linalg.matrix_rank. Any other input returns
+    None (the not-applicable signal, not an error).
     """
     a = np.asarray(z, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -643,7 +551,7 @@ def baseline_krauter(z, *, atol: float = 1e-12) -> int | None:
     if np.max(np.abs(np.abs(a.real) - 1.0)) > atol or np.max(np.abs(a.imag)) > atol:
         return None
     signs = np.where(a.real > 0, 1.0, -1.0)
-    rank = real_rank(signs)
+    rank = int(np.linalg.matrix_rank(signs))
     return permanent_D(n, rank - 1)
 
 

@@ -4,9 +4,11 @@ A :class:`DiagonalSumModel` is an n x n grid of independent scalar
 distributions. With a uniformly random permutation pi independent of the
 grid, the model's statistic is S = sum_j X[j, pi(j)], and its characteristic
 function is the permanent of the entrywise characteristic function matrix
-divided by n!. The pairing and averaged bounds dominate |E exp(itS)| using
-only second moments of products of two entrywise characteristic functions;
-for odd n both carry an extra single-column factor.
+divided by n!. The pairing and averaged bounds on |E exp(itS)| are
+:func:`bounds.pair_bound` and :func:`bounds.avg_pair_bound` applied to that
+matrix: they use only second moments of products of two entrywise
+characteristic functions, and for odd n both carry an extra single-column
+factor.
 
 The Monte Carlo check samples every grid entry independently (independent
 rows would suffice for the theory; the simulator uses the stricter fully
@@ -17,15 +19,16 @@ Fisher-Yates. Seeds and standard errors are recorded in the result.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
+from .bounds import avg_pair_bound, pair_bound
 from .errors import DomainError, FeasibilityError, ParseError
 from .exact import permanent
+from .matrixio import load_json
 
 EXACT_MAX_N = 12
 
@@ -189,12 +192,7 @@ class DiagonalSumModel:
 
 def load_model(path) -> DiagonalSumModel:
     """Read a model grid from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", position=str(path)) from None
-    return DiagonalSumModel.from_json(data)
+    return DiagonalSumModel.from_json(load_json(path))
 
 
 def exact_charfn(model: DiagonalSumModel, t: float) -> complex:
@@ -210,68 +208,18 @@ def exact_charfn(model: DiagonalSumModel, t: float) -> complex:
     return permanent(phi) / math.factorial(model.n)
 
 
-def _validate_perm(s, n: int) -> tuple[int, ...]:
-    if s is None:
-        return tuple(range(n))
-    perm = tuple(int(e) for e in s)
-    if sorted(perm) != list(range(n)):
-        raise DomainError(f"not a permutation of range({n}): {perm}")
-    return perm
-
-
-def _pair_mean(phi: np.ndarray, u: int, v: int) -> float:
-    """Mean over ordered index pairs (j, k), j != k, of
-    |phi[j,u] phi[k,v] + phi[k,u] phi[j,v]|^2 / 4."""
-    n = phi.shape[0]
-    outer = phi[:, u][:, None] * phi[:, v][None, :]
-    sym = np.abs(outer + outer.T) ** 2 / 4.0
-    return float((sym.sum() - np.diag(sym).sum()) / (n * (n - 1)))
-
-
 def pair_bound_charfn(
     model: DiagonalSumModel, t: float, s: Sequence[int] | None = None
 ) -> float:
-    """Pairing bound on |E exp(itS)|.
-
-    Columns are paired by the permutation s (default identity); each pair
-    contributes the square root of its symmetrized product mean. For odd n
-    the leftover column contributes sqrt of its mean squared modulus.
-    """
-    n = model.n
-    if n < 2:
-        raise DomainError("pair bound needs n >= 2")
-    perm = _validate_perm(s, n)
-    phi = model.charfn_matrix(t)
-    out = 1.0
-    for r in range(n // 2):
-        out *= math.sqrt(_pair_mean(phi, perm[2 * r], perm[2 * r + 1]))
-    if n % 2:
-        last = perm[n - 1]
-        out *= math.sqrt(float((np.abs(phi[:, last]) ** 2).mean()))
-    return out
+    """Pairing bound on |E exp(itS)|: :func:`bounds.pair_bound` of the
+    characteristic-function matrix, with columns paired by s."""
+    return pair_bound(model.charfn_matrix(t), s)
 
 
 def avg_bound_charfn(model: DiagonalSumModel, t: float) -> float:
-    """Permutation-free averaged bound on |E exp(itS)|.
-
-    Averages the symmetrized product mean over all ordered column pairs,
-    raised to the power floor(n/2) / 2; for odd n an extra factor
-    sqrt(mean over all entries of |phi|^2) applies.
-    """
-    n = model.n
-    if n < 2:
-        raise DomainError("averaged bound needs n >= 2")
-    phi = model.charfn_matrix(t)
-    total = 0.0
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                total += _pair_mean(phi, u, v)
-    avg = total / (n * (n - 1))
-    out = avg ** (0.5 * (n // 2))
-    if n % 2:
-        out *= math.sqrt(float((np.abs(phi) ** 2).mean()))
-    return out
+    """Permutation-free averaged bound on |E exp(itS)|:
+    :func:`bounds.avg_pair_bound` of the characteristic-function matrix."""
+    return avg_pair_bound(model.charfn_matrix(t))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ Subcommands:
 * ``verify``: run the randomized property suites,
 * ``charfn``: characteristic-function report for a distribution grid.
 
-Exit codes: 0 success, 1 verification or numeric failure, 2 input error,
-3 feasibility limit.
+Exit codes: 0 success, 1 verification failure, 2 input error (including
+non-finite numbers), 3 feasibility limit.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ import time
 import numpy as np
 
 from . import bounds, charfn, table1, verify
-from .errors import DomainError, FeasibilityError, NumericError, ParseError
+from .errors import DomainError, FeasibilityError, ParseError
 from .exact import hafnian, hyperhafnian, multidim_permanent, permanent
 from .matrixio import (
     BoundRow,
     MatrixInput,
+    load_json,
     load_matrix,
     matrix_from_json,
     report_to_csv,
@@ -110,11 +111,7 @@ def _parse_index(token: str, where: str, minimum: int = 1) -> int:
 
 def _load_input(path: str):
     """Load either a matrix file or a tensor file, depending on its keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", position=str(path)) from None
+    data = load_json(path)
     if isinstance(data, dict) and "shape" in data:
         return tensor_from_json(data)
     return matrix_from_json(data)
@@ -512,9 +509,6 @@ def main(argv=None) -> int:
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,10 @@
-"""Enumeration of subsets, compositions, ordered set partitions and injections.
+"""Subsets, weak compositions and ordered set partitions of index sets.
 
-All streams are lazy generators in deterministic lexicographic order and all
-indices are 0-based. An index set is a strictly increasing tuple of ints, a
-composition is a tuple of non-negative ints (zero parts allowed), an ordered
-partition is a tuple of pairwise disjoint index sets covering its ground set,
-and an injection is a tuple whose entries are pairwise distinct.
-
-Counting helpers are exact integer arithmetic throughout.
+Enumerations are lazy generators in deterministic lexicographic order and
+all indices are 0-based. An index set is a strictly increasing tuple of
+ints, a composition is a tuple of non-negative ints (zero parts allowed),
+and an ordered partition is a tuple of pairwise disjoint index sets
+covering its ground set. Subset counts and ranks are exact integers.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .errors import DomainError
 IndexSet = tuple[int, ...]
 Composition = tuple[int, ...]
 OrderedPartition = tuple[IndexSet, ...]
-Injection = tuple[int, ...]
 
 
 def as_index_set(elements: Iterable[int], ground: int | None = None) -> IndexSet:
@@ -58,8 +55,8 @@ def subset_count(n: int, k: int) -> int:
 def subset_rank(subset: Sequence[int], n: int) -> int:
     """Lexicographic rank of a k-subset of range(n).
 
-    Inverse of :func:`subset_unrank`; ranks run from 0 to C(n, k) - 1 in the
-    same order as :func:`enumerate_subsets`.
+    Ranks run from 0 to C(n, k) - 1 in the same order as
+    :func:`enumerate_subsets`.
     """
     s = as_index_set(subset, n)
     k = len(s)
@@ -72,33 +69,6 @@ def subset_rank(subset: Sequence[int], n: int) -> int:
     return rank
 
 
-def subset_unrank(rank: int, n: int, k: int) -> IndexSet:
-    """k-subset of range(n) at the given lexicographic rank."""
-    total = subset_count(n, k)
-    if not 0 <= rank < max(total, 1):
-        raise DomainError(f"rank {rank} outside [0, {total})")
-    out = []
-    prev = -1
-    for i in range(k):
-        for e in range(prev + 1, n):
-            block = math.comb(n - 1 - e, k - 1 - i)
-            if rank < block:
-                out.append(e)
-                prev = e
-                break
-            rank -= block
-    return tuple(out)
-
-
-def complement(subset: Sequence[int], ground: int | Sequence[int]) -> IndexSet:
-    """Elements of the ground set not in ``subset``."""
-    universe = range(ground) if isinstance(ground, int) else ground
-    chosen = set(as_index_set(subset))
-    if not chosen <= set(universe):
-        raise DomainError("subset is not contained in the ground set")
-    return tuple(e for e in universe if e not in chosen)
-
-
 def as_composition(parts: Iterable[int], total: int | None = None) -> Composition:
     """Canonicalize a weak composition (zero parts allowed)."""
     out = tuple(int(p) for p in parts)
@@ -108,38 +78,6 @@ def as_composition(parts: Iterable[int], total: int | None = None) -> Compositio
     if total is not None and sum(out) != total:
         raise DomainError(f"composition sums to {sum(out)}, expected {total}")
     return out
-
-
-def enumerate_compositions(total: int, parts: int) -> Iterator[Composition]:
-    """Yield weak compositions of ``total`` into ``parts`` ordered parts.
-
-    Lexicographic order on the part tuples; zero parts are allowed. The
-    stream has C(total + parts - 1, parts - 1) elements.
-    """
-    if total < 0 or parts < 0:
-        raise DomainError(f"need total >= 0 and parts >= 0, got {total}, {parts}")
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from _compositions(total, parts)
-
-
-def _compositions(total: int, parts: int) -> Iterator[Composition]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def composition_count(total: int, parts: int) -> int:
-    if total < 0 or parts < 0:
-        raise DomainError(f"invalid composition parameters {total}, {parts}")
-    if parts == 0:
-        return 1 if total == 0 else 0
-    return math.comb(total + parts - 1, parts - 1)
 
 
 def enumerate_partitions(
@@ -167,16 +105,6 @@ def enumerate_partitions(
     return rec(ground, 0)
 
 
-def partition_count(sizes: Sequence[int]) -> int:
-    """Number of ordered partitions with the given block sizes: m!/prod sizes_r!."""
-    comp = as_composition(sizes)
-    total = sum(comp)
-    count = math.factorial(total)
-    for p in comp:
-        count //= math.factorial(p)
-    return count
-
-
 def validate_partition(
     blocks: Sequence[Sequence[int]], elements: Iterable[int]
 ) -> OrderedPartition:
@@ -191,22 +119,3 @@ def validate_partition(
     if sorted(merged) != list(ground):
         raise DomainError("partition blocks do not cover the ground set")
     return canon
-
-
-def enumerate_injections(k: int, n: int) -> Iterator[Injection]:
-    """Yield injective maps from range(k) into range(n), lexicographically.
-
-    A map j is encoded as the tuple (j(0), ..., j(k-1)). The stream has
-    n! / (n-k)! elements.
-    """
-    if k < 0 or n < 0:
-        raise DomainError(f"need k >= 0 and n >= 0, got {k}, {n}")
-    if k > n:
-        raise DomainError(f"no injections from {k} elements into {n}")
-    return itertools.permutations(range(n), k)
-
-
-def injection_count(k: int, n: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        raise DomainError(f"invalid injection parameters k={k}, n={n}")
-    return math.factorial(n) // math.factorial(n - k)

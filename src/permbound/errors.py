@@ -1,8 +1,7 @@
 """Error types shared across the package.
 
 The CLI maps these onto process exit codes: input/domain problems exit
-with 2, feasibility refusals with 3, verification failures and numeric
-breakdowns with 1.
+with 2, feasibility refusals with 3, verification failures with 1.
 """
 
 
@@ -25,7 +24,3 @@ class ParseError(ValueError):
 
 class FeasibilityError(RuntimeError):
     """Requested computation exceeds the documented size limits."""
-
-
-class NumericError(ArithmeticError):
-    """An iterative numeric routine failed to converge."""

@@ -7,6 +7,8 @@ Matrix files are JSON in one of three forms:
 * ``{"polar": {"a": [[...]], "x": [[...]]}}`` for a * exp(i x).
 
 Tensor files carry ``{"shape": [...], "entries": <nested {re, im}>}``.
+Every number must be finite; NaN or an infinity is a ParseError naming its
+position.
 
 Report rows record one bound each: ``raw_value`` is the double, and
 ``rounded_up_6dp`` rounds it up at the sixth decimal (never below the raw
@@ -16,6 +18,7 @@ cells carry seven digits regardless of magnitude.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -35,9 +38,12 @@ def _parse_cell(raw, where: str) -> complex:
     if not isinstance(raw, dict) or "re" not in raw or "im" not in raw:
         raise ParseError("entry needs 're' and 'im'", position=where)
     try:
-        return complex(float(raw["re"]), float(raw["im"]))
+        value = complex(float(raw["re"]), float(raw["im"]))
     except (TypeError, ValueError):
         raise ParseError("entry values must be numbers", position=where) from None
+    if not cmath.isfinite(value):
+        raise ParseError("entry values must be finite", position=where)
+    return value
 
 
 def _parse_real_grid(raw, where: str) -> np.ndarray:
@@ -47,7 +53,21 @@ def _parse_real_grid(raw, where: str) -> np.ndarray:
         raise ParseError("expected a rectangular numeric grid", position=where) from None
     if grid.ndim != 2:
         raise ParseError("expected a 2-d grid", position=where)
+    bad = np.argwhere(~np.isfinite(grid))
+    if len(bad):
+        j, r = bad[0]
+        raise ParseError("values must be finite", position=f"{where}[{j}][{r}]")
     return grid
+
+
+def _parse_t(raw, where: str) -> float:
+    try:
+        t = float(raw)
+    except (TypeError, ValueError):
+        raise ParseError("'t' must be a number", position=where) from None
+    if not math.isfinite(t):
+        raise ParseError("'t' must be finite", position=where)
+    return t
 
 
 @dataclass(frozen=True)
@@ -73,7 +93,7 @@ class MatrixInput:
         """Re-evaluate a unit_circle input at a different argument."""
         if self.form != "unit_circle":
             raise ParseError("--t override requires the unit_circle form")
-        return from_unit_circle(self.phases, t)
+        return from_unit_circle(self.phases, _parse_t(t, "--t"))
 
 
 def from_entries(z) -> MatrixInput:
@@ -112,11 +132,7 @@ def matrix_from_json(data: dict) -> MatrixInput:
         if not isinstance(spec, dict) or "x" not in spec or "t" not in spec:
             raise ParseError("unit_circle needs 'x' and 't'", position="unit_circle")
         x = _parse_real_grid(spec["x"], "unit_circle.x")
-        try:
-            t = float(spec["t"])
-        except (TypeError, ValueError):
-            raise ParseError("'t' must be a number", position="unit_circle.t") from None
-        return from_unit_circle(x, t)
+        return from_unit_circle(x, _parse_t(spec["t"], "unit_circle.t"))
     if "polar" in data:
         spec = data["polar"]
         if not isinstance(spec, dict) or "a" not in spec or "x" not in spec:
@@ -159,13 +175,17 @@ def matrix_to_json(mi: MatrixInput) -> dict:
     }
 
 
-def load_matrix(path) -> MatrixInput:
+def load_json(path):
+    """Parse a JSON file; malformed JSON raises ParseError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", position=str(path)) from None
-    return matrix_from_json(data)
+
+
+def load_matrix(path) -> MatrixInput:
+    return matrix_from_json(load_json(path))
 
 
 def save_matrix(mi: MatrixInput, path) -> None:
@@ -212,12 +232,7 @@ def tensor_to_json(t) -> dict:
 
 
 def load_tensor(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", position=str(path)) from None
-    return tensor_from_json(data)
+    return tensor_from_json(load_json(path))
 
 
 # ---------------------------------------------------------------------------

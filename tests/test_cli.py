@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from permbound import table1
+from permbound import bounds, table1
 from permbound.matrixio import from_entries, matrix_to_json, tensor_to_json
 
 
@@ -131,6 +131,60 @@ def test_missing_and_broken_input(tmp_path):
     proc = run_cli("exact", "per", "--input", str(broken))
     assert proc.returncode == 2
     assert "JSON" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, position",
+    [
+        (
+            {"rows": 2, "cols": 2, "entries": [
+                [{"re": 1.0, "im": 0.0}, {"re": float("nan"), "im": 0.0}],
+                [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}],
+            ]},
+            "entries[0][1]",
+        ),
+        (
+            {"unit_circle": {"x": [[0.0, 1.0], [float("inf"), 0.0]], "t": 1.0}},
+            "unit_circle.x[1][0]",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", [("bounds",), ("exact", "per")])
+def test_non_finite_input_exit(tmp_path, doc, position, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(*command, "--input", str(path))
+    assert proc.returncode == 2
+    assert position in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_t_override_exit(phase_matrix):
+    for command in (("bounds",), ("exact", "per")):
+        proc = run_cli(*command, "--input", phase_matrix, "--t", "inf")
+        assert proc.returncode == 2
+        assert "--t" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", [58, 59])
+def test_bounds_near_tied_spectrum(tmp_path, seed):
+    # top two singular values 1e-6 apart (relative), where power iteration
+    # converges slowly or not at all
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    v, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    sv = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.8, 0.1, 6)])
+    z = (u * sv) @ v.conj().T
+    expected = np.linalg.norm(z, 2) ** 8
+    assert bounds.baseline_opnorm(z, 2) == pytest.approx(expected, rel=1e-12)
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(matrix_to_json(from_entries(z))))
+    proc = run_cli("bounds", "--input", str(path), "--format", "json")
+    assert proc.returncode == 0
+    rows = {row["name"]: row for row in json.loads(proc.stdout)["rows"]}
+    assert rows["opnorm_p2"]["raw_value"] == pytest.approx(
+        expected / math.factorial(8), rel=1e-12
+    )
 
 
 def test_bad_partition_spec(phase_matrix):

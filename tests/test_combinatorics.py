@@ -2,23 +2,14 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from permbound.combinatorics import (
     as_composition,
     as_index_set,
-    complement,
-    composition_count,
-    enumerate_compositions,
-    enumerate_injections,
     enumerate_partitions,
     enumerate_subsets,
-    injection_count,
-    partition_count,
     subset_count,
     subset_rank,
-    subset_unrank,
     validate_partition,
 )
 from permbound.errors import DomainError
@@ -38,16 +29,6 @@ def test_subset_rank_matches_enumeration_order():
         for k in range(n + 1):
             for i, sub in enumerate(enumerate_subsets(n, k)):
                 assert subset_rank(sub, n) == i
-                assert subset_unrank(i, n, k) == sub
-
-
-@given(st.integers(1, 12), st.data())
-@settings(max_examples=200)
-def test_subset_rank_unrank_roundtrip(n, data):
-    k = data.draw(st.integers(0, n))
-    i = data.draw(st.integers(0, math.comb(n, k) - 1))
-    sub = subset_unrank(i, n, k)
-    assert subset_rank(sub, n) == i
 
 
 def test_as_index_set_validates():
@@ -59,26 +40,6 @@ def test_as_index_set_validates():
         as_index_set([5], 5)
     with pytest.raises(DomainError):
         as_index_set([-1], 5)
-
-
-def test_complement():
-    assert complement((0, 2), 4) == (1, 3)
-    assert complement((), 3) == (0, 1, 2)
-    assert complement((1, 3), (0, 1, 2, 3, 4)) == (0, 2, 4)
-
-
-def test_compositions_zero_parts_allowed():
-    comps = list(enumerate_compositions(3, 2))
-    assert comps == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert len(comps) == composition_count(3, 2)
-    for total in range(6):
-        for parts in range(1, 4):
-            comps = list(enumerate_compositions(total, parts))
-            assert len(comps) == composition_count(total, parts)
-            assert comps == sorted(comps)
-            assert all(sum(c) == total and min(c) >= 0 for c in comps)
-    assert list(enumerate_compositions(0, 0)) == [()]
-    assert list(enumerate_compositions(2, 0)) == []
 
 
 def test_as_composition_checks_total():
@@ -97,7 +58,7 @@ def test_partitions_count_and_disjointness():
         expected = math.factorial(5)
         for s in sizes:
             expected //= math.factorial(s)
-        assert len(parts) == expected == partition_count(sizes)
+        assert len(parts) == expected
         seen = set()
         for blocks in parts:
             flat = tuple(sorted(e for b in blocks for e in b))
@@ -113,15 +74,6 @@ def test_validate_partition():
         validate_partition(((0, 1), (1, 2)), (0, 1, 2))
     with pytest.raises(DomainError):
         validate_partition(((0,),), (0, 1))
-
-
-def test_injections():
-    assert list(enumerate_injections(0, 3)) == [()]
-    for k, n in [(1, 4), (2, 4), (3, 3), (2, 5)]:
-        inj = list(enumerate_injections(k, n))
-        assert len(inj) == injection_count(k, n)
-        assert len(inj) == math.factorial(n) // math.factorial(n - k)
-        assert all(len(set(s)) == k for s in inj)
 
 
 def test_partition_injection_bridge():

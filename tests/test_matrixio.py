@@ -90,6 +90,37 @@ def test_matrix_from_json_errors():
     assert "2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "doc, position",
+    [
+        ({"rows": 1, "cols": 1, "entries": [[{"re": 0.0, "im": float("-inf")}]]},
+         "entries[0][0]"),
+        ({"unit_circle": {"x": [[0.0, float("nan")], [0.0, 0.0]], "t": 1.0}},
+         "unit_circle.x[0][1]"),
+        ({"unit_circle": {"x": [[0.0]], "t": float("inf")}}, "unit_circle.t"),
+        ({"polar": {"a": [[1.0, 1.0], [float("inf"), 1.0]], "x": [[0.0] * 2] * 2}},
+         "polar.a[1][0]"),
+        ({"polar": {"a": [[1.0]], "x": [["nan"]]}}, "polar.x[0][0]"),
+    ],
+)
+def test_non_finite_values_rejected(doc, position):
+    with pytest.raises(ParseError) as err:
+        matrix_from_json(doc)
+    assert position in str(err.value)
+
+
+def test_non_finite_tensor_entry_and_t_override():
+    doc = {"shape": [1, 2], "entries": [[{"re": 0.0, "im": 0.0},
+                                         {"re": float("nan"), "im": 0.0}]]}
+    with pytest.raises(ParseError) as err:
+        tensor_from_json(doc)
+    assert "entries[0, 1]" in str(err.value)
+    mi = from_unit_circle(np.zeros((2, 2)), 1.0)
+    with pytest.raises(ParseError) as err:
+        mi.with_t(float("nan"))
+    assert "--t" in str(err.value)
+
+
 def test_matrix_file_io(tmp_path):
     path = tmp_path / "m.json"
     mi = from_entries(np.array([[1 + 2j, 0], [3, 4 - 1j]]))
