@@ -179,6 +179,11 @@ class DiagonalSumModel:
                     raise ParseError(
                         f"bad params for {family}: {exc}", position=where
                     ) from None
+                for name, value in zip(_PARAM_NAMES[family], params):
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            "params must be finite", position=f"{where}.{name}"
+                        )
                 try:
                     parsed.append(Distribution(family, params))
                 except DomainError as exc:

@@ -25,7 +25,14 @@ import numpy as np
 
 from . import bounds, charfn, table1, verify
 from .errors import DomainError, FeasibilityError, ParseError
-from .exact import hafnian, hyperhafnian, multidim_permanent, permanent
+from .exact import (
+    hafnian,
+    hyperhafnian,
+    hyperhafnian_work,
+    multidim_permanent,
+    multidim_permanent_work,
+    permanent,
+)
 from .matrixio import (
     BoundRow,
     MatrixInput,
@@ -42,6 +49,12 @@ PER_MAX_N = 24
 HAF_MAX_N = 20
 PER_ELL_MAX_K = 6
 HAF_ELL_MAX_M = 6
+# Work limits of the tensor kernels, in the units of multidim_permanent_work
+# (products, 13-37 ns each) and hyperhafnian_work (recursion steps,
+# 1.1-2.1 us each) as measured on a 2-core x86 box with Python 3.11 and
+# numpy 2.4: an accepted input finishes within about 5 s there.
+PER_ELL_MAX_WORK = 200_000_000
+HAF_ELL_MAX_WORK = 2_000_000
 EXACT_COLUMN_MAX_N = 12
 
 
@@ -147,6 +160,9 @@ def cmd_exact(args) -> int:
     else:
         array = loaded
     kind = args.kind
+    if kind in ("per_ell", "haf_ell") and len(set(array.shape)) > 1:
+        # before the size and work limits, which read only the first axis
+        raise DomainError(f"all axes must have equal size, got shape {array.shape}")
     start = time.perf_counter()
     if kind == "per":
         if array.ndim != 2:
@@ -168,14 +184,28 @@ def cmd_exact(args) -> int:
             raise FeasibilityError(
                 f"tensor permanent limit k <= {PER_ELL_MAX_K}, got {k}"
             )
+        if array.ndim >= 2:
+            work = multidim_permanent_work(k, array.ndim - 1)
+            if work > PER_ELL_MAX_WORK:
+                raise FeasibilityError(
+                    f"tensor permanent work limit {PER_ELL_MAX_WORK} products,"
+                    f" got {work} for k={k} at order {array.ndim}"
+                )
         value = multidim_permanent(array)
     elif kind == "haf_ell":
         ell = array.ndim
         n = array.shape[0] if ell else 0
-        if ell and n % ell == 0 and n // ell > HAF_ELL_MAX_M:
-            raise FeasibilityError(
-                f"tensor hafnian limit m <= {HAF_ELL_MAX_M}, got {n // ell}"
-            )
+        if ell and n % ell == 0:
+            if n // ell > HAF_ELL_MAX_M:
+                raise FeasibilityError(
+                    f"tensor hafnian limit m <= {HAF_ELL_MAX_M}, got {n // ell}"
+                )
+            work = hyperhafnian_work(n, ell)
+            if work > HAF_ELL_MAX_WORK:
+                raise FeasibilityError(
+                    f"tensor hafnian work limit {HAF_ELL_MAX_WORK} steps,"
+                    f" got {work} for m={n // ell} at order {ell}"
+                )
         value = hyperhafnian(array)
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown kind {kind!r}")
@@ -374,6 +404,8 @@ _CHARFN_COLUMNS = (
 def cmd_charfn(args) -> int:
     model = charfn.load_model(args.input)
     ts = args.t if args.t else [0.0]
+    if not all(math.isfinite(t) for t in ts):
+        raise ParseError("'t' must be finite", position="--t")
     s_perm = parse_perm(args.s_perm, model.n) if args.s_perm else None
     rows = []
     for t in ts:

@@ -1,11 +1,20 @@
 """Exact evaluation of permanents, hafnians and their tensor generalizations.
 
-The permanent kernel is a Gray-code inclusion-exclusion sum with O(2^n * n)
-cost; a direct n! enumeration is kept behind a flag as an oracle. Hafnians
-use the "match the smallest unpaired index" recursion with (n-1)!! products,
-hyperhafnians its block generalization. Expansion identities (developing a
-permanent or hafnian along a fixed block structure) are implemented as
-independent routes so tests can cross-check them against the kernels.
+The permanent kernel is Glynn's formula, 2^(n-1) signed products of column
+sums (Glynn, Eur. J. Combin. 2010). The sign vectors of the first rows form
+one dense cached table, so a single matrix product covers 2^10 of them, and
+a Gray-code walk over the remaining rows moves that block; the cost is
+O(2^n * n) multiplications, n <= 11 takes one matrix product. The
+permanent of an order-(l+1) tensor fixes the bijections on its first l-1
+axes and sums batched Glynn permanents of the (k!)^(l-1) k x k matrices that
+remain, (k!)^(l-1) * 2^(k-1) * k products in all. Hafnians and
+hyperhafnians share one memoized "match the lowest unused index" recursion
+over bitmasks of unused indices (Nijenhuis-Wilf, Combinatorial Algorithms):
+:func:`hyperhafnian_work` counts its memo states times the partner subsets of
+each. Direct enumerations are kept behind a flag as oracles. Expansion
+identities (developing a permanent or hafnian along a fixed block structure)
+are implemented as independent routes so tests can cross-check them against
+the kernels.
 
 Conventions: the permanent of an empty matrix is 1, the hafnian of an empty
 matrix is 1, hafnian-type functions never read diagonal blocks, and all
@@ -14,6 +23,7 @@ index sets are 0-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -28,6 +38,13 @@ from .combinatorics import (
 from .errors import DomainError
 
 SYMMETRY_ATOL = 1e-12
+
+# Rows whose sign vectors form the dense block of the Glynn kernel: a
+# 2^10 x n block keeps each Gray step one vectorized update.
+_GLYNN_BLOCK_ROWS = 10
+# Rows of sign-vector products per chunk of the tensor permanent's matrix
+# stack: chunks of at most 2^15 >> (k - 1) matrices bound its memory.
+_GLYNN_BATCH_ROWS = 1 << 15
 
 
 def _as_square(z) -> np.ndarray:
@@ -45,9 +62,9 @@ def permanent(z, *, method: str = "gray") -> complex:
     z : array_like
         Square matrix; the empty matrix gives 1.
     method : {"gray", "direct"}
-        "gray" runs the Gray-code inclusion-exclusion kernel (O(2^n * n)),
-        "direct" sums all n! diagonal products and is retained as a
-        brute-force oracle for small n.
+        "gray" runs the blocked Glynn kernel (O(2^n * n)), "direct" sums
+        all n! diagonal products and is retained as a brute-force oracle for
+        small n.
 
     Returns
     -------
@@ -76,24 +93,40 @@ def _permanent_direct(a: np.ndarray) -> complex:
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_table(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 2^b sign vectors of b rows as the columns of a (b, 2^b) table,
+    and the product of each."""
+    d = 1.0 - 2.0 * ((np.arange(1 << b) >> np.arange(b)[:, None]) & 1)
+    return d.astype(complex), d.prod(axis=0).astype(complex)
+
+
 def _permanent_gray(a: np.ndarray) -> complex:
     # Glynn's formula: per(a) = 2^(1-n) * sum over sign vectors d with
-    # d[0] = +1 of (prod_i d[i]) * prod_j (sum_i d[i] a[i, j]); the sign
-    # vectors are walked in Gray-code order so each step updates the column
-    # sums with one row.
+    # d[0] = +1 of (prod_i d[i]) * prod_j (sum_i d[i] a[i, j]). The signs of
+    # rows 1..b are one dense table, so one matrix product gives the column
+    # sums of all 2^b of them (block[j, s] for sign vector s; products run
+    # along contiguous rows). The rows after b are walked in Gray-code order,
+    # each step moving the whole block by one row.
     n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    col = a.sum(axis=0)
-    delta = np.ones(n)
+    if n <= 1:
+        return complex(a[0, 0]) if n else 1.0 + 0.0j
+    b = min(n - 1, _GLYNN_BLOCK_ROWS)
+    d, w = _sign_table(b)
+    block = a[0][:, None] + a[1 : b + 1].T @ d
+    rest = a[b + 1 :, :, None]
+    if not len(rest):
+        return complex(block.prod(axis=0) @ w) / 2.0 ** (n - 1)
+    col = rest.sum(axis=0)
+    total = (block + col).prod(axis=0) @ w
+    delta = np.ones(len(rest))
     sign = 1.0
-    total = col.prod()
-    for counter in range(1, 1 << (n - 1)):
-        i = (counter & -counter).bit_length()  # flip rows 1..n-1
+    for counter in range(1, 1 << len(rest)):
+        i = (counter & -counter).bit_length() - 1
         delta[i] = -delta[i]
-        col = col + (2.0 * delta[i]) * a[i]
+        col = col + (2.0 * delta[i]) * rest[i]
         sign = -sign
-        total += sign * col.prod()
+        total += sign * ((block + col).prod(axis=0) @ w)
     return complex(total / 2.0 ** (n - 1))
 
 
@@ -109,13 +142,19 @@ def permanent_minor(z, rows: Sequence[int], cols: Sequence[int]) -> complex:
     return permanent(a[np.ix_(tuple(rows), tuple(cols))])
 
 
-def multidim_permanent(t, *, method: str = "direct") -> complex:
+def multidim_permanent(t, *, method: str = "glynn") -> complex:
     """Permanent of an order-(l+1) tensor with all axes of equal size k.
 
     Generalizes the matrix permanent: the value is the sum over l-tuples of
     bijections (s1, ..., sl) of range(k) of prod_j t[s1(j), ..., sl(j), j].
-    For l = 1 this is the matrix permanent. Direct enumeration costs
-    (k!)^l * k products and is intended for small k.
+    For l = 1 this is the matrix permanent.
+
+    method "glynn" fixes s1, ..., s_{l-1}; each choice leaves the k x k
+    matrix M[i, j] = t[s1(j), ..., s_{l-1}(j), i, j], whose permanent sums
+    over sl. It adds batched Glynn permanents over that stack of (k!)^(l-1)
+    matrices, (k!)^(l-1) * 2^(k-1) * k products in all (see
+    :func:`multidim_permanent_work`). "direct" enumerates all (k!)^l tuples
+    and serves as an oracle.
     """
     a = np.asarray(t, dtype=complex)
     if a.ndim < 2:
@@ -123,9 +162,13 @@ def multidim_permanent(t, *, method: str = "direct") -> complex:
     k = a.shape[0]
     if any(s != k for s in a.shape):
         raise DomainError(f"all axes must have equal size, got shape {a.shape}")
+    ell = a.ndim - 1
+    if method == "glynn":
+        if ell == 1:
+            return _permanent_gray(a)
+        return _multidim_glynn(a)
     if method != "direct":
         raise DomainError(f"unknown multidim permanent method {method!r}")
-    ell = a.ndim - 1
     if k == 0:
         return 1.0 + 0.0j
     last = np.arange(k)
@@ -134,6 +177,64 @@ def multidim_permanent(t, *, method: str = "direct") -> complex:
     for combo in itertools.product(perms, repeat=ell):
         total += a[combo + (last,)].prod()
     return complex(total)
+
+
+def multidim_permanent_work(k: int, ell: int) -> int:
+    """Products the "glynn" tensor permanent forms for an order-(ell+1)
+    tensor with axes of size k: (k!)^(ell-1) * 2^(k-1) * k."""
+    if k == 0:
+        return 1
+    return math.factorial(k) ** (ell - 1) * (1 << (k - 1)) * k
+
+
+def _glynn_chunk(k: int) -> int:
+    return max(1, _GLYNN_BATCH_ROWS >> (k - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _tensor_tables(k: int, ell: int):
+    """Flat-index tables of an order-(ell+1) tensor with axes of size k.
+
+    Its first ell-1 axes carry the fixed bijections. The last q of them (q
+    the largest, but at least 1, whose (k!)^q matrices fit one chunk) are
+    the inner axes: ``index[i, j, c]`` is the flat index of entry (i, j)
+    of matrix c over every combination c of their permutations. Each outer
+    axis adds ``off[p] = perm_p[:, None] * stride`` of shape (k!, k, 1).
+    """
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    stride = [k ** (ell - r) for r in range(ell - 1)]
+    q = 1
+    while q < ell - 1 and len(perms) ** (q + 1) <= _glynn_chunk(k):
+        q += 1
+    inner = np.zeros((k, 1), dtype=np.intp)
+    for r in range(ell - 1 - q, ell - 1):
+        inner = (inner[:, :, None] + perms.T[:, None, :] * stride[r]).reshape(k, -1)
+    outer = tuple(perms[:, :, None] * stride[r] for r in range(ell - 1 - q))
+    index = np.arange(k)[:, None, None] * k + np.arange(k)[:, None] + inner
+    return outer, index
+
+
+def _multidim_glynn(a: np.ndarray) -> complex:
+    # Sum of Glynn permanents of the matrices m[i, j] = a[s(j)..., i, j] over
+    # the fixed bijections s, a chunk of matrices at a time; m[i, j, c] holds
+    # matrix c, so the column-sum products run along contiguous rows.
+    k = a.shape[0]
+    if k <= 1:
+        return complex(a.ravel()[0]) if k else 1.0 + 0.0j
+    outer, index = _tensor_tables(k, a.ndim - 1)
+    d, w = _sign_table(k - 1)
+    flat = a.ravel()
+    chunk = _glynn_chunk(k)
+    total = 0.0 + 0.0j
+    for choice in itertools.product(*(range(len(off)) for off in outer)):
+        base = sum(off[p] for off, p in zip(outer, choice))
+        for start in range(0, index.shape[2], chunk):
+            m = flat[index[:, :, start : start + chunk] + base]
+            c = m.shape[2]
+            sums = (d.T @ m[1:].reshape(k - 1, k * c)).reshape(-1, k, c)
+            sums += m[0]
+            total += w @ sums.prod(axis=1).sum(axis=1)
+    return complex(total / 2.0 ** (k - 1))
 
 
 def _check_symmetric_matrix(a: np.ndarray, atol: float) -> None:
@@ -145,27 +246,51 @@ def hafnian(z, *, atol: float = SYMMETRY_ATOL) -> complex:
     """Hafnian of a symmetric complex matrix of even dimension.
 
     Sums, over all perfect matchings of the index set, the product of the
-    matched entries ((n-1)!! products via the smallest-unpaired-index
-    recursion). Diagonal entries are never read, the empty matrix gives 1,
-    odd dimension or asymmetry beyond ``atol`` (absolute) raises DomainError.
+    matched entries, by the memoized match-the-lowest-index recursion
+    (F_(n+1) memo states, a Fibonacci number, times at most n-1 partners
+    each; see :func:`hyperhafnian_work`). Diagonal entries are never read,
+    the empty matrix gives 1, odd dimension or asymmetry beyond ``atol``
+    (absolute) raises DomainError.
     """
     a = _as_square(z)
     n = a.shape[0]
     if n % 2:
         raise DomainError(f"hafnian needs an even dimension, got {n}")
     _check_symmetric_matrix(a, atol)
+    return _match_lowest(a, 2)
 
-    def rec(active: tuple[int, ...]) -> complex:
-        if not active:
-            return 1.0 + 0.0j
-        j0 = active[0]
-        rest = active[1:]
-        total = 0.0 + 0.0j
-        for i, p in enumerate(rest):
-            total += a[j0, p] * rec(rest[:i] + rest[i + 1 :])
-        return total
 
-    return complex(rec(tuple(range(n))))
+def _match_lowest(a: np.ndarray, ell: int) -> complex:
+    # Sum over partitions of range(n) into blocks of size ell of the products
+    # of the block entries a[b0, ..., b_{ell-1}] (b0 < ... < b_{ell-1}). The
+    # lowest unused index is matched with every (ell-1)-subset of the other
+    # unused ones; values are memoized per bitmask of unused indices, which
+    # the lowest-index rule keeps to hyperhafnian_work's state count.
+    n = a.shape[0]
+    flat = a.ravel().tolist()
+    head = n ** (ell - 1)
+    tail = [n ** (ell - 2 - r) for r in range(ell - 1)]
+    memo = {0: 1.0 + 0.0j}
+
+    def rec(mask: int) -> complex:
+        value = memo.get(mask)
+        if value is not None:
+            return value
+        low = (mask & -mask).bit_length() - 1
+        rest_mask = mask ^ (1 << low)
+        rest = [i for i in range(low + 1, n) if rest_mask >> i & 1]
+        value = 0.0 + 0.0j
+        for partners in itertools.combinations(rest, ell - 1):
+            index = low * head
+            left = rest_mask
+            for p, stride in zip(partners, tail):
+                index += p * stride
+                left ^= 1 << p
+            value += flat[index] * rec(left)
+        memo[mask] = value
+        return value
+
+    return complex(rec((1 << n) - 1))
 
 
 def _check_symmetric_tensor(a: np.ndarray, atol: float) -> None:
@@ -192,9 +317,10 @@ def hyperhafnian(
     block-entry products. For l = 2 this is the hafnian. The empty tensor
     gives 1.
 
-    method "recursive" matches the smallest unused index with every
-    (l-1)-subset of the remaining indices (n!/(m! (l!)^m) products);
-    "direct" evaluates the normalized n!-term sum and serves as an oracle.
+    method "recursive" matches the lowest unused index with every
+    (l-1)-subset of the remaining indices, memoized over the set of unused
+    indices (:func:`hyperhafnian_work` counts its steps); "direct" evaluates
+    the normalized n!-term sum and serves as an oracle.
     """
     a = np.asarray(t, dtype=complex)
     ell = a.ndim
@@ -219,20 +345,26 @@ def hyperhafnian(
         return complex(total / (math.factorial(m) * math.factorial(ell) ** m))
     if method != "recursive":
         raise DomainError(f"unknown hyperhafnian method {method!r}")
+    return _match_lowest(a, ell)
 
-    def rec(active: tuple[int, ...]) -> complex:
-        if not active:
-            return 1.0 + 0.0j
-        j0 = active[0]
-        rest = active[1:]
-        total = 0.0 + 0.0j
-        for partners in itertools.combinations(rest, ell - 1):
-            chosen = set(partners)
-            left = tuple(e for e in rest if e not in chosen)
-            total += a[(j0,) + partners] * rec(left)
-        return total
 
-    return complex(rec(tuple(range(n))))
+def hyperhafnian_work(n: int, ell: int) -> int:
+    """Steps of the "recursive" hyperhafnian of an order-ell tensor over n
+    indices: memo states times the partner subsets of each.
+
+    A state that has removed r blocks is reachable exactly when its lowest
+    unused index x satisfies r <= x <= r*ell; the other r*ell - x removed
+    indices lie above x. Such a state has C(n - r*ell - 1, ell - 1) partner
+    subsets. For ell = 2 the states number a Fibonacci number.
+    """
+    total = 0
+    for r in range(n // ell):
+        states = sum(
+            math.comb(n - x - 1, r * ell - x)
+            for x in range(r, min(r * ell, n - 1) + 1)
+        )
+        total += states * math.comb(n - r * ell - 1, ell - 1)
+    return total
 
 
 def permanent_via_laplace(z, column_blocks: Sequence[Sequence[int]]) -> complex:

@@ -231,6 +231,24 @@ def test_from_json_errors_carry_positions():
         )
 
 
+@pytest.mark.parametrize(
+    "family, params, name",
+    [
+        ("point_mass", {"x": math.nan}, "x"),
+        ("bernoulli", {"p": math.nan}, "p"),
+        ("uniform", {"a": -math.inf, "b": 1.0}, "a"),
+        ("normal", {"mean": 0.0, "variance": math.inf}, "variance"),
+        ("normal", {"mean": "nan", "variance": 1.0}, "mean"),
+    ],
+)
+def test_from_json_rejects_non_finite_params(family, params, name):
+    point = {"family": "point_mass", "params": {"x": 0.0}}
+    cell = {"family": family, "params": params}
+    with pytest.raises(ParseError) as err:
+        DiagonalSumModel.from_json({"cells": [[point, cell], [point, point]]})
+    assert f"cells[0][1].{name}" in str(err.value)
+
+
 def test_load_model_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

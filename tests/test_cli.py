@@ -115,6 +115,68 @@ def test_exact_feasibility_exit(tmp_path):
     assert "24" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "kind, shape, limit",
+    [
+        # 7,776 entries, but (6!)^3 * 2^5 * 6 products
+        ("per_ell", (6,) * 5, "tensor permanent work limit"),
+        # m = 5 passes the m <= 6 cap; 4,357,594 recursion steps do not
+        ("haf_ell", (20,) * 4, "tensor hafnian work limit"),
+    ],
+)
+def test_exact_tensor_work_limit_exit(tmp_path, kind, shape, limit):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(tensor_to_json(np.zeros(shape))))
+    proc = run_cli("exact", kind, "--input", str(path))
+    assert proc.returncode == 3
+    assert limit in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "kind, shape", [("per_ell", (7, 2, 2)), ("haf_ell", (28, 2, 2, 2))]
+)
+def test_exact_tensor_unequal_axes_exit(tmp_path, kind, shape):
+    # a first axis beyond the caps must not turn malformed input into exit 3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tensor_to_json(np.zeros(shape))))
+    proc = run_cli("exact", kind, "--input", str(path))
+    assert proc.returncode == 2
+    assert "equal size" in proc.stderr
+
+
+def _exact_value(tmp_path, kind, doc):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("exact", kind, "--input", str(path), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout)["value"]
+    return complex(value["re"], value["im"])
+
+
+def test_exact_caps_are_reachable(tmp_path):
+    rng = np.random.default_rng(7)
+    # haf(d d^T) = (n-1)!! prod(d) at the hafnian cap n = 20
+    d = rng.uniform(0.5, 1.5, 20) * rng.choice([-1.0, 1.0], 20)
+    value = _exact_value(tmp_path, "haf", matrix_to_json(from_entries(np.outer(d, d))))
+    expected = math.prod(range(19, 0, -2)) * d.prod()
+    assert abs(value - expected) <= 1e-9 * abs(expected)
+
+    # order 3, m = 6: the 18!/(6! 3!^6) block partitions of d x d x d
+    d = rng.uniform(0.5, 1.5, 18)
+    t = np.multiply.outer(np.multiply.outer(d, d), d)
+    value = _exact_value(tmp_path, "haf_ell", tensor_to_json(t))
+    expected = math.factorial(18) / (math.factorial(6) * 6**6) * d.prod()
+    assert abs(value - expected) <= 1e-9 * abs(expected)
+
+    # k = 6 at order 3: (6!)^2 equal terms of u x v x w
+    u, v, w = (rng.uniform(0.5, 1.5, 6) for _ in range(3))
+    t = np.multiply.outer(np.multiply.outer(u, v), w)
+    value = _exact_value(tmp_path, "per_ell", tensor_to_json(t))
+    expected = math.factorial(6) ** 2 * u.prod() * v.prod() * w.prod()
+    assert abs(value - expected) <= 1e-9 * abs(expected)
+
+
 def test_exact_kind_mismatch_exit(tmp_path):
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps(tensor_to_json(np.ones((2, 2, 2)))))
@@ -341,6 +403,34 @@ def test_charfn_csv(model_file):
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("t,exact_abs,pair_bound,avg_bound")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_charfn_non_finite_t_exit(model_file, t):
+    proc = run_cli("charfn", "--input", model_file, "--t", "0.5", f"--t={t}")
+    assert proc.returncode == 2
+    assert "'t' must be finite (at --t)" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "cell, position",
+    [
+        ({"family": "point_mass", "params": {"x": float("nan")}}, "cells[1][0].x"),
+        (
+            {"family": "normal", "params": {"mean": 0.0, "variance": float("inf")}},
+            "cells[1][0].variance",
+        ),
+    ],
+)
+def test_charfn_non_finite_params_exit(tmp_path, cell, position):
+    point = {"family": "point_mass", "params": {"x": 0.0}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"cells": [[point, point], [cell, point]]}))
+    proc = run_cli("charfn", "--input", str(path))
+    assert proc.returncode == 2
+    assert position in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_charfn_bad_model(tmp_path):

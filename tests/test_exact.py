@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permbound.errors import DomainError
 from permbound.exact import (
@@ -10,13 +11,18 @@ from permbound.exact import (
     hafnian,
     hyperhafnian,
     hyperhafnian_via_expansion,
+    hyperhafnian_work,
     multidim_permanent,
     multidim_permanent_via_laplace,
+    multidim_permanent_work,
     permanent,
     permanent_D,
     permanent_minor,
     permanent_via_laplace,
 )
+
+seeds = st.integers(0, 2**32 - 1)
+oracle_settings = settings(max_examples=40, deadline=None)
 
 
 def cmat(rng, n, m=None):
@@ -247,3 +253,99 @@ def test_permanent_D_matches_sign_matrix_permanent():
             for i in range(neg):
                 z[i, i] = -1.0
             assert permanent_D(n, neg) == pytest.approx(permanent(z).real)
+
+
+def crandom(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@oracle_settings
+@given(n=st.integers(0, 7), seed=seeds)
+def test_permanent_glynn_matches_direct_oracle(n, seed):
+    z = crandom(seed, (n, n))
+    assert rel(permanent(z), permanent(z, method="direct")) < 1e-12
+
+
+@oracle_settings
+@given(m=st.integers(0, 3), seed=seeds)
+def test_hafnian_matches_direct_hyperhafnian(m, seed):
+    a = crandom(seed, (2 * m, 2 * m))
+    z = a + a.T
+    assert rel(hafnian(z), hyperhafnian(z, method="direct")) < 1e-12
+
+
+@oracle_settings
+@given(n=st.integers(0, 6), seed=seeds)
+def test_hafnian_of_block_embedding_matches_direct_permanent(n, seed):
+    z = crandom(seed, (n, n))
+    haf = hafnian(block_embed_per_as_haf(z))
+    assert rel(haf, permanent(z, method="direct")) < 1e-12
+
+
+@oracle_settings
+@given(k=st.integers(0, 4), order=st.integers(2, 4), seed=seeds)
+def test_multidim_permanent_glynn_matches_direct(k, order, seed):
+    t = crandom(seed, (k,) * order)
+    assert rel(multidim_permanent(t), multidim_permanent(t, method="direct")) < 1e-12
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 16])
+def test_permanent_at_block_boundary_matches_closed_form(n):
+    # rows 1..10 form the dense sign block; n = 11 needs no Gray walk,
+    # 12 and 13 walk one and two rows, 16 walks five. per(diag(r) D diag(c))
+    # is prod(r) prod(c) permanent_D(n, neg).
+    rng = np.random.default_rng(30 + n)
+    for neg in (0, 3, n):
+        d = np.ones((n, n))
+        d[range(neg), range(neg)] = -1.0
+        r = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        c = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        expected = np.prod(r) * np.prod(c) * permanent_D(n, neg)
+        assert rel(permanent(r[:, None] * d * c), expected) < 1e-12
+
+
+@pytest.mark.parametrize("k, order", [(3, 8), (7, 3)])
+def test_multidim_permanent_chunks_match_rank_one_closed_form(k, order):
+    # (3, 8) sums over outer choices of the first fixed axis, (7, 3) splits
+    # the 5040 matrices into several chunks; every pair of bijections of a
+    # rank-one tensor contributes the same product
+    rng = np.random.default_rng(31)
+    vectors = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for _ in range(order)]
+    t = vectors[0]
+    for v in vectors[1:]:
+        t = np.multiply.outer(t, v)
+    expected = math.factorial(k) ** (order - 1) * np.prod([v.prod() for v in vectors])
+    assert rel(multidim_permanent(t), expected) < 1e-12
+
+
+def test_multidim_permanent_rejects_unknown_method():
+    with pytest.raises(DomainError):
+        multidim_permanent(np.ones((2, 2, 2)), method="ryser")
+
+
+def matching_steps(n, ell):
+    """Steps of the match-the-lowest-index recursion, by walking every
+    reachable set of unused indices."""
+    seen, todo, steps = set(), [frozenset(range(n))], 0
+    while todo:
+        left = todo.pop()
+        if not left or left in seen:
+            continue
+        seen.add(left)
+        low, rest = min(left), sorted(left - {min(left)})
+        for partners in itertools.combinations(rest, ell - 1):
+            steps += 1
+            todo.append(left - {low, *partners})
+    return steps
+
+
+@pytest.mark.parametrize("n, ell", [(0, 2), (4, 2), (10, 2), (5, 1), (9, 3), (12, 4), (10, 5)])
+def test_hyperhafnian_work_counts_recursion_steps(n, ell):
+    assert hyperhafnian_work(n, ell) == matching_steps(n, ell)
+
+
+def test_multidim_permanent_work():
+    assert multidim_permanent_work(6, 2) == 720 * 32 * 6
+    assert multidim_permanent_work(6, 1) == 32 * 6
+    assert multidim_permanent_work(0, 3) == 1
