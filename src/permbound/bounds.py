@@ -12,10 +12,13 @@ partition of the columns (or a composition of the level) dominate the
 normalized permanent or hafnian; the ``*_bound`` functions return the
 corresponding absolute bounds.
 
-Blocks of two columns have a closed form: ``pair_bound`` and
-``avg_pair_bound`` bound |per| / n! from the pair means f_set(Z, (u, v))
-without enumerating minors. The ``unit_circle_*`` functions apply them to
-exp(i t x) for a phase matrix x.
+``f_set`` and ``F_level`` evaluate their minors in one engine: the minors of
+every (column set, row subset) pair are gathered in bounded chunks and their
+permanents summed by one stacked Glynn kernel. ``pair_bound`` and
+``avg_pair_bound`` are the blocks-of-two case of the partition and
+composition bounds on |per| / n!, with a singleton block or a part 1 for odd
+n; the ``unit_circle_*`` functions apply them to exp(i t x) for a phase
+matrix x.
 
 Baselines (operator-norm powers, singular-value means, column-norm
 products, the rank bound for sign matrices) are included for comparison
@@ -25,6 +28,7 @@ from numpy.linalg.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -41,6 +45,8 @@ from .combinatorics import (
 from .errors import DomainError
 from .exact import (
     _as_square,
+    _glynn_chunk,
+    _glynn_stack,
     hafnian,
     hyperhafnian,
     multidim_permanent,
@@ -64,22 +70,60 @@ def _as_matrix(z) -> np.ndarray:
 # subset averages for permanents
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n), k >= 1, as the columns of a (k, C(n, k))
+    index table."""
+    return np.array(list(enumerate_subsets(n, k)), dtype=np.intp).reshape(-1, k).T
+
+
+def _minor_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
+    """For each column set cols[:, q] (k >= 1 columns), the mean over row
+    k-subsets J of |per(a[J, cols[:, q]]) / k!|^2.
+
+    The minors of all (column set, row subset) pairs, numbered column set
+    by column set, are gathered from the flat matrix, at most
+    exact._glynn_chunk(k) per chunk, into one stack for the Glynn kernel.
+    """
+    n, m = a.shape
+    offsets = _subsets(n, k) * m
+    count = offsets.shape[1]
+    total = count * cols.shape[1]
+    flat = a.ravel()
+    fact = float(math.factorial(k))
+    sums = np.zeros(cols.shape[1])
+    chunk = _glynn_chunk(k)
+    for start in range(0, total, chunk):
+        q, r = np.divmod(np.arange(start, min(start + chunk, total)), count)
+        index = offsets.take(r, axis=1)[:, None] + cols.take(q, axis=1)[None]
+        per = _glynn_stack(flat.take(index))
+        part = np.bincount(q - q[0], np.abs(per / fact) ** 2)
+        sums[q[0] : q[0] + len(part)] += part
+    return sums / count
+
+
+def _block_product(mean, a, blocks, power: float = 1.0) -> float:
+    """Product of mean(a, w) ** power over the blocks w."""
+    return math.prod(mean(a, w) ** power for w in blocks)
+
+
+def _level_product(mean, a, parts, power: float = 1.0) -> float:
+    """Product of mean(a, p) ** power over the parts p, evaluating each
+    distinct level once."""
+    values = {p: mean(a, p) ** power for p in dict.fromkeys(parts)}
+    return math.prod(values[p] for p in parts)
+
+
 def f_set(z, cols: Sequence[int]) -> float:
     """Mean over row subsets J of |per(z[J, K]) / k!|^2 for K = cols.
 
     The empty column set gives 1. Requires len(cols) <= number of rows.
     """
     a = _as_matrix(z)
-    n, m = a.shape
-    K = as_index_set(cols, m)
-    k = len(K)
-    if k == 0:
+    K = as_index_set(cols, a.shape[1])
+    if not K:
         return 1.0
-    fact = math.factorial(k)
-    total = 0.0
-    for J in enumerate_subsets(n, k):
-        total += abs(permanent(a[np.ix_(J, K)]) / fact) ** 2
-    return total / subset_count(n, k)
+    return float(_minor_means(a, len(K), np.array(K)[:, None])[0])
 
 
 def f_tilde(z, cols: Sequence[int]) -> float:
@@ -113,10 +157,7 @@ def F_level(z, k: int) -> float:
         raise DomainError(f"level k={k} outside [0, {m}]")
     if k == 0:
         return 1.0
-    total = 0.0
-    for K in enumerate_subsets(m, k):
-        total += f_set(a, K)
-    return total / subset_count(m, k)
+    return float(_minor_means(a, k, _subsets(m, k)).mean())
 
 
 def partition_bound_f(z, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -> float:
@@ -127,11 +168,7 @@ def partition_bound_f(z, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -
     """
     a = _as_matrix(z)
     K = as_index_set(cols, a.shape[1])
-    parts = validate_partition(blocks, K)
-    out = 1.0
-    for w in parts:
-        out *= f_set(a, w)
-    return out
+    return _block_product(f_set, a, validate_partition(blocks, K))
 
 
 def permanent_bound_partition(z, blocks: Sequence[Sequence[int]]) -> float:
@@ -143,10 +180,7 @@ def permanent_bound_partition(z, blocks: Sequence[Sequence[int]]) -> float:
     a = _as_square(z)
     n = a.shape[0]
     parts = validate_partition(blocks, range(n))
-    out = float(math.factorial(n))
-    for w in parts:
-        out *= math.sqrt(f_set(a, w))
-    return out
+    return float(math.factorial(n)) * _block_product(f_set, a, parts, 0.5)
 
 
 def composition_bound_F(z, k: int, parts: Sequence[int]) -> float:
@@ -154,11 +188,7 @@ def composition_bound_F(z, k: int, parts: Sequence[int]) -> float:
 
     Dominates F_level(z, k); zero parts contribute the factor F(z, 0) = 1.
     """
-    w = as_composition(parts, total=k)
-    out = 1.0
-    for p in w:
-        out *= F_level(z, p)
-    return out
+    return _level_product(F_level, z, as_composition(parts, total=k))
 
 
 def permanent_bound_composition(z, parts: Sequence[int]) -> float:
@@ -169,10 +199,7 @@ def permanent_bound_composition(z, parts: Sequence[int]) -> float:
     a = _as_square(z)
     n = a.shape[0]
     w = as_composition(parts, total=n)
-    out = float(math.factorial(n))
-    for p in w:
-        out *= math.sqrt(F_level(a, p))
-    return out
+    return float(math.factorial(n)) * _level_product(F_level, a, w, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +261,12 @@ def partition_bound_f_ell(
     """Product of f_ell_set over an ordered partition of the column set."""
     a, _, _, m = _as_row_tensor(t)
     K = as_index_set(cols, m)
-    parts = validate_partition(blocks, K)
-    out = 1.0
-    for w in parts:
-        out *= f_ell_set(a, w)
-    return out
+    return _block_product(f_ell_set, a, validate_partition(blocks, K))
 
 
 def composition_bound_F_ell(t, k: int, parts: Sequence[int]) -> float:
     """Product of F_ell_level over a weak composition of the level k."""
-    w = as_composition(parts, total=k)
-    out = 1.0
-    for p in w:
-        out *= F_ell_level(t, p)
-    return out
+    return _level_product(F_ell_level, t, as_composition(parts, total=k))
 
 
 def multidim_permanent_bound(t, blocks_or_parts, *, by_level: bool = False) -> float:
@@ -260,16 +279,13 @@ def multidim_permanent_bound(t, blocks_or_parts, *, by_level: bool = False) -> f
     a, ell, n, m = _as_row_tensor(t)
     if m != n:
         raise DomainError("bound needs equal row and column sizes")
-    out = float(math.factorial(n)) ** ell
     if by_level:
         w = as_composition(blocks_or_parts, total=n)
-        for p in w:
-            out *= math.sqrt(F_ell_level(a, p))
+        root = _level_product(F_ell_level, a, w, 0.5)
     else:
         parts = validate_partition(blocks_or_parts, range(n))
-        for wr in parts:
-            out *= math.sqrt(f_ell_set(a, wr))
-    return out
+        root = _block_product(f_ell_set, a, parts, 0.5)
+    return float(math.factorial(n)) ** ell * root
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +322,8 @@ def hafnian_bound(z, parts: Sequence[int]) -> float:
         raise DomainError(f"hafnian bound needs an even dimension, got {n}")
     m = n // 2
     w = as_composition(parts, total=m)
-    out = math.factorial(n) / (math.factorial(m) * 2**m)
-    for p in w:
-        out *= math.sqrt(G_level(a, p))
-    return out
+    prefactor = math.factorial(n) / (math.factorial(m) * 2**m)
+    return prefactor * _level_product(G_level, a, w, 0.5)
 
 
 def G_ell_level(t, k: int) -> float:
@@ -353,79 +367,46 @@ def hyperhafnian_bound(t, parts: Sequence[int]) -> float:
         raise DomainError(f"axis size {n} is not a multiple of the order {ell}")
     m = n // ell
     w = as_composition(parts, total=m)
-    out = math.factorial(n) / (math.factorial(m) * math.factorial(ell) ** m)
-    for p in w:
-        out *= math.sqrt(G_ell_level(a, p))
-    return out
+    prefactor = math.factorial(n) / (math.factorial(m) * math.factorial(ell) ** m)
+    return prefactor * _level_product(G_ell_level, a, w, 0.5)
 
 
 # ---------------------------------------------------------------------------
-# pair bounds: column blocks of size two in closed form
-
-
-def _validate_perm(s, n: int) -> tuple[int, ...]:
-    if s is None:
-        return tuple(range(n))
-    perm = tuple(int(e) for e in s)
-    if sorted(perm) != list(range(n)):
-        raise DomainError(f"not a permutation of range({n}): {perm}")
-    return perm
-
-
-def _pair_mean(z: np.ndarray, u, v) -> np.ndarray:
-    """f_set(z, (u, v)) in closed form: the mean over ordered row pairs
-    (j, k), j != k, of |z[j,u] z[k,v] + z[k,u] z[j,v]|^2 / 4.
-
-    ``u`` and ``v`` are column indices or index arrays that broadcast
-    against each other; the result has their broadcast shape.
-    """
-    n = z.shape[0]
-    outer = z[:, u].T[..., :, None] * z[:, v].T[..., None, :]
-    sym = np.abs(outer + np.swapaxes(outer, -1, -2)) ** 2 / 4.0
-    off = sym.sum(axis=(-2, -1)) - np.trace(sym, axis1=-2, axis2=-1)
-    return off / (n * (n - 1))
+# pair bounds: column blocks of size two
 
 
 def pair_bound(z, s: Sequence[int] | None = None) -> float:
     """Pairing bound on |per(z)| / n! for a square matrix, n >= 2.
 
-    Columns are paired by the permutation s (default identity): block r is
-    (s[2r], s[2r+1]) and contributes sqrt(f_set(z, block)). For odd n the
-    unpaired column s[n-1] contributes sqrt(mean_j |z[j, s[n-1]]|^2), which
-    is 1 for unit-modulus z.
+    :func:`permanent_bound_partition` / n! with the columns paired by the
+    permutation s (default identity): the product of sqrt(f_set(z, block))
+    over the blocks (s[0], s[1]), (s[2], s[3]), ..., and for odd n the
+    singleton (s[n-1],), whose factor sqrt(mean_j |z[j, s[n-1]]|^2) is 1 for
+    unit-modulus z. An s that is not a permutation raises DomainError.
     """
     a = _as_square(z)
     n = a.shape[0]
     if n < 2:
         raise DomainError("pair bound needs n >= 2")
-    perm = _validate_perm(s, n)
-    means = _pair_mean(a, list(perm[:-1:2]), list(perm[1::2]))
-    out = float(np.sqrt(means).prod())
-    if n % 2:
-        out *= math.sqrt(float((np.abs(a[:, perm[-1]]) ** 2).mean()))
-    return out
+    perm = tuple(range(n)) if s is None else tuple(s)
+    blocks = [perm[i : i + 2] for i in range(0, len(perm), 2)]
+    return _block_product(f_set, a, validate_partition(blocks, range(n)), 0.5)
 
 
 def avg_pair_bound(z) -> float:
     """Permutation-free averaged bound on |per(z)| / n! for a square matrix.
 
-    The mean of f_set(z, (u, v)) over all ordered column pairs u != v,
-    raised to the power floor(n/2) / 2; for odd n times sqrt(mean over all
-    entries of |z|^2), which is 1 for unit-modulus z. Requires n >= 2.
+    :func:`permanent_bound_composition` / n! for the composition (2, ..., 2),
+    with a final part 1 for odd n: sqrt(F_level(z, 2)), the mean of
+    f_set(z, (u, v)) over all column pairs, to the power floor(n/2), times
+    sqrt(F_level(z, 1)), the mean of |z|^2 over all entries (1 for
+    unit-modulus z), for odd n. Requires n >= 2.
     """
     a = _as_square(z)
     n = a.shape[0]
     if n < 2:
         raise DomainError("averaged bound needs n >= 2")
-    # one column against all others at a time keeps memory at O(n^3)
-    total = 0.0
-    for u in range(n):
-        for mean in _pair_mean(a, u, np.delete(np.arange(n), u)).tolist():
-            total += mean
-    out = (total / (n * (n - 1))) ** (0.5 * (n // 2))
-    if n % 2:
-        out *= math.sqrt(float((np.abs(a) ** 2).mean()))
-    return out
+    return _level_product(F_level, a, (2,) * (n // 2) + (1,) * (n % 2), 0.5)
 
 
 def _as_phase_matrix(x) -> np.ndarray:

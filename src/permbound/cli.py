@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from . import bounds, charfn, table1, verify
+from .combinatorics import as_composition, validate_partition
 from .errors import DomainError, FeasibilityError, ParseError
 from .exact import (
     hafnian,
@@ -56,6 +57,15 @@ HAF_ELL_MAX_M = 6
 PER_ELL_MAX_WORK = 200_000_000
 HAF_ELL_MAX_WORK = 2_000_000
 EXACT_COLUMN_MAX_N = 12
+# Bound rows are normalized by n!, which a double holds up to n = 170.
+BOUNDS_MAX_N = 170
+# Work limit of a partition or composition row, in Glynn products over its
+# minors (see _minor_products; 10-27 ns each on the same box): an accepted
+# row finishes within about 5 s there.
+BOUNDS_MAX_WORK = 200_000_000
+# Entries sampled by charfn --mc (trials * n^2): 10^7 doubles of draws took
+# about 0.5 s and 130-250 MB of peak memory on the same box.
+MC_MAX_DRAWS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +238,34 @@ def cmd_exact(args) -> int:
 # bounds
 
 
+def _minor_products(n: int, k: int) -> int:
+    """Glynn products of the C(n, k) minors of one set of k columns of an
+    n x n matrix: 2^(k-1) * k each."""
+    return math.comb(n, k) * (k << (k - 1)) if k else 0
+
+
+def _check_row_work(name: str, work: int) -> None:
+    if work > BOUNDS_MAX_WORK:
+        raise FeasibilityError(
+            f"{name} row work limit {BOUNDS_MAX_WORK} products, got {work}"
+        )
+
+
 def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
     """Catalogue of normalized bound rows (everything divided by n!).
 
     Row order is fixed: operator norms, singular mean, column norms,
     unit-circle rows (unit_circle inputs only), rank bound, optional extra
     baselines, then the partition and composition rows when requested.
+    Oversized requests raise FeasibilityError before any row is computed:
+    n beyond BOUNDS_MAX_N, or a partition (one minor set per block) or
+    composition (C(n, k) minor sets per distinct level k) whose minors need
+    more than BOUNDS_MAX_WORK Glynn products.
     """
     z = mi.z
     n = mi.n
+    if n > BOUNDS_MAX_N:
+        raise FeasibilityError(f"bounds limit n <= {BOUNDS_MAX_N}, got {n}")
     fact = float(math.factorial(n))
     ps = args.p if args.p else ["1", "2", "inf"]
     tasks = []
@@ -270,12 +299,20 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
         add("ckp_column_mean", {},
             lambda: math.sqrt(bounds.baseline_ckp_minor(z)))
     if args.partition:
-        blocks = parse_partition(args.partition, n)
+        # malformed requests exit 2 before the work limit
+        blocks = validate_partition(parse_partition(args.partition, n), range(n))
+        _check_row_work(
+            "partition", sum(_minor_products(n, len(b)) for b in blocks)
+        )
         add("partition_subset_avg",
             {"blocks": [[v + 1 for v in b] for b in blocks]},
             lambda: bounds.permanent_bound_partition(z, blocks) / fact)
     if args.composition:
-        parts = parse_composition(args.composition)
+        parts = as_composition(parse_composition(args.composition), total=n)
+        _check_row_work(
+            "composition",
+            sum(math.comb(n, k) * _minor_products(n, k) for k in set(parts)),
+        )
         add("composition_level_avg", {"parts": list(parts)},
             lambda: bounds.permanent_bound_composition(z, parts) / fact)
 
@@ -406,6 +443,11 @@ def cmd_charfn(args) -> int:
     ts = args.t if args.t else [0.0]
     if not all(math.isfinite(t) for t in ts):
         raise ParseError("'t' must be finite", position="--t")
+    if args.mc * model.n**2 > MC_MAX_DRAWS:
+        raise FeasibilityError(
+            f"Monte Carlo limit trials * n^2 <= {MC_MAX_DRAWS},"
+            f" got {args.mc} * {model.n}^2"
+        )
     s_perm = parse_perm(args.s_perm, model.n) if args.s_perm else None
     rows = []
     for t in ts:

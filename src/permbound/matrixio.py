@@ -247,29 +247,30 @@ def round_up_6dp(value: float) -> float:
     return out
 
 
-def display_digits(value: float, digits: int = 7) -> tuple[int, int]:
-    """Scaled integer and decimal count for a seven-digit rounded-up display.
+def round_up_decimals(value: float, decimals: int) -> str:
+    """Decimal string of value rounded up at ``decimals`` decimals.
 
-    The decimal count is digits minus the number of integer digits (one
-    digit for values below 1), floored at 0. A relative fuzz of 1e-9 keeps
-    values that are mathematically on the rounding grid from being pushed
-    up a step by floating noise.
+    A relative fuzz of 1e-9 keeps values that are mathematically on the
+    rounding grid from being pushed up a step by floating noise.
     """
     if value < 0:
         raise ValueError("display rounding expects non-negative values")
-    int_digits = 1 if value < 1.0 else len(str(int(value)))
-    decimals = max(digits - int_digits, 0)
     scaled = value * 10**decimals
-    return math.ceil(scaled - 1e-9 * max(1.0, scaled)), decimals
-
-
-def display_round_up(value: float, digits: int = 7) -> str:
-    """Seven-digit rounded-up decimal string (e.g. 416.1016, 0.292023)."""
-    scaled, decimals = display_digits(value, digits)
+    scaled = math.ceil(scaled - 1e-9 * max(1.0, scaled))
     if decimals == 0:
         return str(scaled)
     text = f"{scaled:0{decimals + 1}d}"
     return f"{text[:-decimals]}.{text[-decimals:]}"
+
+
+def display_round_up(value: float, digits: int = 7) -> str:
+    """Seven-digit rounded-up decimal string (e.g. 416.1016, 0.292023).
+
+    The decimal count is digits minus the number of integer digits (one
+    digit for values below 1), floored at 0.
+    """
+    int_digits = 1 if value < 1.0 else len(str(int(value)))
+    return round_up_decimals(value, max(digits - int_digits, 0))
 
 
 @dataclass

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds
 from .exact import permanent
-from .matrixio import BoundRow
+from .matrixio import BoundRow, round_up_decimals
 from .parallel import map_in_order
 
 EXPONENTS = np.array(
@@ -138,24 +138,14 @@ def _match_reference(raw: float | None, printed: str) -> tuple[bool, str]:
     """Compare a computed value against a printed reference cell.
 
     The computed value is rounded up at the printed cell's own decimal
-    count (integer comparison, no float parsing)."""
+    count and compared as a string (no float parsing)."""
     if printed == "n.a.":
         return raw is None, "n.a." if raw is None else "applicable"
     if raw is None:
         return False, "n.a."
-    if "." in printed:
-        decimals = len(printed) - printed.index(".") - 1
-        target = int(printed.replace(".", ""))
-    else:
-        decimals = 0
-        target = int(printed)
-    scaled = math.ceil(raw * 10**decimals - 1e-9 * max(1.0, raw * 10**decimals))
-    if decimals == 0:
-        shown = str(scaled)
-    else:
-        text = f"{scaled:0{decimals + 1}d}"
-        shown = f"{text[:-decimals]}.{text[-decimals:]}"
-    return scaled == target, shown
+    decimals = len(printed) - printed.index(".") - 1 if "." in printed else 0
+    shown = round_up_decimals(raw, decimals)
+    return shown == printed, shown
 
 
 @dataclass(frozen=True)

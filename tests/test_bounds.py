@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permbound import bounds
+from permbound import bounds, exact
 from permbound.combinatorics import enumerate_subsets
 from permbound.errors import DomainError
 from permbound.exact import (
@@ -75,6 +76,78 @@ def test_F_level_is_mean_of_f_set():
             / math.comb(5, k)
             if k
             else 1.0
+        )
+        assert bounds.F_level(z, k) == pytest.approx(expected, rel=1e-12)
+
+
+def direct_f(z, K):
+    """f_set by a loop of direct permanents over every row subset."""
+    k = len(K)
+    return float(np.mean([
+        abs(permanent(z[np.ix_(J, K)], method="direct") / math.factorial(k)) ** 2
+        for J in enumerate_subsets(z.shape[0], k)
+    ]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_minor_means_match_direct_oracle(n, data, seed):
+    m = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(1, m))
+    z = cmat(np.random.default_rng(seed), n, m)
+    means = {K: direct_f(z, K) for K in enumerate_subsets(m, k)}
+    K = data.draw(st.sampled_from(sorted(means)))
+    assert bounds.f_set(z, K) == pytest.approx(means[K], rel=1e-12)
+    expected = float(np.mean(list(means.values())))
+    assert bounds.F_level(z, k) == pytest.approx(expected, rel=1e-12)
+
+
+def test_minor_means_across_chunk_boundaries(monkeypatch):
+    # 2^5 sign-vector rows per chunk: at k = 1 a chunk of 32 minors spans
+    # four column sets of 8 row subsets and ends inside a fifth; from k = 2
+    # on (16, 8, 4, 2, 1 minors) the 28, 56, 70, 56, 28 row subsets of one
+    # column set span several chunks
+    monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
+    rng = np.random.default_rng(39)
+    z = cmat(rng, 8, 6)
+    for k in range(1, 7):
+        means = [direct_f(z, K) for K in enumerate_subsets(6, k)]
+        assert bounds.F_level(z, k) == pytest.approx(np.mean(means), rel=1e-12)
+        assert bounds.f_set(z, range(k)) == pytest.approx(means[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 13, 16])
+def test_f_set_walks_rows_past_the_sign_table(n):
+    # minors of k >= 12 Gray-walk k - 11 rows after the dense sign block;
+    # per(diag(r) D diag(c)) is prod(r) prod(c) permanent_D(n, neg)
+    rng = np.random.default_rng(40 + n)
+    d = np.ones((n, n))
+    d[range(3), range(3)] = -1.0
+    r = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    c = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    per = np.prod(r) * np.prod(c) * permanent_D(n, 3)
+    expected = abs(per / math.factorial(n)) ** 2
+    assert bounds.f_set(r[:, None] * d * c, range(n)) == pytest.approx(
+        expected, rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("n, m, levels", [(9, 7, range(8)), (14, 13, (12, 13))])
+def test_F_level_of_rank_one_matches_closed_form(n, m, levels):
+    # per((u v^T)[J, K]) = k! prod(u[J]) prod(v[K]); levels 12 and 13 walk
+    # rows past the sign table in chunks of 4 and 2 minors
+    rng = np.random.default_rng(41)
+    u = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    v = rng.uniform(0.5, 1.5, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+    z = np.outer(u, v)
+
+    def e(w, k):
+        return sum(math.prod(c) for c in itertools.combinations(w, k))
+
+    for k in levels:
+        expected = (
+            e(np.abs(u) ** 2, k) * e(np.abs(v) ** 2, k)
+            / (math.comb(n, k) * math.comb(m, k))
         )
         assert bounds.F_level(z, k) == pytest.approx(expected, rel=1e-12)
 
@@ -253,17 +326,18 @@ def test_G_ell_level_and_hyperhafnian_bound():
 
 
 def test_pair_mean_matches_f_set():
+    # f_set on column pairs against a loop of direct permanents over the
+    # row pairs, in both column orders
     rng = np.random.default_rng(44)
     for shape in [(2, 2), (5, 5), (7, 4)]:
         z = cmat(rng, *shape)
-        m = shape[1]
+        n, m = shape
         for u, v in itertools.permutations(range(m), 2):
-            assert bounds._pair_mean(z, u, v) == pytest.approx(
-                bounds.f_set(z, (u, v)), rel=1e-12
-            )
-        us, vs = np.triu_indices(m, 1)
-        expected = [bounds.f_set(z, (u, v)) for u, v in zip(us, vs)]
-        assert np.allclose(bounds._pair_mean(z, us, vs), expected, rtol=1e-12)
+            expected = np.mean([
+                abs(permanent(z[np.ix_(J, (u, v))], method="direct") / 2) ** 2
+                for J in enumerate_subsets(n, 2)
+            ])
+            assert bounds.f_set(z, (u, v)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pair_bounds_on_complex_matrices():
@@ -283,6 +357,19 @@ def test_pair_bounds_on_complex_matrices():
             fn(np.ones((1, 1)))
         with pytest.raises(DomainError):
             fn(np.ones((2, 3)))
+
+
+def test_pair_bounds_beyond_double_factorials(monkeypatch):
+    # 171! overflows a double; the pair bounds never form n!
+    z = np.ones((171, 171))
+    assert bounds.pair_bound(z) == pytest.approx(1.0, rel=1e-12)
+    # F_level(z, 2) at n = 171 means 2.1e8 minors; the level values of the
+    # ones matrix are 1, so a stand-in checks the route over 85 parts 2
+    # and one part 1
+    levels = []
+    monkeypatch.setattr(bounds, "F_level", lambda a, k: levels.append(k) or 1.0)
+    assert bounds.avg_pair_bound(z) == 1.0
+    assert levels == [2, 1]
 
 
 def test_unit_circle_pair_bound_matches_f_products():

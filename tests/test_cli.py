@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from permbound import bounds, table1
+from permbound import bounds, cli, table1
 from permbound.matrixio import from_entries, matrix_to_json, tensor_to_json
 
 
@@ -329,6 +330,37 @@ def test_bounds_thread_count_stable(phase_matrix):
     assert runs[0].stdout == runs[1].stdout
 
 
+def run_main_timed(capsys, *argv):
+    """Exit code, stderr and seconds of one in-process CLI run."""
+    start = time.perf_counter()
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "n, options, limit",
+    [
+        # 171! overflows a double
+        (171, (), "bounds limit n <= 170"),
+        # about 7e12 minors of 12 x 12
+        (24, ("--composition", "12,12"), "composition row work limit 200000000"),
+        # one minor of 24 x 24: 2^23 * 24 = 201,326,592 products
+        (24, ("--partition", ",".join(map(str, range(1, 25)))),
+         "partition row work limit 200000000"),
+    ],
+)
+def test_bounds_feasibility_exit(tmp_path, capsys, n, options, limit):
+    path = tmp_path / "big.json"
+    doc = {"unit_circle": {"x": np.zeros((n, n)).tolist(), "t": 1.0}}
+    path.write_text(json.dumps(doc))
+    code, err, seconds = run_main_timed(
+        capsys, "bounds", "--input", str(path), *options
+    )
+    assert code == 3
+    assert limit in err
+    assert seconds < 1.0
+
+
 def test_table1_text():
     proc = run_cli("table1")
     assert proc.returncode == 0
@@ -431,6 +463,17 @@ def test_charfn_non_finite_params_exit(tmp_path, cell, position):
     assert proc.returncode == 2
     assert position in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_charfn_mc_limit_exit(model_file, capsys):
+    # one trial over the cap for the 2 x 2 model: refused before sampling
+    trials = cli.MC_MAX_DRAWS // 4 + 1
+    code, err, seconds = run_main_timed(
+        capsys, "charfn", "--input", model_file, "--mc", str(trials)
+    )
+    assert code == 3
+    assert f"Monte Carlo limit trials * n^2 <= {cli.MC_MAX_DRAWS}" in err
+    assert seconds < 1.0
 
 
 def test_charfn_bad_model(tmp_path):
