@@ -12,13 +12,10 @@ partition of the columns (or a composition of the level) dominate the
 normalized permanent or hafnian; the ``*_bound`` functions return the
 corresponding absolute bounds.
 
-``f_set`` and ``F_level`` evaluate their minors in one engine: the minors of
-every (column set, row subset) pair are gathered in bounded chunks and their
-permanents summed by one stacked Glynn kernel. ``pair_bound`` and
-``avg_pair_bound`` are the blocks-of-two case of the partition and
-composition bounds on |per| / n!, with a singleton block or a part 1 for odd
-n; the ``unit_circle_*`` functions apply them to exp(i t x) for a phase
-matrix x.
+Permanental minors are gathered in bounded chunks for one stacked Glynn
+kernel. ``pair_bound`` and ``avg_pair_bound`` bound |per| / n! with blocks
+of two columns (a partition, a composition of levels 2); the
+``unit_circle_*`` functions apply them to exp(i t x) for a phase matrix x.
 
 Baselines (operator-norm powers, singular-value means, column-norm
 products, the rank bound for sign matrices) are included for comparison
@@ -72,44 +69,39 @@ def _as_matrix(z) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _subsets(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n), k >= 1, as the columns of a (k, C(n, k))
-    index table."""
+    """The k-subsets of range(n), k >= 1, as the columns of a (k, C(n, k)) table."""
     return np.array(list(enumerate_subsets(n, k)), dtype=np.intp).reshape(-1, k).T
+
+
+def _minor_stack(a: np.ndarray, k: int, cols: np.ndarray):
+    """Yield (q, per) chunk by chunk, at most exact._glynn_chunk(k) minors
+    each: per[i, r] = per(a[J, cols[:, q + i]]) for row k-subsets J (k >= 1)."""
+    n, m = a.shape
+    rows = _subsets(n, k) * m
+    count, width = rows.shape[1], cols.shape[1]
+    flat = a.ravel()
+    rstep = min(count, _glynn_chunk(k))
+    qstep = max(1, _glynn_chunk(k) // rstep)
+    for q in range(0, width, qstep):
+        c = cols[:, q : q + qstep, None]
+        for r in range(0, count, rstep):
+            index = rows[:, None, None, r : r + rstep] + c
+            per = _glynn_stack(flat.take(index).reshape(k, k, -1))
+            yield q, per.reshape(c.shape[1], -1)
 
 
 def _minor_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
     """For each column set cols[:, q] (k >= 1 columns), the mean over row
-    k-subsets J of |per(a[J, cols[:, q]]) / k!|^2.
-
-    The minors of all (column set, row subset) pairs, numbered column set
-    by column set, are gathered from the flat matrix, at most
-    exact._glynn_chunk(k) per chunk, into one stack for the Glynn kernel.
-    """
-    n, m = a.shape
-    offsets = _subsets(n, k) * m
-    count = offsets.shape[1]
-    total = count * cols.shape[1]
-    flat = a.ravel()
+    k-subsets J of |per(a[J, cols[:, q]]) / k!|^2."""
     fact = float(math.factorial(k))
     sums = np.zeros(cols.shape[1])
-    chunk = _glynn_chunk(k)
-    for start in range(0, total, chunk):
-        q, r = np.divmod(np.arange(start, min(start + chunk, total)), count)
-        index = offsets.take(r, axis=1)[:, None] + cols.take(q, axis=1)[None]
-        per = _glynn_stack(flat.take(index))
-        part = np.bincount(q - q[0], np.abs(per / fact) ** 2)
-        sums[q[0] : q[0] + len(part)] += part
-    return sums / count
-
-
-def _block_product(mean, a, blocks, power: float = 1.0) -> float:
-    """Product of mean(a, w) ** power over the blocks w."""
-    return math.prod(mean(a, w) ** power for w in blocks)
+    for q, per in _minor_stack(a, k, cols):
+        sums[q : q + len(per)] += ((np.abs(per) / fact) ** 2).sum(axis=1)
+    return sums / subset_count(a.shape[0], k)
 
 
 def _level_product(mean, a, parts, power: float = 1.0) -> float:
-    """Product of mean(a, p) ** power over the parts p, evaluating each
-    distinct level once."""
+    """Product of mean(a, p) ** power over the parts, each distinct p once."""
     values = {p: mean(a, p) ** power for p in dict.fromkeys(parts)}
     return math.prod(values[p] for p in parts)
 
@@ -168,7 +160,7 @@ def partition_bound_f(z, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -
     """
     a = _as_matrix(z)
     K = as_index_set(cols, a.shape[1])
-    return _block_product(f_set, a, validate_partition(blocks, K))
+    return math.prod(f_set(a, w) for w in validate_partition(blocks, K))
 
 
 def permanent_bound_partition(z, blocks: Sequence[Sequence[int]]) -> float:
@@ -180,7 +172,7 @@ def permanent_bound_partition(z, blocks: Sequence[Sequence[int]]) -> float:
     a = _as_square(z)
     n = a.shape[0]
     parts = validate_partition(blocks, range(n))
-    return float(math.factorial(n)) * _block_product(f_set, a, parts, 0.5)
+    return float(math.factorial(n)) * math.prod(math.sqrt(f_set(a, w)) for w in parts)
 
 
 def composition_bound_F(z, k: int, parts: Sequence[int]) -> float:
@@ -261,7 +253,7 @@ def partition_bound_f_ell(
     """Product of f_ell_set over an ordered partition of the column set."""
     a, _, _, m = _as_row_tensor(t)
     K = as_index_set(cols, m)
-    return _block_product(f_ell_set, a, validate_partition(blocks, K))
+    return math.prod(f_ell_set(a, w) for w in validate_partition(blocks, K))
 
 
 def composition_bound_F_ell(t, k: int, parts: Sequence[int]) -> float:
@@ -284,7 +276,7 @@ def multidim_permanent_bound(t, blocks_or_parts, *, by_level: bool = False) -> f
         root = _level_product(F_ell_level, a, w, 0.5)
     else:
         parts = validate_partition(blocks_or_parts, range(n))
-        root = _block_product(f_ell_set, a, parts, 0.5)
+        root = math.prod(math.sqrt(f_ell_set(a, w)) for w in parts)
     return float(math.factorial(n)) ** ell * root
 
 
@@ -378,11 +370,10 @@ def hyperhafnian_bound(t, parts: Sequence[int]) -> float:
 def pair_bound(z, s: Sequence[int] | None = None) -> float:
     """Pairing bound on |per(z)| / n! for a square matrix, n >= 2.
 
-    :func:`permanent_bound_partition` / n! with the columns paired by the
-    permutation s (default identity): the product of sqrt(f_set(z, block))
-    over the blocks (s[0], s[1]), (s[2], s[3]), ..., and for odd n the
-    singleton (s[n-1],), whose factor sqrt(mean_j |z[j, s[n-1]]|^2) is 1 for
-    unit-modulus z. An s that is not a permutation raises DomainError.
+    Columns are paired by the permutation s (default identity): block r is
+    (s[2r], s[2r+1]) and contributes sqrt(f_set(z, block)). For odd n the
+    unpaired column s[n-1] contributes sqrt(mean_j |z[j, s[n-1]]|^2), which
+    is 1 for unit-modulus z.
     """
     a = _as_square(z)
     n = a.shape[0]
@@ -390,17 +381,16 @@ def pair_bound(z, s: Sequence[int] | None = None) -> float:
         raise DomainError("pair bound needs n >= 2")
     perm = tuple(range(n)) if s is None else tuple(s)
     blocks = [perm[i : i + 2] for i in range(0, len(perm), 2)]
-    return _block_product(f_set, a, validate_partition(blocks, range(n)), 0.5)
+    parts = validate_partition(blocks, range(n))
+    return math.prod(math.sqrt(f_set(a, w)) for w in parts)
 
 
 def avg_pair_bound(z) -> float:
     """Permutation-free averaged bound on |per(z)| / n! for a square matrix.
 
-    :func:`permanent_bound_composition` / n! for the composition (2, ..., 2),
-    with a final part 1 for odd n: sqrt(F_level(z, 2)), the mean of
-    f_set(z, (u, v)) over all column pairs, to the power floor(n/2), times
-    sqrt(F_level(z, 1)), the mean of |z|^2 over all entries (1 for
-    unit-modulus z), for odd n. Requires n >= 2.
+    The mean of f_set(z, (u, v)) over all column pairs, F_level(z, 2),
+    raised to the power floor(n/2) / 2; for odd n times sqrt(mean over all
+    entries of |z|^2), which is 1 for unit-modulus z. Requires n >= 2.
     """
     a = _as_square(z)
     n = a.shape[0]
@@ -556,11 +546,9 @@ def minor_sum_phi(z, k: int) -> complex:
     n, m = a.shape
     if not 0 <= k <= min(n, m):
         raise DomainError(f"level k={k} outside [0, {min(n, m)}]")
-    total = 0.0 + 0.0j
-    for K in enumerate_subsets(m, k):
-        for J in enumerate_subsets(n, k):
-            total += permanent(a[np.ix_(J, K)])
-    return complex(total)
+    if k == 0:
+        return 1.0 + 0.0j
+    return complex(sum(per.sum() for _, per in _minor_stack(a, k, _subsets(m, k))))
 
 
 def phi_bound(z, k: int) -> float:

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -59,12 +60,10 @@ HAF_ELL_MAX_WORK = 2_000_000
 EXACT_COLUMN_MAX_N = 12
 # Bound rows are normalized by n!, which a double holds up to n = 170.
 BOUNDS_MAX_N = 170
-# Work limit of a partition or composition row, in Glynn products over its
-# minors (see _minor_products; 10-27 ns each on the same box): an accepted
-# row finishes within about 5 s there.
+# Glynn products over the minors of a partition or composition row (4-36 ns
+# each on the same box, levels 2 slowest): accepted rows finish within 7 s.
 BOUNDS_MAX_WORK = 200_000_000
-# Entries sampled by charfn --mc (trials * n^2): 10^7 doubles of draws took
-# about 0.5 s and 130-250 MB of peak memory on the same box.
+# Entries sampled by charfn --mc: 10^7 took about 0.5 s and 130-250 MB there.
 MC_MAX_DRAWS = 10_000_000
 
 
@@ -238,13 +237,9 @@ def cmd_exact(args) -> int:
 # bounds
 
 
-def _minor_products(n: int, k: int) -> int:
-    """Glynn products of the C(n, k) minors of one set of k columns of an
-    n x n matrix: 2^(k-1) * k each."""
-    return math.comb(n, k) * (k << (k - 1)) if k else 0
-
-
-def _check_row_work(name: str, work: int) -> None:
+def _check_row_work(name: str, n: int, sets: dict[int, int]) -> None:
+    # sets[k] column sets of size k, each C(n, k) minors of 2^(k-1) k products
+    work = sum(c * math.comb(n, k) * (k << k >> 1) for k, c in sets.items())
     if work > BOUNDS_MAX_WORK:
         raise FeasibilityError(
             f"{name} row work limit {BOUNDS_MAX_WORK} products, got {work}"
@@ -257,10 +252,7 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
     Row order is fixed: operator norms, singular mean, column norms,
     unit-circle rows (unit_circle inputs only), rank bound, optional extra
     baselines, then the partition and composition rows when requested.
-    Oversized requests raise FeasibilityError before any row is computed:
-    n beyond BOUNDS_MAX_N, or a partition (one minor set per block) or
-    composition (C(n, k) minor sets per distinct level k) whose minors need
-    more than BOUNDS_MAX_WORK Glynn products.
+    Oversized requests raise FeasibilityError before any row is computed.
     """
     z = mi.z
     n = mi.n
@@ -301,18 +293,13 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
     if args.partition:
         # malformed requests exit 2 before the work limit
         blocks = validate_partition(parse_partition(args.partition, n), range(n))
-        _check_row_work(
-            "partition", sum(_minor_products(n, len(b)) for b in blocks)
-        )
+        _check_row_work("partition", n, Counter(len(b) for b in blocks))
         add("partition_subset_avg",
             {"blocks": [[v + 1 for v in b] for b in blocks]},
             lambda: bounds.permanent_bound_partition(z, blocks) / fact)
     if args.composition:
         parts = as_composition(parse_composition(args.composition), total=n)
-        _check_row_work(
-            "composition",
-            sum(math.comb(n, k) * _minor_products(n, k) for k in set(parts)),
-        )
+        _check_row_work("composition", n, {k: math.comb(n, k) for k in set(parts)})
         add("composition_level_avg", {"parts": list(parts)},
             lambda: bounds.permanent_bound_composition(z, parts) / fact)
 

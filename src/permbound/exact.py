@@ -42,11 +42,8 @@ SYMMETRY_ATOL = 1e-12
 # Rows whose sign vectors form the dense block of the Glynn kernel: a
 # 2^10 x n block keeps each Gray step one vectorized update.
 _GLYNN_BLOCK_ROWS = 10
-# Rows of sign-vector products per chunk of a stack of k x k matrices (the
-# tensor permanent's, the bounds' minors): chunks of at most 2^13 >> (k - 1)
-# matrices bound their memory. On a 2-core x86 box 2^13 rows ran as fast as
-# 2^15 or up to 2.2x faster (minor means for k = 2..8, tensor permanents up
-# to k = 7): larger blocks outgrow the cache.
+# Rows of sign-vector products per chunk of a stack of k x k matrices:
+# chunks of at most 2^13 >> (k - 1) matrices bound their memory.
 _GLYNN_BATCH_ROWS = 1 << 13
 
 
@@ -219,14 +216,9 @@ def _tensor_tables(k: int, ell: int):
 
 def _glynn_stack(m: np.ndarray) -> np.ndarray:
     """Glynn permanents of the k x k matrices m[:, :, c] of a C-contiguous
-    stack, k >= 1.
-
-    One matrix product with the sign table of rows 1..k-1 gives
-    block[s, j, c], the column sums of sign vector s in matrix c, so the
-    products run along contiguous rows. For k - 1 beyond the dense table's
-    rows a chunk holds at most _GLYNN_BATCH_ROWS >> 11 (4) matrices, and
-    :func:`_permanent_gray` walks each.
-    """
+    stack, k >= 1: block[s, j, c] holds the column sums of sign vector s, so
+    the products run along contiguous rows. Beyond the dense sign table's
+    rows, :func:`_permanent_gray` walks each matrix."""
     k, _, c = m.shape
     if k - 1 > _GLYNN_BLOCK_ROWS:
         return np.array([_permanent_gray(m[:, :, i]) for i in range(c)])

@@ -264,11 +264,8 @@ def round_up_decimals(value: float, decimals: int) -> str:
 
 
 def display_round_up(value: float, digits: int = 7) -> str:
-    """Seven-digit rounded-up decimal string (e.g. 416.1016, 0.292023).
-
-    The decimal count is digits minus the number of integer digits (one
-    digit for values below 1), floored at 0.
-    """
+    """Seven-digit rounded-up decimal string (e.g. 416.1016, 0.292023): the
+    decimals left after the integer digits (one below 1), floored at 0."""
     int_digits = 1 if value < 1.0 else len(str(int(value)))
     return round_up_decimals(value, max(digits - int_digits, 0))
 

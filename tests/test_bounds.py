@@ -103,10 +103,10 @@ def test_minor_means_match_direct_oracle(n, data, seed):
 
 
 def test_minor_means_across_chunk_boundaries(monkeypatch):
-    # 2^5 sign-vector rows per chunk: at k = 1 a chunk of 32 minors spans
-    # four column sets of 8 row subsets and ends inside a fifth; from k = 2
-    # on (16, 8, 4, 2, 1 minors) the 28, 56, 70, 56, 28 row subsets of one
-    # column set span several chunks
+    # 2^5 sign-vector rows per chunk: at k = 1 a chunk of 32 minors holds
+    # four column sets of 8 row subsets, and 6 column sets end in a partial
+    # chunk; from k = 2 on (16, 8, 4, 2, 1 minors) the 28, 56, 70, 56, 28
+    # row subsets of one column set span several chunks
     monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
     rng = np.random.default_rng(39)
     z = cmat(rng, 8, 6)
@@ -114,6 +114,11 @@ def test_minor_means_across_chunk_boundaries(monkeypatch):
         means = [direct_f(z, K) for K in enumerate_subsets(6, k)]
         assert bounds.F_level(z, k) == pytest.approx(np.mean(means), rel=1e-12)
         assert bounds.f_set(z, range(k)) == pytest.approx(means[0], rel=1e-12)
+        phi = sum(
+            permanent(z[np.ix_(J, K)], method="direct")
+            for K in enumerate_subsets(6, k) for J in enumerate_subsets(8, k)
+        )
+        assert bounds.minor_sum_phi(z, k) == pytest.approx(phi, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [12, 13, 16])

@@ -361,6 +361,26 @@ def test_bounds_feasibility_exit(tmp_path, capsys, n, options, limit):
     assert seconds < 1.0
 
 
+def test_bounds_avg_cos_row_is_not_work_limited(tmp_path, capsys, monkeypatch):
+    # the work limit refuses partition and composition rows only: with no
+    # work allowed, the unit-circle rows are still computed
+    monkeypatch.setattr(cli, "BOUNDS_MAX_WORK", 0)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 1.0, (20, 20))
+    path = tmp_path / "phases.json"
+    path.write_text(json.dumps({"unit_circle": {"x": x.tolist(), "t": 0.7}}))
+    assert cli.main(["bounds", "--input", str(path), "--format", "json"]) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows["avg_cos"]["raw_value"] == pytest.approx(
+        bounds.avg_pair_bound(np.exp(0.7j * x)), rel=1e-12
+    )
+    code, err, _ = run_main_timed(
+        capsys, "bounds", "--input", str(path), "--composition", "1," * 19 + "1"
+    )
+    assert code == 3
+    assert "composition row work limit 0" in err
+
+
 def test_table1_text():
     proc = run_cli("table1")
     assert proc.returncode == 0
