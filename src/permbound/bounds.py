@@ -445,14 +445,24 @@ def unit_circle_theta_bound(x, t: float) -> float:
 # baselines
 
 
+def _exp(x: float) -> float:
+    """exp(x), or inf where it does not fit a double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_hadamard(z) -> float:
+    """log(baseline_hadamard(z) / n!): half-logs of the column mean squares."""
+    means = (np.abs(_as_square(z)) ** 2).mean(axis=0)
+    with np.errstate(divide="ignore"):
+        return float(0.5 * np.log(means).sum())
+
+
 def baseline_hadamard(z) -> float:
     """Column-norm bound n! * prod_r sqrt((1/n) sum_j |z[j,r]|^2) >= |per(z)|."""
-    a = _as_square(z)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    means = (np.abs(a) ** 2).mean(axis=0)
-    return float(math.factorial(n) * np.sqrt(means).prod())
+    return _exp(_log_hadamard(z) + math.lgamma(len(z) + 1))
 
 
 def baseline_ckp_minor(z, cols: Sequence[int] | None = None) -> float:
@@ -473,16 +483,12 @@ def baseline_ckp_minor(z, cols: Sequence[int] | None = None) -> float:
     return float(means.prod())
 
 
-def baseline_opnorm(z, p) -> float:
-    """Operator-norm bound ||z||_p ** n >= |per(z)| for p in {1, 2, inf}.
-
-    p = 1 is the maximum column absolute sum, p = inf the maximum row
-    absolute sum, p = 2 the largest singular value.
-    """
+def _log_opnorm(z, p) -> float:
+    """log(baseline_opnorm(z, p) / n!) = n log ||z||_p - log n!."""
     a = _as_square(z)
     n = a.shape[0]
     if n == 0:
-        return 1.0
+        return 0.0
     key = str(p).lower()
     if key == "1":
         norm = float(np.abs(a).sum(axis=0).max())
@@ -492,17 +498,34 @@ def baseline_opnorm(z, p) -> float:
         norm = float(np.linalg.norm(a, 2))
     else:
         raise DomainError(f"unsupported operator norm p={p!r}")
-    return norm**n
+    return n * math.log(norm) - math.lgamma(n + 1) if norm else -math.inf
+
+
+def baseline_opnorm(z, p) -> float:
+    """Operator-norm bound ||z||_p ** n >= |per(z)| for p in {1, 2, inf}.
+
+    p = 1 is the maximum column absolute sum, p = inf the maximum row
+    absolute sum, p = 2 the largest singular value.
+    """
+    return _exp(_log_opnorm(z, p) + math.lgamma(len(z) + 1))
+
+
+def _log_singular(z) -> float:
+    """log(baseline_singular(z) / n!), a logsumexp over 2n log alpha_j."""
+    a = _as_square(z)
+    n = a.shape[0]
+    if n == 0:
+        return 0.0
+    sv = np.linalg.svd(a, compute_uv=False)  # descending
+    if sv[0] == 0.0:
+        return -math.inf
+    log_sum = math.log(float(((sv / sv[0]) ** (2 * n)).sum()))
+    return n * math.log(sv[0]) + 0.5 * (log_sum - math.log(n)) - math.lgamma(n + 1)
 
 
 def baseline_singular(z) -> float:
     """Singular-value bound sqrt((1/n) sum_j alpha_j^(2n)) >= |per(z)|."""
-    a = _as_square(z)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    sv = np.linalg.svd(a, compute_uv=False)
-    return float(math.sqrt((sv ** (2 * n)).sum() / n))
+    return _exp(_log_singular(z) + math.lgamma(len(z) + 1))
 
 
 def baseline_krauter(z, *, atol: float = 1e-12) -> int | None:

@@ -270,9 +270,11 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
     for p in ("1", "inf", "2"):
         if p in ps:
             add(f"opnorm_p{p}", {"p": p},
-                lambda p=p: bounds.baseline_opnorm(z, p) / fact)
-    add("singular_mean_power", {}, lambda: bounds.baseline_singular(z) / fact)
-    add("hadamard_column_norm", {}, lambda: bounds.baseline_hadamard(z) / fact)
+                lambda p=p: bounds._exp(bounds._log_opnorm(z, p)))
+    add("singular_mean_power", {},
+        lambda: bounds._exp(bounds._log_singular(z)))
+    add("hadamard_column_norm", {},
+        lambda: bounds._exp(bounds._log_hadamard(z)))
     if mi.form == "unit_circle":
         x, t = mi.phases, mi.t
         s_perm = parse_perm(args.s_perm, n) if args.s_perm else None
@@ -314,6 +316,8 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
                 rows.append(BoundRow(name=name, params=params, applicable=False))
                 continue
             value = value / fact
+        if not math.isfinite(value):
+            raise FeasibilityError(f"{name} row value {value} does not fit a double")
         row = BoundRow(name=name, params=params, raw_value=float(value))
         if exact_norm is not None:
             row.exact_norm = exact_norm

@@ -8,11 +8,13 @@ operation is the size-restricted subset convolution
 
 (componentwise over the l axes), whose mean-square is dominated by the
 product of the factor mean-squares after dividing by the number of terms.
+It is one gather over cached per-axis tables of the ranks of I and J \\ I.
 :func:`verify_convolution_inequality` checks that inequality on explicit
 tables, :func:`classify_equality` reports which structural equality
 conditions an instance satisfies, and :func:`generalized_R` with
 :func:`verify_master_inequality` handle the block-product generalization
-(sums over partition tuples of products of factor functions).
+(sums over partition tuples of products of factor functions, that is the
+iterated convolution of the factors).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .combinatorics import (
     IndexSet,
     as_index_set,
-    enumerate_partitions,
     subset_count,
     subset_rank,
 )
@@ -119,6 +120,21 @@ class SetFunction:
         return bool(np.min(self.table.real) >= 0)
 
 
+@functools.lru_cache(maxsize=None)
+def _split_ranks(n: int, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables [a, b] of the ranks of I and of J \\ I, for J the a-th k-subset
+    of range(n) and I the b-th element of ``itertools.combinations(J, j)``."""
+    rank_i = {s: r for r, s in enumerate(_subsets(n, j))}
+    rank_rest = {s: r for r, s in enumerate(_subsets(n, k - j))}
+    pairs = [
+        (rank_i[part], rank_rest[tuple(e for e in big if e not in part)])
+        for big in _subsets(n, k)
+        for part in itertools.combinations(big, j)
+    ]
+    table = np.array(pairs, dtype=np.intp).reshape(-1, math.comb(k, j), 2)
+    return table[..., 0], table[..., 1]
+
+
 def subset_convolution(g: SetFunction, h: SetFunction) -> SetFunction:
     """Size-restricted subset convolution of two set functions.
 
@@ -132,25 +148,17 @@ def subset_convolution(g: SetFunction, h: SetFunction) -> SetFunction:
     for n, k in zip(g.sizes, out_levels):
         if k > n:
             raise DomainError(f"combined level {k} exceeds ground size {n}")
+    arity = g.arity
+    # axis s: output cell at position s, split term at position arity + s
+    idx = []
+    for s, (n, k, j) in enumerate(zip(g.sizes, out_levels, g.levels)):
+        shape = [1] * (2 * arity)
+        shape[s], shape[arity + s] = math.comb(n, k), math.comb(k, j)
+        idx.append([ranks.reshape(shape) for ranks in _split_ranks(n, k, j)])
+    gidx, hidx = zip(*idx)
     dtype = np.result_type(g.table.dtype, h.table.dtype, float)
-    shape = tuple(subset_count(n, k) for n, k in zip(g.sizes, out_levels))
-    table = np.zeros(shape, dtype=dtype)
-    streams = [_subsets(n, k) for n, k in zip(g.sizes, out_levels)]
-    for cell in itertools.product(*(range(len(s)) for s in streams)):
-        js = [streams[s][cell[s]] for s in range(len(streams))]
-        total = 0
-        for parts in itertools.product(
-            *(
-                itertools.combinations(j, lev)
-                for j, lev in zip(js, g.levels)
-            )
-        ):
-            rest = tuple(
-                tuple(e for e in j if e not in set(i))
-                for j, i in zip(js, parts)
-            )
-            total += g.value(parts) * h.value(rest)
-        table[cell] = total
+    terms = np.multiply(g.table[gidx], h.table[hidx], dtype=dtype)
+    table = terms.sum(axis=tuple(range(arity, 2 * arity)))
     return SetFunction(g.sizes, out_levels, table)
 
 
@@ -235,12 +243,7 @@ def classify_equality(
     if h_scale == 0.0:
         out.append("h_zero")
     if k == n:
-        # complement pairing: subset ranks of I and of its complement
-        comp = np.zeros_like(gt)
-        for idx, sub in enumerate(_subsets(n, j)):
-            chosen = set(sub)
-            rest = tuple(e for e in range(n) if e not in chosen)
-            comp[idx] = ht[subset_rank(rest, n)]
+        comp = ht[::-1]  # the r-th j-subset's complement has rank C(n, j) - 1 - r
         denom = float((comp**2).sum())
         if denom == 0.0:
             x = 0.0
@@ -309,6 +312,9 @@ def generalized_R(factors, subsets) -> complex:
     per-axis level sum; the value is
     sum over (V_1s, ..., V_ds) in Part(J_s, weight(s)) for every axis s of
     prod_r factor_r(V_r1, ..., V_rl).
+
+    The convolution of the factors restricted to the subsets of J has R(J)
+    as its single cell, so the cost is set by |J_s|, not the ground sizes.
     """
     system = _as_system(factors)
     args = _normalize_arg(subsets, system.arity)
@@ -320,17 +326,17 @@ def generalized_R(factors, subsets) -> complex:
             raise DomainError(
                 f"index set size {len(j)} does not match level sum {k}"
             )
-    axis_parts = [
-        tuple(enumerate_partitions(j, system.weight(s)))
-        for s, j in enumerate(js)
-    ]
-    total = 0
-    for combo in itertools.product(*axis_parts):
-        prod = 1
-        for r, f in enumerate(system.factors):
-            prod *= f.value(tuple(combo[s][r] for s in range(system.arity)))
-        total += prod
-    return complex(total)
+    restricted = []
+    for f in system.factors:
+        ranks = [
+            [subset_rank(sub, n) for sub in itertools.combinations(j, w)]
+            for j, n, w in zip(js, f.sizes, f.levels)
+        ]
+        restricted.append(
+            SetFunction(system.levels, f.levels, f.table[np.ix_(*ranks)])
+        )
+    p = functools.reduce(subset_convolution, restricted)
+    return complex(p.table.reshape(-1)[0])
 
 
 @dataclass(frozen=True)
@@ -349,7 +355,8 @@ def verify_master_inequality(
 
     The mean over J-tuples of |prefactor * R(J)|^2, with prefactor
     prod_s (prod_r w_rs!) / k_s!, is at most the product over factors of
-    their mean squares. Factors may be complex valued.
+    their mean squares. Factors may be complex valued. R(J) for every
+    J-tuple at once is the iterated subset convolution of the factors.
     """
     system = _as_system(factors)
     prefactor = 1.0
@@ -359,15 +366,8 @@ def verify_master_inequality(
         for p in w:
             num *= math.factorial(p)
         prefactor *= num / math.factorial(k)
-    streams = [
-        _subsets(n, k) for n, k in zip(system.sizes, system.levels)
-    ]
-    total = 0.0
-    cells = 0
-    for js in itertools.product(*streams):
-        total += abs(prefactor * generalized_R(system, js)) ** 2
-        cells += 1
-    lhs = total / cells
+    r_table = functools.reduce(subset_convolution, system.factors).table
+    lhs = float((np.abs(prefactor * r_table) ** 2).mean())
     rhs = 1.0
     for f in system.factors:
         rhs *= f.mean_square()

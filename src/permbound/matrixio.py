@@ -241,6 +241,8 @@ def load_tensor(path) -> np.ndarray:
 
 def round_up_6dp(value: float) -> float:
     """Smallest multiple of 1e-6 that is >= value (never below it)."""
+    if 2.0**53 <= value < math.inf:  # an integer: on the grid, and * 1e6 may overflow
+        return value
     out = math.ceil(value * 1e6) / 1e6
     if out < value:
         out += 1e-6

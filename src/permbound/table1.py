@@ -83,25 +83,25 @@ def compute_rows(t: float) -> list[BoundRow]:
         lambda: BoundRow(
             name="opnorm_p1",
             params={"p": 1},
-            raw_value=bounds.baseline_opnorm(z, 1) / _FACT8,
+            raw_value=bounds._exp(bounds._log_opnorm(z, 1)),
         ),
         lambda: BoundRow(
             name="opnorm_pinf",
             params={"p": "inf"},
-            raw_value=bounds.baseline_opnorm(z, "inf") / _FACT8,
+            raw_value=bounds._exp(bounds._log_opnorm(z, "inf")),
         ),
         lambda: BoundRow(
             name="opnorm_p2",
             params={"p": 2},
-            raw_value=bounds.baseline_opnorm(z, 2) / _FACT8,
+            raw_value=bounds._exp(bounds._log_opnorm(z, 2)),
         ),
         lambda: BoundRow(
             name="singular_mean_power",
-            raw_value=bounds.baseline_singular(z) / _FACT8,
+            raw_value=bounds._exp(bounds._log_singular(z)),
         ),
         lambda: BoundRow(
             name="hadamard_column_norm",
-            raw_value=bounds.baseline_hadamard(z) / _FACT8,
+            raw_value=bounds._exp(bounds._log_hadamard(z)),
         ),
         lambda: BoundRow(
             name="pair_cos",

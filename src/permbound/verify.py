@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, charfn
-from .combinatorics import enumerate_subsets
 from .convolution import (
     SetFunction,
     classify_equality,
@@ -608,11 +607,8 @@ def suite_convolution(seed: int = 0, trials: int = 200) -> SuiteResult:
                 if k == n:
                     h = SetFunction(n, k - j, rng.random(math.comb(n, k - j)))
                     x = float(rng.random()) + 0.5
-                    gvals = np.zeros(math.comb(n, j))
-                    for idx, sub in enumerate(enumerate_subsets(n, j)):
-                        chosen = set(sub)
-                        rest = tuple(e for e in range(n) if e not in chosen)
-                        gvals[idx] = x * h.value(rest)
+                    # g(I) = x * h(complement of I): complements in reverse order
+                    gvals = x * h.table[::-1]
                     constructed.append(
                         ("complement_proportional", SetFunction(n, j, gvals), h)
                     )

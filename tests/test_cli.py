@@ -381,6 +381,53 @@ def test_bounds_avg_cos_row_is_not_work_limited(tmp_path, capsys, monkeypatch):
     assert "composition row work limit 0" in err
 
 
+def entries_file(tmp_path, z):
+    path = tmp_path / f"entries{len(z)}.json"
+    path.write_text(json.dumps(matrix_to_json(from_entries(z))))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [120, 150])
+def test_bounds_large_unit_modulus_rows_finite(tmp_path, capsys, n):
+    # n ** n / n! and the singular-value powers overflow a double here;
+    # the rows are normalized in log space
+    rng = np.random.default_rng(n)
+    path = entries_file(tmp_path, np.exp(1j * rng.uniform(-np.pi, np.pi, (n, n))))
+    assert cli.main(["bounds", "--input", path, "--format", "json"]) == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert rows["hadamard_column_norm"]["raw_value"] == pytest.approx(1.0, rel=1e-12)
+    values = [r["raw_value"] for r in rows.values() if r["applicable"]]
+    assert len(values) == 5 and all(math.isfinite(v) for v in values)
+    assert cli.main(["bounds", "--input", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    shown = [line.split()[1] for line in lines if line.strip()]
+    assert len(shown) == 6
+    assert all(v == "n.a." or math.isfinite(float(v)) for v in shown)
+
+
+def test_bounds_row_beyond_a_double_exit(tmp_path, capsys):
+    # normalized opnorm_p1 is (100 c) ** 100 / 100!: about 1e305 for c = 426,
+    # beyond a double for c = 1000
+    path = entries_file(tmp_path, np.full((100, 100), 426.0))
+    assert cli.main(["bounds", "--input", path, "--format", "json"]) == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    assert 1e304 < rows["opnorm_p1"]["rounded_up_6dp"] < math.inf
+    path = entries_file(tmp_path, np.full((100, 100), 1000.0))
+    code, err, _ = run_main_timed(capsys, "bounds", "--input", path)
+    assert code == 3
+    assert "opnorm_p1 row value inf does not fit a double" in err
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_bounds_rows_dominate_exact(tmp_path, capsys, n):
+    rng = np.random.default_rng(80 + n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    path = entries_file(tmp_path, z)
+    assert cli.main(["bounds", "--input", path, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(r["dominates_exact"] for r in rows if r["applicable"])
+
+
 def test_table1_text():
     proc = run_cli("table1")
     assert proc.returncode == 0

@@ -31,6 +31,18 @@ def test_subset_rank_matches_enumeration_order():
                 assert subset_rank(sub, n) == i
 
 
+def test_complement_has_reversed_rank():
+    # the complement of the r-th j-subset is the (C(n, j) - 1 - r)-th
+    # (n - j)-subset
+    for n in range(9):
+        for j in range(n + 1):
+            subs = list(enumerate_subsets(n, j))
+            comps = list(enumerate_subsets(n, n - j))
+            for r, sub in enumerate(subs):
+                rest = tuple(e for e in range(n) if e not in sub)
+                assert comps[len(subs) - 1 - r] == rest
+
+
 def test_as_index_set_validates():
     assert as_index_set([3, 1], 5) == (1, 3)
     assert as_index_set((), 0) == ()

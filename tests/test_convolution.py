@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permbound.combinatorics import enumerate_subsets
+from permbound.combinatorics import enumerate_partitions, enumerate_subsets
 from permbound.convolution import (
     ExpansionSystem,
     SetFunction,
@@ -295,3 +296,137 @@ def test_master_equality_for_constant_factors():
     check = verify_master_inequality(fs)
     assert check.holds
     assert check.lhs == pytest.approx(check.rhs, rel=1e-12)
+
+
+# Oracles: the per-cell loops the rank-table gather replaced.
+
+
+def convolution_loop(g, h):
+    out_levels = tuple(a + b for a, b in zip(g.levels, h.levels))
+    streams = [list(enumerate_subsets(n, k)) for n, k in zip(g.sizes, out_levels)]
+    table = np.zeros(tuple(len(s) for s in streams), dtype=complex)
+    for cell in itertools.product(*(range(len(s)) for s in streams)):
+        js = [streams[s][c] for s, c in enumerate(cell)]
+        for parts in itertools.product(
+            *(itertools.combinations(j, lev) for j, lev in zip(js, g.levels))
+        ):
+            rest = tuple(
+                tuple(e for e in j if e not in i) for j, i in zip(js, parts)
+            )
+            table[cell] += g.value(parts) * h.value(rest)
+    return table
+
+
+def partition_sum(factors, js):
+    axis_parts = [
+        tuple(enumerate_partitions(j, tuple(f.levels[s] for f in factors)))
+        for s, j in enumerate(js)
+    ]
+    total = 0j
+    for combo in itertools.product(*axis_parts):
+        total += math.prod(
+            f.value(tuple(combo[s][r] for s in range(len(js))))
+            for r, f in enumerate(factors)
+        )
+    return total
+
+
+def random_table(rng, sizes, levels, integer=False):
+    shape = tuple(math.comb(n, j) for n, j in zip(sizes, levels))
+    if integer:
+        return rng.integers(-5, 6, shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_subset_convolution_matches_loop(data):
+    arity = data.draw(st.integers(1, 3))
+    top = (5, 4, 3)[arity - 1]
+    sizes, lev_g, lev_h = [], [], []
+    for _ in range(arity):
+        n = data.draw(st.integers(0, top))
+        a = data.draw(st.integers(0, n))
+        sizes.append(n)
+        lev_g.append(a)
+        lev_h.append(data.draw(st.integers(0, n - a)))
+    integer = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = SetFunction(sizes, lev_g, random_table(rng, sizes, lev_g, integer))
+    h = SetFunction(sizes, lev_h, random_table(rng, sizes, lev_h, integer))
+    p = subset_convolution(g, h)
+    assert p.levels == tuple(a + b for a, b in zip(lev_g, lev_h))
+    if integer:
+        assert p.table.dtype == np.float64
+    expected = convolution_loop(g, h)
+    # rounding is relative to the sum of |terms| of each cell
+    scale = convolution_loop(
+        SetFunction(sizes, lev_g, np.abs(g.table)),
+        SetFunction(sizes, lev_h, np.abs(h.table)),
+    ).real
+    assert np.all(np.abs(p.table - expected) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generalized_R_matches_partition_sum(data):
+    arity = data.draw(st.integers(1, 2))
+    d = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sizes, js, weights = [], [], []
+    for _ in range(arity):
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(0, n - 1))  # J a proper subset
+        sizes.append(n)
+        js.append(tuple(sorted(rng.permutation(n)[:k].tolist())))
+        cuts = sorted(data.draw(st.integers(0, k)) for _ in range(d - 1))
+        weights.append([b - a for a, b in zip([0, *cuts], [*cuts, k])])
+    factors = [
+        SetFunction(sizes, levels, random_table(rng, sizes, levels))
+        for levels in (tuple(w[r] for w in weights) for r in range(d))
+    ]
+    expected = partition_sum(factors, js)
+    got = generalized_R(factors, tuple(js))
+    scale = abs(partition_sum(
+        [SetFunction(f.sizes, f.levels, np.abs(f.table)) for f in factors], js
+    ))
+    assert abs(got - expected) <= 1e-12 * scale
+
+
+def test_generalized_R_level_zero_factor_and_large_ground():
+    rng = np.random.default_rng(71)
+    n = 60
+    js = (3, 17, 29, 42, 58)
+    factors = [
+        SetFunction(n, w, random_table(rng, (n,), (w,))) for w in (2, 0, 3)
+    ]
+    got = generalized_R(factors, js)
+    assert got == pytest.approx(partition_sum(factors, (js,)), rel=1e-12)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_master_lhs_matches_per_J_loop(arity):
+    rng = np.random.default_rng(72 + arity)
+    n = 4 if arity == 1 else 3
+    for weights in ((1, 2), (0, 3, 1), (2,), (1, 1, 1)):
+        if sum(weights) > n:
+            continue
+        factors = [
+            SetFunction((n,) * arity, (w,) * arity,
+                        random_table(rng, (n,) * arity, (w,) * arity))
+            for w in weights
+        ]
+        k = sum(weights)
+        prefactor = (
+            math.prod(math.factorial(w) for w in weights) / math.factorial(k)
+        ) ** arity
+        streams = [list(enumerate_subsets(n, k))] * arity
+        expected = np.mean([
+            abs(prefactor * partition_sum(factors, js)) ** 2
+            for js in itertools.product(*streams)
+        ])
+        check = verify_master_inequality(factors)
+        assert check.lhs == pytest.approx(expected, rel=1e-12)
+        assert check.rhs == pytest.approx(
+            math.prod(f.mean_square() for f in factors), rel=1e-15
+        )

@@ -169,6 +169,12 @@ def test_round_up_6dp_never_below():
     assert round_up_6dp(0.0000001) == pytest.approx(1e-6)
 
 
+def test_round_up_6dp_large_values():
+    # floats from 2^53 up are integers, so already on the 1e-6 grid
+    for value in (2.0**53, 1e100, 1.7e308):
+        assert round_up_6dp(value) == value
+
+
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
 def test_round_up_6dp_properties(value):
     out = round_up_6dp(value)

@@ -44,6 +44,10 @@ def test_suites_pass_at_reduced_trials(name, trials):
     assert result.ok
     assert result.failures == []
     assert result.checks > 0
+    # a gather that drops an (n, k, j) case changes these counts
+    pinned = {"convolution": 460, "master": 28}
+    if name in pinned:
+        assert result.checks == pinned[name]
     assert result.elapsed >= 0.0
 
 
