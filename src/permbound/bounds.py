@@ -7,15 +7,16 @@ The central quantities are averages of squared normalized minors:
 * ``G_level(Z, k)``: mean over principal subsets J of the squared
   normalized sub-hafnian |haf(Z[J, J]) k! 2^k / (2k)!|^2,
 
-together with their tensor versions. Products of these averages over a
-partition of the columns (or a composition of the level) dominate the
-normalized permanent or hafnian; the ``*_bound`` functions return the
-corresponding absolute bounds.
+together with their tensor versions, whose order-2 cases they are.
+Products of these averages over a partition of the columns (or a
+composition of the level) dominate the normalized permanent or hafnian;
+the ``*_bound`` functions return the corresponding absolute bounds.
 
-Permanental minors are gathered in bounded chunks for one stacked Glynn
-kernel. ``pair_bound`` and ``avg_pair_bound`` bound |per| / n! with blocks
-of two columns (a partition, a composition of levels 2); the
-``unit_circle_*`` functions apply them to exp(i t x) for a phase matrix x.
+Every average and minor sum reads the minor engine of :mod:`exact` in
+chunks at any order, never one kernel call per minor. ``pair_bound`` and
+``avg_pair_bound`` bound |per| / n! with blocks of two columns (a
+partition, a composition of levels 2); the ``unit_circle_*`` functions
+apply them to exp(i t x) for a phase matrix x.
 
 Baselines (operator-norm powers, singular-value means, column-norm
 products, the rank bound for sign matrices) are included for comparison
@@ -25,8 +26,6 @@ from numpy.linalg.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections.abc import Sequence
 
@@ -35,18 +34,18 @@ import numpy as np
 from .combinatorics import (
     as_composition,
     as_index_set,
-    enumerate_subsets,
     subset_count,
     validate_partition,
 )
 from .errors import DomainError
 from .exact import (
+    SYMMETRY_ATOL,
+    _as_cube,
     _as_square,
-    _glynn_chunk,
-    _glynn_stack,
-    hafnian,
-    hyperhafnian,
-    multidim_permanent,
+    _check_symmetric,
+    _minor_stack,
+    _principal_stack,
+    _subsets,
     permanent,
     permanent_D,
 )
@@ -67,37 +66,16 @@ def _as_matrix(z) -> np.ndarray:
 # subset averages for permanents
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n), k >= 1, as the columns of a (k, C(n, k)) table."""
-    return np.array(list(enumerate_subsets(n, k)), dtype=np.intp).reshape(-1, k).T
-
-
-def _minor_stack(a: np.ndarray, k: int, cols: np.ndarray):
-    """Yield (q, per) chunk by chunk, at most exact._glynn_chunk(k) minors
-    each: per[i, r] = per(a[J, cols[:, q + i]]) for row k-subsets J (k >= 1)."""
-    n, m = a.shape
-    rows = _subsets(n, k) * m
-    count, width = rows.shape[1], cols.shape[1]
-    flat = a.ravel()
-    rstep = min(count, _glynn_chunk(k))
-    qstep = max(1, _glynn_chunk(k) // rstep)
-    for q in range(0, width, qstep):
-        c = cols[:, q : q + qstep, None]
-        for r in range(0, count, rstep):
-            index = rows[:, None, None, r : r + rstep] + c
-            per = _glynn_stack(flat.take(index).reshape(k, k, -1))
-            yield q, per.reshape(c.shape[1], -1)
-
-
 def _minor_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
-    """For each column set cols[:, q] (k >= 1 columns), the mean over row
-    k-subsets J of |per(a[J, cols[:, q]]) / k!|^2."""
-    fact = float(math.factorial(k))
+    """For each column set cols[:, q] (k >= 1 columns) of a row tensor with
+    l row axes, the mean over l-tuples of row k-subsets J of
+    |per(a[J_1, ..., J_l, cols[:, q]]) / (k!)^l|^2."""
+    ell = a.ndim - 1
+    fact = float(math.factorial(k) ** ell)
     sums = np.zeros(cols.shape[1])
-    for q, per in _minor_stack(a, k, cols):
+    for q, _, per in _minor_stack(a, k, cols):
         sums[q : q + len(per)] += ((np.abs(per) / fact) ** 2).sum(axis=1)
-    return sums / subset_count(a.shape[0], k)
+    return sums / subset_count(a.shape[0], k) ** ell
 
 
 def _level_product(mean, a, parts, power: float = 1.0) -> float:
@@ -110,12 +88,9 @@ def f_set(z, cols: Sequence[int]) -> float:
     """Mean over row subsets J of |per(z[J, K]) / k!|^2 for K = cols.
 
     The empty column set gives 1. Requires len(cols) <= number of rows.
+    The order-2 case of :func:`f_ell_set`.
     """
-    a = _as_matrix(z)
-    K = as_index_set(cols, a.shape[1])
-    if not K:
-        return 1.0
-    return float(_minor_means(a, len(K), np.array(K)[:, None])[0])
+    return f_ell_set(_as_matrix(z), cols)
 
 
 def f_tilde(z, cols: Sequence[int]) -> float:
@@ -143,13 +118,7 @@ def f_tilde(z, cols: Sequence[int]) -> float:
 
 def F_level(z, k: int) -> float:
     """Mean of f_set(z, K) over all column subsets K of size k."""
-    a = _as_matrix(z)
-    m = a.shape[1]
-    if not 0 <= k <= m:
-        raise DomainError(f"level k={k} outside [0, {m}]")
-    if k == 0:
-        return 1.0
-    return float(_minor_means(a, k, _subsets(m, k)).mean())
+    return F_ell_level(_as_matrix(z), k)
 
 
 def partition_bound_f(z, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -> float:
@@ -158,9 +127,14 @@ def partition_bound_f(z, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -
     Dominates f_set(z, cols); refining the partition can only increase the
     product.
     """
-    a = _as_matrix(z)
-    K = as_index_set(cols, a.shape[1])
-    return math.prod(f_set(a, w) for w in validate_partition(blocks, K))
+    return partition_bound_f_ell(_as_matrix(z), cols, blocks)
+
+
+def _partition_root(a: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
+    """prod_r sqrt(f_ell_set(a, W_r)) over an ordered partition of all
+    columns: the partition bound on |per(a)| / (n!)^l for square a."""
+    parts = validate_partition(blocks, range(a.shape[-1]))
+    return math.prod(math.sqrt(f_ell_set(a, w)) for w in parts)
 
 
 def permanent_bound_partition(z, blocks: Sequence[Sequence[int]]) -> float:
@@ -170,9 +144,7 @@ def permanent_bound_partition(z, blocks: Sequence[Sequence[int]]) -> float:
     matrix z.
     """
     a = _as_square(z)
-    n = a.shape[0]
-    parts = validate_partition(blocks, range(n))
-    return float(math.factorial(n)) * math.prod(math.sqrt(f_set(a, w)) for w in parts)
+    return float(math.factorial(a.shape[0])) * _partition_root(a, blocks)
 
 
 def composition_bound_F(z, k: int, parts: Sequence[int]) -> float:
@@ -183,15 +155,20 @@ def composition_bound_F(z, k: int, parts: Sequence[int]) -> float:
     return _level_product(F_level, z, as_composition(parts, total=k))
 
 
+def _composition_root(a: np.ndarray, parts: Sequence[int]) -> float:
+    """prod_r sqrt(F_level(a, w_r)) over a weak composition of n for a
+    square matrix: the composition bound on |per(a)| / n!."""
+    w = as_composition(parts, total=a.shape[0])
+    return _level_product(F_level, a, w, 0.5)
+
+
 def permanent_bound_composition(z, parts: Sequence[int]) -> float:
     """Absolute bound n! * prod_r sqrt(F_level(z, w_r)) >= |per(z)|.
 
     ``parts`` must be a weak composition of n for the square matrix z.
     """
     a = _as_square(z)
-    n = a.shape[0]
-    w = as_composition(parts, total=n)
-    return float(math.factorial(n)) * _level_product(F_level, a, w, 0.5)
+    return float(math.factorial(a.shape[0])) * _composition_root(a, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +197,11 @@ def f_ell_set(t, cols: Sequence[int]) -> float:
     l-tuples of row subsets (J_1, ..., J_l) of
     |per(t[J_1, ..., J_l, K]) / (k!)^l|^2.
     """
-    a, ell, n, m = _as_row_tensor(t)
+    a, _, _, m = _as_row_tensor(t)
     K = as_index_set(cols, m)
-    k = len(K)
-    if k == 0:
+    if not K:
         return 1.0
-    norm = float(math.factorial(k) ** ell)
-    subsets = list(enumerate_subsets(n, k))
-    total = 0.0
-    for rows in itertools.product(subsets, repeat=ell):
-        minor = a[np.ix_(*rows, K)]
-        total += abs(multidim_permanent(minor) / norm) ** 2
-    return total / len(subsets) ** ell
+    return float(_minor_means(a, len(K), np.array(K)[:, None])[0])
 
 
 def F_ell_level(t, k: int) -> float:
@@ -241,10 +211,7 @@ def F_ell_level(t, k: int) -> float:
         raise DomainError(f"level k={k} outside [0, {m}]")
     if k == 0:
         return 1.0
-    total = 0.0
-    for K in enumerate_subsets(m, k):
-        total += f_ell_set(a, K)
-    return total / subset_count(m, k)
+    return float(_minor_means(a, k, _subsets(m, k)).mean())
 
 
 def partition_bound_f_ell(
@@ -275,8 +242,7 @@ def multidim_permanent_bound(t, blocks_or_parts, *, by_level: bool = False) -> f
         w = as_composition(blocks_or_parts, total=n)
         root = _level_product(F_ell_level, a, w, 0.5)
     else:
-        parts = validate_partition(blocks_or_parts, range(n))
-        root = math.prod(math.sqrt(f_ell_set(a, w)) for w in parts)
+        root = _partition_root(a, blocks_or_parts)
     return float(math.factorial(n)) ** ell * root
 
 
@@ -286,61 +252,42 @@ def multidim_permanent_bound(t, blocks_or_parts, *, by_level: bool = False) -> f
 
 def G_level(z, k: int) -> float:
     """Mean over index subsets J of size 2k of the squared normalized
-    sub-hafnian |haf(z[J, J]) * k! 2^k / (2k)!|^2.
+    sub-hafnian |haf(z[J, J]) * k! 2^k / (2k)!|^2: the order-2 case of
+    :func:`G_ell_level`.
 
     z must be symmetric; diagonal entries are never read. G_level(z, 0) = 1.
     """
-    a = _as_square(z)
-    n = a.shape[0]
-    if k < 0 or 2 * k > n:
-        raise DomainError(f"level k={k} needs 0 <= 2k <= {n}")
-    if k == 0:
-        return 1.0
-    scale = math.factorial(k) * 2**k / math.factorial(2 * k)
-    total = 0.0
-    for J in enumerate_subsets(n, 2 * k):
-        total += abs(scale * hafnian(a[np.ix_(J, J)])) ** 2
-    return total / subset_count(n, 2 * k)
+    return G_ell_level(_as_square(z), k)
 
 
 def hafnian_bound(z, parts: Sequence[int]) -> float:
     """Absolute bound (n!/(m! 2^m)) * prod_r sqrt(G_level(z, w_r)) >= |haf(z)|.
 
-    ``parts`` must be a weak composition of m = n/2.
+    ``parts`` must be a weak composition of m = n/2; the order-2 case of
+    :func:`hyperhafnian_bound`.
     """
-    a = _as_square(z)
-    n = a.shape[0]
-    if n % 2:
-        raise DomainError(f"hafnian bound needs an even dimension, got {n}")
-    m = n // 2
-    w = as_composition(parts, total=m)
-    prefactor = math.factorial(n) / (math.factorial(m) * 2**m)
-    return prefactor * _level_product(G_level, a, w, 0.5)
+    return hyperhafnian_bound(_as_square(z), parts)
 
 
 def G_ell_level(t, k: int) -> float:
     """Tensor version of :func:`G_level` for a symmetric order-l tensor.
 
     Mean over index subsets J of size l*k of
-    |hyperhafnian(t[J, ..., J]) * k! (l!)^k / (lk)!|^2.
+    |hyperhafnian(t[J, ..., J]) * k! (l!)^k / (lk)!|^2. Symmetry is checked
+    once, on t: every principal minor of a symmetric tensor is symmetric.
     """
-    a = np.asarray(t, dtype=complex)
-    ell = a.ndim
-    if ell < 1:
-        raise DomainError("tensor must have at least 1 axis")
-    n = a.shape[0]
-    if any(s != n for s in a.shape):
-        raise DomainError(f"all axes must have equal size, got shape {a.shape}")
+    a, ell, n = _as_cube(t)
     if k < 0 or ell * k > n:
         raise DomainError(f"level k={k} needs 0 <= {ell}k <= {n}")
     if k == 0:
         return 1.0
+    _check_symmetric(a, SYMMETRY_ATOL)
     scale = (
         math.factorial(k) * math.factorial(ell) ** k / math.factorial(ell * k)
     )
-    total = 0.0
-    for J in enumerate_subsets(n, ell * k):
-        total += abs(scale * hyperhafnian(a[np.ix_(*([J] * ell))])) ** 2
+    total = sum(
+        float((np.abs(scale * h) ** 2).sum()) for h in _principal_stack(a, ell * k)
+    )
     return total / subset_count(n, ell * k)
 
 
@@ -350,11 +297,7 @@ def hyperhafnian_bound(t, parts: Sequence[int]) -> float:
     For a symmetric order-l tensor over n = l*m indices and a weak
     composition ``parts`` of m; dominates |hyperhafnian(t)|.
     """
-    a = np.asarray(t, dtype=complex)
-    ell = a.ndim
-    n = a.shape[0] if ell else 0
-    if ell < 1 or any(s != n for s in a.shape):
-        raise DomainError(f"expected a symmetric hypercube tensor, got {a.shape}")
+    a, ell, n = _as_cube(t)
     if n % ell:
         raise DomainError(f"axis size {n} is not a multiple of the order {ell}")
     m = n // ell
@@ -380,9 +323,7 @@ def pair_bound(z, s: Sequence[int] | None = None) -> float:
     if n < 2:
         raise DomainError("pair bound needs n >= 2")
     perm = tuple(range(n)) if s is None else tuple(s)
-    blocks = [perm[i : i + 2] for i in range(0, len(perm), 2)]
-    parts = validate_partition(blocks, range(n))
-    return math.prod(math.sqrt(f_set(a, w)) for w in parts)
+    return _partition_root(a, [perm[i : i + 2] for i in range(0, len(perm), 2)])
 
 
 def avg_pair_bound(z) -> float:
@@ -396,7 +337,7 @@ def avg_pair_bound(z) -> float:
     n = a.shape[0]
     if n < 2:
         raise DomainError("averaged bound needs n >= 2")
-    return _level_product(F_level, a, (2,) * (n // 2) + (1,) * (n % 2), 0.5)
+    return _composition_root(a, (2,) * (n // 2) + (1,) * (n % 2))
 
 
 def _as_phase_matrix(x) -> np.ndarray:
@@ -571,7 +512,7 @@ def minor_sum_phi(z, k: int) -> complex:
         raise DomainError(f"level k={k} outside [0, {min(n, m)}]")
     if k == 0:
         return 1.0 + 0.0j
-    return complex(sum(per.sum() for _, per in _minor_stack(a, k, _subsets(m, k))))
+    return complex(sum(per.sum() for *_, per in _minor_stack(a, k, _subsets(m, k))))
 
 
 def phi_bound(z, k: int) -> float:
@@ -594,10 +535,10 @@ def subhafnian_sum_psi(z, k: int) -> complex:
     n = a.shape[0]
     if k < 0 or 2 * k > n:
         raise DomainError(f"level k={k} needs 0 <= 2k <= {n}")
-    total = 0.0 + 0.0j
-    for J in enumerate_subsets(n, 2 * k):
-        total += hafnian(a[np.ix_(J, J)])
-    return complex(total)
+    if k == 0:
+        return 1.0 + 0.0j
+    _check_symmetric(a, SYMMETRY_ATOL)
+    return complex(sum(h.sum() for h in _principal_stack(a, 2 * k)))
 
 
 def psi_bounds(z, k: int) -> tuple[float, float]:

@@ -298,12 +298,12 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
         _check_row_work("partition", n, Counter(len(b) for b in blocks))
         add("partition_subset_avg",
             {"blocks": [[v + 1 for v in b] for b in blocks]},
-            lambda: bounds.permanent_bound_partition(z, blocks) / fact)
+            lambda: bounds._partition_root(z, blocks))
     if args.composition:
         parts = as_composition(parse_composition(args.composition), total=n)
         _check_row_work("composition", n, {k: math.comb(n, k) for k in set(parts)})
         add("composition_level_avg", {"parts": list(parts)},
-            lambda: bounds.permanent_bound_composition(z, parts) / fact)
+            lambda: bounds._composition_root(z, parts))
 
     values = map_in_order(tasks)
     exact_norm = None

@@ -4,17 +4,19 @@ The permanent kernel is Glynn's formula, 2^(n-1) signed products of column
 sums (Glynn, Eur. J. Combin. 2010). The sign vectors of the first rows form
 one dense cached table, so a single matrix product covers 2^10 of them, and
 a Gray-code walk over the remaining rows moves that block; the cost is
-O(2^n * n) multiplications, n <= 11 takes one matrix product. The
-permanent of an order-(l+1) tensor fixes the bijections on its first l-1
-axes and sums batched Glynn permanents of the (k!)^(l-1) k x k matrices that
-remain, (k!)^(l-1) * 2^(k-1) * k products in all. Hafnians and
-hyperhafnians share one memoized "match the lowest unused index" recursion
-over bitmasks of unused indices (Nijenhuis-Wilf, Combinatorial Algorithms):
-:func:`hyperhafnian_work` counts its memo states times the partner subsets of
-each. Direct enumerations are kept behind a flag as oracles. Expansion
-identities (developing a permanent or hafnian along a fixed block structure)
-are implemented as independent routes so tests can cross-check them against
-the kernels.
+O(2^n * n) multiplications, n <= 11 takes one matrix product. One minor
+engine serves every order: it gathers the minors t[J_1, ..., J_l, K] of an
+order-(l+1) tensor in chunks, fixing the bijections on their first l-1 axes
+in the same gather, for one stacked Glynn kernel, (k!)^(l-1) * 2^(k-1) * k
+products per minor; the tensor permanent is its one-minor case. Hafnians
+and hyperhafnians share one memoized "match the lowest unused index"
+recursion over bitmasks of unused indices (Nijenhuis-Wilf, Combinatorial
+Algorithms), on numbers for one tensor or on numpy rows for a chunk of
+principal minors: :func:`hyperhafnian_work` counts its memo states times the
+partner subsets of each. Direct enumerations are kept behind a flag as
+oracles. Expansion identities (developing a permanent or hafnian along a
+fixed block structure) convolve stacked tables of block values, an
+independent route that tests cross-check against the kernels.
 
 Conventions: the permanent of an empty matrix is 1, the hafnian of an empty
 matrix is 1, hafnian-type functions never read diagonal blocks, and all
@@ -30,11 +32,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .combinatorics import (
-    as_composition,
-    enumerate_partitions,
-    validate_partition,
-)
+from .combinatorics import as_composition, validate_partition
+from .convolution import SetFunction, subset_convolution
 from .errors import DomainError
 
 SYMMETRY_ATOL = 1e-12
@@ -52,6 +51,18 @@ def _as_square(z) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _as_cube(t) -> tuple[np.ndarray, int, int]:
+    """Validate a tensor of at least one axis, all of equal size n;
+    returns it with its order and n."""
+    a = np.asarray(t, dtype=complex)
+    if a.ndim < 1:
+        raise DomainError("tensor must have at least 1 axis")
+    n = a.shape[0]
+    if any(s != n for s in a.shape):
+        raise DomainError(f"all axes must have equal size, got shape {a.shape}")
+    return a, a.ndim, n
 
 
 def permanent(z, *, method: str = "gray") -> complex:
@@ -149,32 +160,28 @@ def multidim_permanent(t, *, method: str = "glynn") -> complex:
     bijections (s1, ..., sl) of range(k) of prod_j t[s1(j), ..., sl(j), j].
     For l = 1 this is the matrix permanent.
 
-    method "glynn" fixes s1, ..., s_{l-1}; each choice leaves the k x k
-    matrix M[i, j] = t[s1(j), ..., s_{l-1}(j), i, j], whose permanent sums
-    over sl. It adds batched Glynn permanents over that stack of (k!)^(l-1)
+    method "glynn" is the one-minor case of the minor engine: it fixes
+    s1, ..., s_{l-1}; each choice leaves the k x k matrix
+    M[i, j] = t[s1(j), ..., s_{l-1}(j), i, j], whose permanent sums over sl,
+    and it adds batched Glynn permanents over that stack of (k!)^(l-1)
     matrices, (k!)^(l-1) * 2^(k-1) * k products in all (see
     :func:`multidim_permanent_work`). "direct" enumerates all (k!)^l tuples
     and serves as an oracle.
     """
-    a = np.asarray(t, dtype=complex)
-    if a.ndim < 2:
+    a, order, k = _as_cube(t)
+    if order < 2:
         raise DomainError("tensor must have at least 2 axes")
-    k = a.shape[0]
-    if any(s != k for s in a.shape):
-        raise DomainError(f"all axes must have equal size, got shape {a.shape}")
-    ell = a.ndim - 1
-    if method == "glynn":
-        if ell == 1:
-            return _permanent_gray(a)
-        return _multidim_glynn(a)
-    if method != "direct":
+    if method not in ("glynn", "direct"):
         raise DomainError(f"unknown multidim permanent method {method!r}")
     if k == 0:
         return 1.0 + 0.0j
+    if method == "glynn":
+        cols = np.arange(k)[:, None]
+        return complex(sum(per.sum() for *_, per in _minor_stack(a, k, cols)))
     last = np.arange(k)
     perms = [np.asarray(p) for p in itertools.permutations(range(k))]
     total = 0.0 + 0.0j
-    for combo in itertools.product(perms, repeat=ell):
+    for combo in itertools.product(perms, repeat=order - 1):
         total += a[combo + (last,)].prod()
     return complex(total)
 
@@ -192,26 +199,36 @@ def _glynn_chunk(k: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _tensor_tables(k: int, ell: int):
-    """Flat-index tables of an order-(ell+1) tensor with axes of size k.
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in rank order, as the columns of a
+    (k, C(n, k)) table."""
+    combos = list(itertools.combinations(range(n), k))
+    return np.array(combos, dtype=np.intp).reshape(len(combos), k).T
 
-    Its first ell-1 axes carry the fixed bijections. The last q of them (q
-    the largest, but at least 1, whose (k!)^q matrices fit one chunk) are
-    the inner axes: ``index[i, j, c]`` is the flat index of entry (i, j)
-    of matrix c over every combination c of their permutations. Each outer
-    axis adds ``off[p] = perm_p[:, None] * stride`` of shape (k!, k, 1).
+
+@functools.lru_cache(maxsize=None)
+def _tensor_tables(k: int, ell: int):
+    """Row positions of the Glynn matrices of an order-(ell+1) minor with
+    axes of size k: entry (i, j) reads column j at position
+    (s_1(j), ..., s_{ell-1}(j), i), C order over the ell row axes, for fixed
+    bijections s_r. The last q fixed axes (q the largest, but at least 1,
+    whose (k!)^q matrices fit one chunk) are inner: ``index[i, j, c]`` covers
+    every combination c of their permutations. Each outer axis adds
+    ``off[p] = perm_p[:, None] * stride`` of shape (k!, k, 1).
     """
+    if ell == 1:
+        return (), np.arange(k)[:, None, None]
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-    stride = [k ** (ell - r) for r in range(ell - 1)]
+    fixed = ell - 1
+    stride = [k ** (ell - 1 - r) for r in range(fixed)]
     q = 1
-    while q < ell - 1 and len(perms) ** (q + 1) <= _glynn_chunk(k):
+    while q < fixed and len(perms) ** (q + 1) <= _glynn_chunk(k):
         q += 1
-    inner = np.zeros((k, 1), dtype=np.intp)
-    for r in range(ell - 1 - q, ell - 1):
+    inner = np.zeros((1, 1), dtype=np.intp)
+    for r in range(fixed - q, fixed):
         inner = (inner[:, :, None] + perms.T[:, None, :] * stride[r]).reshape(k, -1)
-    outer = tuple(perms[:, :, None] * stride[r] for r in range(ell - 1 - q))
-    index = np.arange(k)[:, None, None] * k + np.arange(k)[:, None] + inner
-    return outer, index
+    outer = tuple(perms[:, :, None] * stride[r] for r in range(fixed - q))
+    return outer, np.arange(k)[:, None, None] + inner
 
 
 def _glynn_stack(m: np.ndarray) -> np.ndarray:
@@ -230,27 +247,72 @@ def _glynn_stack(m: np.ndarray) -> np.ndarray:
     return (w @ block.prod(axis=1)) / 2.0 ** (k - 1)
 
 
-def _multidim_glynn(a: np.ndarray) -> complex:
-    # Sum of Glynn permanents of the matrices m[i, j] = a[s(j)..., i, j] over
-    # the fixed bijections s, a chunk of matrices at a time.
-    k = a.shape[0]
-    if k <= 1:
-        return complex(a.ravel()[0]) if k else 1.0 + 0.0j
-    outer, index = _tensor_tables(k, a.ndim - 1)
-    flat = a.ravel()
+def _minor_stack(a: np.ndarray, k: int, cols: np.ndarray):
+    """Yield (q, r, per) chunk by chunk, k >= 1: per[i, j] is the permanent
+    of a[J_1, ..., J_l, cols[:, q + i]] for the (r + j)-th l-tuple of row
+    k-subsets (product of rank orders) of an order-(l+1) tensor. An entry's
+    flat index is the row offset at its :func:`_tensor_tables` position plus
+    its column, so one gather fixes the bijections too; a chunk is at most
+    _glynn_chunk(k) Glynn matrices."""
+    ell = a.ndim - 1
+    n, m = a.shape[0], a.shape[-1]
+    sub = _subsets(n, k)
+    rows = sub * (n ** (ell - 1) * m)
+    for r in range(1, ell):
+        step = sub * (n ** (ell - 1 - r) * m)
+        rows = (rows[:, None, :, None] + step[None, :, None, :]).reshape(
+            len(rows) * k, -1
+        )
+    outer, index = _tensor_tables(k, ell)
     chunk = _glynn_chunk(k)
-    total = 0.0 + 0.0j
-    for choice in itertools.product(*(range(len(off)) for off in outer)):
-        base = sum(off[p] for off, p in zip(outer, choice))
-        for start in range(0, index.shape[2], chunk):
-            m = flat[index[:, :, start : start + chunk] + base]
-            total += _glynn_stack(m).sum()
-    return complex(total)
+    cstep = min(index.shape[2], chunk)
+    rstep = min(rows.shape[1], max(1, chunk // cstep))
+    qstep = max(1, chunk // cstep // rstep)
+    flat = a.ravel()
+    for q in range(0, cols.shape[1], qstep):
+        c = cols[None, :, None, q : q + qstep, None]
+        for r in range(0, rows.shape[1], rstep):
+            block = rows[:, r : r + rstep]
+            per = None
+            for choice in itertools.product(*outer):
+                pos = sum(choice, index)
+                for s in range(0, pos.shape[2], cstep):
+                    g = block.take(pos[:, :, s : s + cstep], axis=0)
+                    g = g[:, :, :, None, :] + c
+                    values = _glynn_stack(flat.take(g).reshape(k, k, -1))
+                    # sum over the matrices of each minor; order 2 has one
+                    values = values.reshape(g.shape[2:])
+                    values = values.sum(axis=0) if len(values) > 1 else values[0]
+                    per = values if per is None else per + values
+            yield q, r, per
 
 
-def _check_symmetric_matrix(a: np.ndarray, atol: float) -> None:
-    if a.shape[0] and np.max(np.abs(a - a.T)) > atol:
-        raise DomainError(f"matrix is not symmetric within {atol:g}")
+def _minor_table(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
+    """The permanents of :func:`_minor_stack` (any k >= 0) as one array of
+    shape (width, C(n, k), ..., C(n, k)), one axis per row axis."""
+    ell, count = a.ndim - 1, math.comb(a.shape[0], k)
+    out = np.ones((cols.shape[1], count**ell), dtype=complex)
+    if k:
+        for q, r, per in _minor_stack(a, k, cols):
+            out[q : q + per.shape[0], r : r + per.shape[1]] = per
+    return out.reshape((cols.shape[1],) + (count,) * ell)
+
+
+def _check_symmetric(a: np.ndarray, atol: float) -> None:
+    """Raise DomainError unless a equals its transposes within ``atol``: an
+    adjacent swap and a cycle of the axes generate them all, each compared
+    one slice of the first axis at a time (of at least one index, and of
+    about 2^15 entries)."""
+    if a.ndim < 2:
+        return
+    swap = (1, 0) + tuple(range(2, a.ndim))
+    cycle = tuple(range(1, a.ndim)) + (0,)
+    step = max(1, (1 << 15) * len(a) // max(1, a.size))
+    for axes in {swap, cycle}:
+        b = a.transpose(axes)
+        for i in range(0, len(a), step):
+            if np.abs(a[i : i + step] - b[i : i + step]).max() > atol:
+                raise DomainError(f"tensor is not symmetric within {atol:g}")
 
 
 def hafnian(z, *, atol: float = SYMMETRY_ATOL) -> complex:
@@ -261,29 +323,27 @@ def hafnian(z, *, atol: float = SYMMETRY_ATOL) -> complex:
     (F_(n+1) memo states, a Fibonacci number, times at most n-1 partners
     each; see :func:`hyperhafnian_work`). Diagonal entries are never read,
     the empty matrix gives 1, odd dimension or asymmetry beyond ``atol``
-    (absolute) raises DomainError.
+    (absolute) raises DomainError. The order-2 case of :func:`hyperhafnian`.
     """
     a = _as_square(z)
-    n = a.shape[0]
-    if n % 2:
-        raise DomainError(f"hafnian needs an even dimension, got {n}")
-    _check_symmetric_matrix(a, atol)
-    return _match_lowest(a, 2)
+    if len(a) % 2:
+        raise DomainError(f"hafnian needs an even dimension, got {len(a)}")
+    return hyperhafnian(a, atol=atol)
 
 
-def _match_lowest(a: np.ndarray, ell: int) -> complex:
+def _match_lowest(entries, n: int, ell: int):
     # Sum over partitions of range(n) into blocks of size ell of the products
-    # of the block entries a[b0, ..., b_{ell-1}] (b0 < ... < b_{ell-1}). The
-    # lowest unused index is matched with every (ell-1)-subset of the other
-    # unused ones; values are memoized per bitmask of unused indices, which
-    # the lowest-index rule keeps to hyperhafnian_work's state count.
-    n = a.shape[0]
-    flat = a.ravel().tolist()
+    # of the block entries entries[C-order flat index of (b0, ..., b_{ell-1})]
+    # (b0 < ... < b_{ell-1}): numbers for one tensor, or numpy rows with one
+    # value per tensor of a stack. The lowest unused index is matched with
+    # every (ell-1)-subset of the other unused ones; values are memoized per
+    # bitmask of unused indices, which the lowest-index rule keeps to
+    # hyperhafnian_work's state count.
     head = n ** (ell - 1)
     tail = [n ** (ell - 2 - r) for r in range(ell - 1)]
     memo = {0: 1.0 + 0.0j}
 
-    def rec(mask: int) -> complex:
+    def rec(mask: int):
         value = memo.get(mask)
         if value is not None:
             return value
@@ -297,23 +357,33 @@ def _match_lowest(a: np.ndarray, ell: int) -> complex:
             for p, stride in zip(partners, tail):
                 index += p * stride
                 left ^= 1 << p
-            value += flat[index] * rec(left)
+            value += entries[index] * rec(left)
         memo[mask] = value
         return value
 
-    return complex(rec((1 << n) - 1))
+    return rec((1 << n) - 1)
 
 
-def _check_symmetric_tensor(a: np.ndarray, atol: float) -> None:
-    ell = a.ndim
-    if ell < 2 or a.size == 0:
+def _principal_stack(a: np.ndarray, s: int):
+    """Yield, chunk by chunk, the hyperhafnians of the principal minors
+    a[J, ..., J] over the s-subsets J in rank order (s a multiple of the
+    order): at most _GLYNN_BATCH_ROWS minors, fewer where their memo would
+    pass 2^7 values per minor of that limit. Only the entries with
+    increasing indices are gathered; they are all the recursion reads."""
+    ell, n = a.ndim, a.shape[0]
+    if s == 0:
+        yield np.ones(1, dtype=complex)
         return
-    # transpositions generating the symmetric group: adjacent swap + cycle
-    swap = (1, 0) + tuple(range(2, ell))
-    cycle = tuple(range(1, ell)) + (0,)
-    for axes in (swap, cycle):
-        if np.max(np.abs(a - a.transpose(axes))) > atol:
-            raise DomainError(f"tensor is not symmetric within {atol:g}")
+    combos = _subsets(s, ell)
+    pos = (combos.T @ (s ** np.arange(ell - 1, -1, -1))).tolist()
+    sub = _subsets(n, s)
+    index = sum(sub[combos[r]] * n ** (ell - 1 - r) for r in range(ell))
+    work = hyperhafnian_work(s, ell) + len(pos)
+    step = max(1, min(_GLYNN_BATCH_ROWS, (_GLYNN_BATCH_ROWS << 7) // work))
+    flat = a.ravel()
+    for r in range(0, index.shape[1], step):
+        entries = dict(zip(pos, flat.take(index[:, r : r + step])))
+        yield _match_lowest(entries, s, ell)
 
 
 def hyperhafnian(
@@ -333,16 +403,10 @@ def hyperhafnian(
     indices (:func:`hyperhafnian_work` counts its steps); "direct" evaluates
     the normalized n!-term sum and serves as an oracle.
     """
-    a = np.asarray(t, dtype=complex)
-    ell = a.ndim
-    if ell < 1:
-        raise DomainError("tensor must have at least 1 axis")
-    n = a.shape[0] if ell else 0
-    if any(s != n for s in a.shape):
-        raise DomainError(f"all axes must have equal size, got shape {a.shape}")
+    a, ell, n = _as_cube(t)
     if n % ell:
         raise DomainError(f"axis size {n} is not a multiple of the order {ell}")
-    _check_symmetric_tensor(a, atol)
+    _check_symmetric(a, atol)
     if n == 0:
         return 1.0 + 0.0j
     if method == "direct":
@@ -356,7 +420,7 @@ def hyperhafnian(
         return complex(total / (math.factorial(m) * math.factorial(ell) ** m))
     if method != "recursive":
         raise DomainError(f"unknown hyperhafnian method {method!r}")
-    return _match_lowest(a, ell)
+    return complex(_match_lowest(a.ravel().tolist(), n, ell))
 
 
 def hyperhafnian_work(n: int, ell: int) -> int:
@@ -378,25 +442,29 @@ def hyperhafnian_work(n: int, ell: int) -> int:
     return total
 
 
+def _expand(n: int, sizes: Sequence[int], tables: Sequence[np.ndarray]) -> complex:
+    """Sum over ordered partitions of range(n) with block sizes ``sizes``, one
+    partition per table axis, of the products over blocks r of
+    tables[r][rank of block r on each axis]: the single cell of the iterated
+    subset convolution of the tables."""
+    factors = [
+        SetFunction((n,) * t.ndim, (p,) * t.ndim, t) for p, t in zip(sizes, tables)
+    ]
+    return complex(functools.reduce(subset_convolution, factors).table.reshape(-1)[0])
+
+
 def permanent_via_laplace(z, column_blocks: Sequence[Sequence[int]]) -> complex:
     """Permanent via expansion along an ordered partition of the columns.
 
     For any ordered partition (W_1, ..., W_d) of the column set, the
     permanent equals the sum over ordered partitions (V_1, ..., V_d) of the
-    row set with |V_r| = |W_r| of prod_r per(z[V_r, W_r]). Independent route
-    to :func:`permanent` used for cross-checks.
+    row set with |V_r| = |W_r| of prod_r per(z[V_r, W_r]): the order-2 case
+    of :func:`multidim_permanent_via_laplace`. Independent route to
+    :func:`permanent` used for cross-checks.
     """
     a = _as_square(z)
-    n = a.shape[0]
-    blocks = validate_partition(column_blocks, range(n))
-    sizes = tuple(len(b) for b in blocks)
-    total = 0.0 + 0.0j
-    for vs in enumerate_partitions(range(n), sizes):
-        prod = 1.0 + 0.0j
-        for v, w in zip(vs, blocks):
-            prod *= permanent_minor(a, v, w)
-        total += prod
-    return complex(total)
+    blocks = validate_partition(column_blocks, range(a.shape[0]))
+    return multidim_permanent_via_laplace(a, [len(b) for b in blocks], blocks)
 
 
 def multidim_permanent_via_laplace(
@@ -415,46 +483,29 @@ def multidim_permanent_via_laplace(
     With ``symmetrized=True`` the expansion instead averages over every
     ordered partition W of the last axis with block sizes ``sizes``; the sum
     acquires the prefactor prod_r sizes[r]! / k!.
+
+    The block permanents come from stacked tables over every l-tuple of row
+    subsets, one per column block (one per block size, over every column
+    subset of that size, when symmetrized), read by subset rank in their
+    iterated subset convolution.
     """
-    a = np.asarray(t, dtype=complex)
-    if a.ndim < 2:
+    a, order, k = _as_cube(t)
+    if order < 2:
         raise DomainError("tensor must have at least 2 axes")
-    k = a.shape[0]
-    if any(s != k for s in a.shape):
-        raise DomainError(f"all axes must have equal size, got shape {a.shape}")
-    ell = a.ndim - 1
     w = as_composition(sizes, total=k)
-
-    def expand(blocks: tuple[tuple[int, ...], ...]) -> complex:
-        total = 0.0 + 0.0j
-        for vs in itertools.product(
-            *(enumerate_partitions(range(k), w) for _ in range(ell))
-        ):
-            prod = 1.0 + 0.0j
-            for r, wr in enumerate(blocks):
-                selector = tuple(vs[s][r] for s in range(ell)) + (wr,)
-                prod *= multidim_permanent(a[np.ix_(*selector)])
-            total += prod
-        return total
-
     if symmetrized:
         if column_blocks is not None:
             raise DomainError("symmetrized expansion chooses its own column blocks")
-        factor = 1.0
-        for p in w:
-            factor *= math.factorial(p)
-        factor /= math.factorial(k)
-        total = 0.0 + 0.0j
-        for blocks in enumerate_partitions(range(k), w):
-            total += expand(blocks)
-        return complex(factor * total)
-
+        tables = {p: _minor_table(a, p, _subsets(k, p)) for p in w}
+        factor = math.prod(math.factorial(p) for p in w) / math.factorial(k)
+        return complex(factor * _expand(k, w, [tables[p] for p in w]))
     if column_blocks is None:
         raise DomainError("column_blocks is required unless symmetrized=True")
     blocks = validate_partition(column_blocks, range(k))
     if tuple(len(b) for b in blocks) != w:
         raise DomainError("column block sizes do not match the given sizes")
-    return complex(expand(blocks))
+    cols = [np.array(b, dtype=np.intp).reshape(-1, 1) for b in blocks]
+    return _expand(k, w, [_minor_table(a, p, c)[0] for p, c in zip(w, cols)])
 
 
 def hyperhafnian_via_expansion(t, sizes: Sequence[int]) -> complex:
@@ -464,32 +515,20 @@ def hyperhafnian_via_expansion(t, sizes: Sequence[int]) -> complex:
     composition ``sizes`` of k, the value equals
     prod_r sizes[r]! / k! times the sum over ordered partitions
     (V_1, ..., V_d) of the index set with |V_r| = l * sizes[r] of
-    prod_r hyperhafnian(t[V_r, ..., V_r]). Independent route used to
-    cross-check :func:`hyperhafnian` (and :func:`hafnian` at l = 2).
+    prod_r hyperhafnian(t[V_r, ..., V_r]), read by subset rank from one
+    stacked table of principal hyperhafnians per block size in their
+    iterated subset convolution. Independent route used to cross-check
+    :func:`hyperhafnian` (and :func:`hafnian` at l = 2).
     """
-    a = np.asarray(t, dtype=complex)
-    ell = a.ndim
-    if ell < 1:
-        raise DomainError("tensor must have at least 1 axis")
-    n = a.shape[0] if ell else 0
-    if any(s != n for s in a.shape):
-        raise DomainError(f"all axes must have equal size, got shape {a.shape}")
+    a, ell, n = _as_cube(t)
     if n % ell:
         raise DomainError(f"axis size {n} is not a multiple of the order {ell}")
-    k = n // ell
-    w = as_composition(sizes, total=k)
-    factor = 1.0
-    for p in w:
-        factor *= math.factorial(p)
-    factor /= math.factorial(k)
+    _check_symmetric(a, SYMMETRY_ATOL)
+    w = as_composition(sizes, total=n // ell)
+    factor = math.prod(math.factorial(p) for p in w) / math.factorial(n // ell)
     block_sizes = tuple(ell * p for p in w)
-    total = 0.0 + 0.0j
-    for vs in enumerate_partitions(range(n), block_sizes):
-        prod = 1.0 + 0.0j
-        for v in vs:
-            prod *= hyperhafnian(a[np.ix_(*([v] * ell))])
-        total += prod
-    return complex(factor * total)
+    tables = {s: np.concatenate(list(_principal_stack(a, s))) for s in block_sizes}
+    return complex(factor * _expand(n, block_sizes, [tables[s] for s in block_sizes]))
 
 
 def permanent_D(n: int, neg: int) -> int:

@@ -116,13 +116,12 @@ def compute_rows(t: float) -> list[BoundRow]:
         lambda: BoundRow(
             name="partition_332",
             params={"blocks": [list(b) for b in BLOCKS_332]},
-            raw_value=bounds.permanent_bound_partition(z, BLOCKS_332) / _FACT8,
+            raw_value=bounds._partition_root(z, BLOCKS_332),
         ),
         lambda: BoundRow(
             name="composition_332",
             params={"parts": list(COMPOSITION_332)},
-            raw_value=bounds.permanent_bound_composition(z, COMPOSITION_332)
-            / _FACT8,
+            raw_value=bounds._composition_root(z, COMPOSITION_332),
         ),
     ]
     rows = map_in_order(tasks)

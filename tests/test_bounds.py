@@ -524,3 +524,168 @@ def test_subhafnian_sum_psi_and_bounds():
         level, entry = bounds.psi_bounds(z, k)
         assert abs(psi) <= level * (1 + 1e-12)
         assert abs(psi) <= entry * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-minor loops the stacked engine replaced, kept as oracles
+
+
+def cube(rng, n, order):
+    shape = (n,) * order
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def symmetrized(a):
+    out = np.zeros_like(a)
+    for axes in itertools.permutations(range(a.ndim)):
+        out += a.transpose(axes)
+    return out / math.factorial(a.ndim)
+
+
+def loop_f_ell_set(t, K):
+    """f_ell_set by one direct tensor permanent per l-tuple of row subsets."""
+    ell, n, k = t.ndim - 1, t.shape[0], len(K)
+    if k == 0:
+        return 1.0
+    norm = float(math.factorial(k) ** ell)
+    subsets = list(enumerate_subsets(n, k))
+    total = 0.0
+    for rows in itertools.product(subsets, repeat=ell):
+        minor = t[np.ix_(*rows, K)]
+        total += abs(multidim_permanent(minor, method="direct") / norm) ** 2
+    return total / len(subsets) ** ell
+
+
+def loop_F_ell_level(t, k):
+    Ks = list(enumerate_subsets(t.shape[-1], k))
+    return sum(loop_f_ell_set(t, K) for K in Ks) / len(Ks)
+
+
+def loop_G_ell_level(t, k):
+    """G_ell_level by one hyperhafnian per principal minor."""
+    ell, n = t.ndim, t.shape[0]
+    if k == 0:
+        return 1.0
+    scale = math.factorial(k) * math.factorial(ell) ** k / math.factorial(ell * k)
+    values = [
+        abs(scale * hyperhafnian(t[np.ix_(*([J] * ell))])) ** 2
+        for J in enumerate_subsets(n, ell * k)
+    ]
+    return float(np.mean(values))
+
+
+def loop_psi(z, k):
+    """subhafnian_sum_psi by one hafnian per principal minor."""
+    return sum(hafnian(z[np.ix_(J, J)]) for J in enumerate_subsets(len(z), 2 * k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.integers(2, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_tensor_minor_means_match_per_minor_loop(order, data, seed):
+    n = data.draw(st.integers(1, 4 if order == 2 else 3))
+    m = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(0, m))
+    rng = np.random.default_rng(seed)
+    t = cube(rng, n, order)[(Ellipsis, slice(0, m))]
+    K = tuple(sorted(rng.choice(m, k, replace=False).tolist()))
+    assert bounds.f_ell_set(t, K) == pytest.approx(loop_f_ell_set(t, K), rel=1e-12)
+    assert bounds.F_ell_level(t, k) == pytest.approx(loop_F_ell_level(t, k), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_principal_means_match_per_minor_loop(order, data, seed):
+    n = data.draw(st.integers(0, {1: 6, 2: 8, 3: 6}[order]))
+    k = data.draw(st.integers(0, n // order))
+    t = symmetrized(cube(np.random.default_rng(seed), n, order))
+    assert bounds.G_ell_level(t, k) == pytest.approx(loop_G_ell_level(t, k), rel=1e-12)
+    if order == 2:
+        assert bounds.G_level(t, k) == pytest.approx(loop_G_ell_level(t, k), rel=1e-12)
+        psi = bounds.subhafnian_sum_psi(t, k)
+        assert abs(psi - loop_psi(t, k)) <= 1e-12 * max(abs(psi), 1e-300)
+
+
+def test_tensor_minors_across_chunk_boundaries(monkeypatch):
+    # 2^5 sign-vector rows per chunk: order-3 minors of k = 2 (2 matrices
+    # each) and k = 3 (6 each) fill chunks of 8 and 1 minors, the 24
+    # matrices of k = 4 split into slices of 4, and order 4 at k = 3 splits
+    # its 36 matrices per minor into slices of 8
+    monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
+    rng = np.random.default_rng(58)
+    t = cube(rng, 5, 3)[:, :, :4]
+    for k in range(1, 5):
+        assert bounds.F_ell_level(t, k) == pytest.approx(loop_F_ell_level(t, k), rel=1e-12)
+    t4 = cube(rng, 3, 4)
+    assert bounds.f_ell_set(t4, (0, 1, 2)) == pytest.approx(
+        loop_f_ell_set(t4, (0, 1, 2)), rel=1e-12
+    )
+
+
+def test_principal_minors_across_chunk_boundaries(monkeypatch):
+    # chunks of at most 32 principal minors: C(8, 4) = 70 at order 2 and
+    # C(9, 3) = C(9, 6) = 84 at order 3 span three chunks each
+    monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
+    rng = np.random.default_rng(59)
+    z = symmetrized(cmat(rng, 8))
+    for k in range(5):
+        assert bounds.G_level(z, k) == pytest.approx(loop_G_ell_level(z, k), rel=1e-12)
+        assert bounds.subhafnian_sum_psi(z, k) == pytest.approx(loop_psi(z, k), rel=1e-12)
+    t = symmetrized(cube(rng, 9, 3))
+    for k in range(4):
+        assert bounds.G_ell_level(t, k) == pytest.approx(loop_G_ell_level(t, k), rel=1e-12)
+
+
+def test_principal_averages_check_the_parent_symmetry():
+    rng = np.random.default_rng(61)
+    z = symmetrized(cmat(rng, 6))
+    z[4, 1] += 1e-6
+    t = symmetrized(cube(rng, 6, 3))
+    t[0, 0, 5] += 1e-6
+    for call in (
+        lambda: bounds.G_level(z, 1), lambda: bounds.subhafnian_sum_psi(z, 2),
+        lambda: bounds.hafnian_bound(z, (3,)), lambda: bounds.G_ell_level(t, 1),
+        lambda: bounds.hyperhafnian_bound(t, (1, 1)),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_no_average_calls_a_kernel_per_minor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public kernel was called")
+
+    for module in (bounds, exact):
+        for name in ("hafnian", "hyperhafnian", "multidim_permanent", "permanent_minor"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    rng = np.random.default_rng(60)
+    z = cmat(rng, 6)
+    x = rng.standard_normal((6, 6))
+    s = symmetrized(cmat(rng, 6))
+    t = cube(rng, 4, 3)
+    h = symmetrized(cube(rng, 6, 3))
+    blocks = ((0, 3), (1, 2, 4), (5,))
+    tblocks = ((0, 2), (1, 3))
+    for value in (
+        bounds.f_set(z, (0, 2)), bounds.F_level(z, 2),
+        bounds.partition_bound_f(z, (0, 1, 2), ((0, 1), (2,))),
+        bounds.permanent_bound_partition(z, blocks),
+        bounds.composition_bound_F(z, 4, (2, 2)),
+        bounds.permanent_bound_composition(z, (2, 3, 1)),
+        bounds.f_ell_set(t, (1, 3)), bounds.F_ell_level(t, 2),
+        bounds.partition_bound_f_ell(t, (0, 1, 2, 3), tblocks),
+        bounds.composition_bound_F_ell(t, 3, (1, 2)),
+        bounds.multidim_permanent_bound(t, tblocks),
+        bounds.multidim_permanent_bound(t, (2, 2), by_level=True),
+        bounds.G_level(s, 2), bounds.hafnian_bound(s, (1, 2)),
+        bounds.G_ell_level(h, 1), bounds.hyperhafnian_bound(h, (1, 1)),
+        bounds.pair_bound(z), bounds.avg_pair_bound(z),
+        bounds.unit_circle_pair_bound(x, 0.7), bounds.unit_circle_avg_bound(x, 0.7),
+        bounds.minor_sum_phi(z, 3), bounds.phi_bound(z, 3),
+        bounds.subhafnian_sum_psi(s, 2), *bounds.psi_bounds(s, 2),
+        exact.permanent_via_laplace(z, blocks),
+        exact.multidim_permanent_via_laplace(t, (2, 2), tblocks),
+        exact.multidim_permanent_via_laplace(t, (1, 3), symmetrized=True),
+        exact.hyperhafnian_via_expansion(s, (1, 2)),
+        exact.hyperhafnian_via_expansion(h, (1, 1)),
+    ):
+        assert np.isfinite(value)

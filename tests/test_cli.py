@@ -418,6 +418,26 @@ def test_bounds_row_beyond_a_double_exit(tmp_path, capsys):
     assert "opnorm_p1 row value inf does not fit a double" in err
 
 
+@pytest.mark.parametrize(
+    "option, spec",
+    [
+        ("--partition", "|".join(f"{2 * i + 1},{2 * i + 2}" for i in range(50))),
+        ("--composition", ",".join(["2"] * 50)),
+    ],
+    ids=["partition", "composition"],
+)
+def test_bounds_partition_rows_beyond_double_factorials(tmp_path, capsys, option, spec):
+    # n! * 426^100 overflows a double; the rows are the normalized product
+    # of roots, each block or level of two columns contributing 426^2
+    path = entries_file(tmp_path, np.full((100, 100), 426.0))
+    code = cli.main(["bounds", "--input", path, option, spec, "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    name = "partition_subset_avg" if option == "--partition" else "composition_level_avg"
+    (row,) = [r for r in rows if r["name"] == name]
+    assert row["raw_value"] == pytest.approx(426.0**100, rel=1e-12)
+
+
 @pytest.mark.parametrize("n", [5, 12])
 def test_bounds_rows_dominate_exact(tmp_path, capsys, n):
     rng = np.random.default_rng(80 + n)

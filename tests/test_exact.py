@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permbound import exact
+from permbound.combinatorics import enumerate_partitions
 from permbound.errors import DomainError
 from permbound.exact import (
     block_embed_per_as_haf,
@@ -30,11 +33,11 @@ def cmat(rng, n, m=None):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def symmetrize3(a):
+def symmetrize(a):
     out = np.zeros_like(a)
-    for axes in itertools.permutations(range(3)):
+    for axes in itertools.permutations(range(a.ndim)):
         out += a.transpose(axes)
-    return out / 6.0
+    return out / math.factorial(a.ndim)
 
 
 def rel(a, b):
@@ -230,7 +233,7 @@ def test_hyperhafnian_via_expansion():
     h = hafnian(z)
     for parts in [(4,), (1, 3), (2, 2), (1, 1, 2)]:
         assert rel(hyperhafnian_via_expansion(z, parts), h) < 1e-10
-    t = symmetrize3(
+    t = symmetrize(
         rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6))
     )
     h3 = hyperhafnian(t)
@@ -349,3 +352,131 @@ def test_multidim_permanent_work():
     assert multidim_permanent_work(6, 2) == 720 * 32 * 6
     assert multidim_permanent_work(6, 1) == 32 * 6
     assert multidim_permanent_work(0, 3) == 1
+
+
+@pytest.mark.parametrize(
+    "order, entry",
+    [
+        (2, (0, 1)), (2, (4, 2)), (3, (0, 0, 1)), (3, (1, 3, 4)),
+        (4, (0, 0, 1, 2)), (4, (4, 1, 1, 1)),
+    ],
+)
+def test_symmetry_check_finds_one_perturbed_entry(order, entry):
+    t = symmetrize(crandom(60 + order, (5,) * order))
+    exact._check_symmetric(t, 1e-12)
+    t[entry] += 1e-9
+    with pytest.raises(DomainError):
+        exact._check_symmetric(t, 1e-12)
+    exact._check_symmetric(t, 1e-8)
+
+
+def test_symmetry_check_compares_a_slice_at_a_time():
+    # an order-4 tensor over 24 indices: 5.3 MB, its slices 221 kB
+    t = np.ones((24,) * 4, dtype=complex)
+    tracemalloc.start()
+    exact._check_symmetric(t, 1e-12)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < t.nbytes / 4
+    # the check reads every slice, the last ones too
+    t[23, 22, 0, 0] = 2.0
+    with pytest.raises(DomainError):
+        exact._check_symmetric(t, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the per-block loops the stacked tables replaced, kept as oracles
+
+
+def loop_permanent_via_laplace(z, blocks):
+    total = 0.0 + 0.0j
+    for vs in enumerate_partitions(range(len(z)), [len(b) for b in blocks]):
+        prod = 1.0 + 0.0j
+        for v, w in zip(vs, blocks):
+            prod *= permanent_minor(z, v, w)
+        total += prod
+    return total
+
+
+def loop_multidim_via_laplace(t, sizes, blocks=None):
+    k, ell = t.shape[0], t.ndim - 1
+
+    def expand(blocks):
+        total = 0.0 + 0.0j
+        for vs in itertools.product(
+            *(enumerate_partitions(range(k), sizes) for _ in range(ell))
+        ):
+            prod = 1.0 + 0.0j
+            for r, wr in enumerate(blocks):
+                selector = tuple(vs[s][r] for s in range(ell)) + (wr,)
+                prod *= multidim_permanent(t[np.ix_(*selector)], method="direct")
+            total += prod
+        return total
+
+    if blocks is not None:
+        return expand(blocks)
+    factor = math.prod(math.factorial(p) for p in sizes) / math.factorial(k)
+    return factor * sum(expand(b) for b in enumerate_partitions(range(k), sizes))
+
+
+def loop_hyperhafnian_via_expansion(t, sizes):
+    ell, n = t.ndim, t.shape[0]
+    factor = math.prod(math.factorial(p) for p in sizes) / math.factorial(n // ell)
+    total = 0.0 + 0.0j
+    for vs in enumerate_partitions(range(n), [ell * p for p in sizes]):
+        prod = 1.0 + 0.0j
+        for v in vs:
+            prod *= hyperhafnian(t[np.ix_(*([v] * ell))])
+        total += prod
+    return factor * total
+
+
+def random_composition(rng, total):
+    parts = []
+    while total:
+        parts.append(int(rng.integers(0, total + 1)))
+        total -= parts[-1]
+    return tuple(parts) or (0,)
+
+
+@oracle_settings
+@given(order=st.integers(2, 3), data=st.data(), seed=seeds)
+def test_permanent_expansions_match_per_block_loops(order, data, seed):
+    k = data.draw(st.integers(0, 4 if order == 2 else 3))
+    rng = np.random.default_rng(seed)
+    t = crandom(seed, (k,) * order)
+    sizes = random_composition(rng, k)
+    perm = rng.permutation(k).tolist()
+    blocks = []
+    for p in sizes:
+        blocks.append(tuple(sorted(perm[:p])))
+        perm = perm[p:]
+    fixed = multidim_permanent_via_laplace(t, sizes, blocks)
+    assert rel(fixed, loop_multidim_via_laplace(t, sizes, blocks)) < 1e-12
+    sym = multidim_permanent_via_laplace(t, sizes, symmetrized=True)
+    assert rel(sym, loop_multidim_via_laplace(t, sizes)) < 1e-12
+    if order == 2:
+        loop = loop_permanent_via_laplace(t, blocks)
+        assert rel(permanent_via_laplace(t, blocks), loop) < 1e-12
+
+
+@oracle_settings
+@given(order=st.integers(1, 3), data=st.data(), seed=seeds)
+def test_hyperhafnian_expansion_matches_per_block_loop(order, data, seed):
+    m = data.draw(st.integers(0, {1: 5, 2: 4, 3: 2}[order]))
+    rng = np.random.default_rng(seed)
+    t = symmetrize(crandom(seed, (order * m,) * order))
+    sizes = random_composition(rng, m)
+    got = hyperhafnian_via_expansion(t, sizes)
+    assert rel(got, loop_hyperhafnian_via_expansion(t, sizes)) < 1e-12
+
+
+def test_hyperhafnian_expansion_across_chunk_boundaries(monkeypatch):
+    # chunks of at most 32 principal minors: C(10, 4) = 210 and
+    # C(10, 6) = 210 blocks of a hafnian over 10 indices
+    monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
+    z = symmetrize(crandom(61, (10, 10)))
+    for sizes in [(2, 3), (3, 2), (1, 2, 2)]:
+        got = hyperhafnian_via_expansion(z, sizes)
+        assert rel(got, loop_hyperhafnian_via_expansion(z, sizes)) < 1e-12
+        assert rel(got, hafnian(z)) < 1e-12

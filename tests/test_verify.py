@@ -44,10 +44,13 @@ def test_suites_pass_at_reduced_trials(name, trials):
     assert result.ok
     assert result.failures == []
     assert result.checks > 0
-    # a gather that drops an (n, k, j) case changes these counts
-    pinned = {"convolution": 460, "master": 28}
-    if name in pinned:
-        assert result.checks == pinned[name]
+    # a gather that drops an (n, k, j) case, or a minor engine that skips
+    # an instance, changes these counts
+    pinned = {
+        "laplace": 24, "dominance": 212, "equality": 20,
+        "convolution": 460, "master": 28, "charfn": 8,
+    }
+    assert result.checks == pinned[name]
     assert result.elapsed >= 0.0
 
 
