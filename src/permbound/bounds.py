@@ -21,7 +21,8 @@ apply them to exp(i t x) for a phase matrix x.
 Baselines (operator-norm powers, singular-value means, column-norm
 products, the rank bound for sign matrices) are included for comparison
 tables. Spectral quantities (the 2-norm, singular values, the rank) come
-from numpy.linalg.
+from numpy.linalg. :func:`report_rows` is that comparison: the catalogue
+of rows that ``permbound bounds`` prints and ``permbound table1`` checks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .combinatorics import (
     subset_count,
     validate_partition,
 )
-from .errors import DomainError
+from .errors import DomainError, FeasibilityError
 from .exact import (
     SYMMETRY_ATOL,
     _as_cube,
@@ -49,6 +50,11 @@ from .exact import (
     permanent,
     permanent_D,
 )
+from .matrixio import BoundRow, MatrixInput
+from .parallel import map_in_order
+
+# Largest n whose report rows carry the exact normalized permanent.
+EXACT_COLUMN_MAX_N = 12
 
 
 def _as_matrix(z) -> np.ndarray:
@@ -560,3 +566,84 @@ def psi_bounds(z, k: int) -> tuple[float, float]:
         float(count * math.sqrt(G_level(a, k))),
         float(count * g1 ** (k / 2.0)),
     )
+
+
+# ---------------------------------------------------------------------------
+# report catalogue
+
+
+def report_rows(
+    mi: MatrixInput,
+    *,
+    ps: Sequence[str] | None = None,
+    s_perm: Sequence[int] | None = None,
+    theta: bool = False,
+    all_baselines: bool = False,
+    blocks: Sequence[Sequence[int]] | None = None,
+    parts: Sequence[int] | None = None,
+) -> list[BoundRow]:
+    """Catalogue of bound rows on |per(z)| / n! for n <= 170.
+
+    Row order is fixed: the operator norms in ``ps`` (of "1", "inf", "2";
+    None selects all three), singular mean, column norms, the unit-circle
+    rows (unit_circle inputs only; ``s_perm`` pairs the columns, ``theta``
+    adds the refinement), rank bound, the column mean-square row with
+    ``all_baselines``, then the partition row for the 0-based ``blocks``
+    and the composition row for ``parts`` when given. For n <= 12 every
+    applicable row carries the exact value and whether it dominates it.
+    A row value that does not fit a double raises FeasibilityError.
+    """
+    z, n = mi.z, mi.n
+    fact = float(math.factorial(n))
+    tasks = []
+    names: list[tuple[str, dict]] = []
+
+    def add(name, params, fn):
+        names.append((name, params))
+        tasks.append(fn)
+
+    for p in ("1", "inf", "2"):
+        if ps is None or p in ps:
+            add(f"opnorm_p{p}", {"p": p}, lambda p=p: _exp(_log_opnorm(z, p)))
+    add("singular_mean_power", {}, lambda: _exp(_log_singular(z)))
+    add("hadamard_column_norm", {}, lambda: _exp(_log_hadamard(z)))
+    if mi.form == "unit_circle":
+        x, t = mi.phases, mi.t
+        params = {"t": t}
+        if s_perm is not None:
+            params = {"t": t, "s": [v + 1 for v in s_perm]}
+        add("pair_cos", params, lambda: unit_circle_pair_bound(x, t, s_perm))
+        add("avg_cos", {"t": t}, lambda: unit_circle_avg_bound(x, t))
+        if theta:
+            add("theta_cos", {"t": t}, lambda: unit_circle_theta_bound(x, t))
+    add("krauter_rank", {}, lambda: baseline_krauter(z))
+    if all_baselines:
+        # full-column minor average; its square root bounds |per| / n!
+        add("ckp_column_mean", {}, lambda: math.sqrt(baseline_ckp_minor(z)))
+    if blocks is not None:
+        add("partition_subset_avg",
+            {"blocks": [[v + 1 for v in b] for b in blocks]},
+            lambda: _partition_root(z, blocks))
+    if parts is not None:
+        add("composition_level_avg", {"parts": list(parts)},
+            lambda: _composition_root(z, parts))
+
+    values = map_in_order(tasks)
+    exact_norm = None
+    if n <= EXACT_COLUMN_MAX_N:
+        exact_norm = abs(permanent(z)) / fact
+    rows = []
+    for (name, params), value in zip(names, values):
+        if name == "krauter_rank":
+            if value is None:
+                rows.append(BoundRow(name=name, params=params, applicable=False))
+                continue
+            value = value / fact
+        if not math.isfinite(value):
+            raise FeasibilityError(f"{name} row value {value} does not fit a double")
+        row = BoundRow(name=name, params=params, raw_value=float(value))
+        if exact_norm is not None:
+            row.exact_norm = exact_norm
+            row.dominates_exact = row.raw_value >= exact_norm - 1e-12
+        rows.append(row)
+    return rows

@@ -16,6 +16,7 @@ non-finite numbers), 3 feasibility limit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -45,7 +46,6 @@ from .matrixio import (
     report_to_json,
     tensor_from_json,
 )
-from .parallel import map_in_order
 
 PER_MAX_N = 24
 HAF_MAX_N = 20
@@ -57,7 +57,6 @@ HAF_ELL_MAX_M = 6
 # numpy 2.4: an accepted input finishes within about 5 s there.
 PER_ELL_MAX_WORK = 200_000_000
 HAF_ELL_MAX_WORK = 2_000_000
-EXACT_COLUMN_MAX_N = 12
 # Bound rows are normalized by n!, which a double holds up to n = 170.
 BOUNDS_MAX_N = 170
 # Glynn products over the minors of a partition or composition row (4-36 ns
@@ -247,83 +246,26 @@ def _check_row_work(name: str, n: int, sets: dict[int, int]) -> None:
 
 
 def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
-    """Catalogue of normalized bound rows (everything divided by n!).
-
-    Row order is fixed: operator norms, singular mean, column norms,
-    unit-circle rows (unit_circle inputs only), rank bound, optional extra
-    baselines, then the partition and composition rows when requested.
-    Oversized requests raise FeasibilityError before any row is computed.
-    """
-    z = mi.z
+    """Parse the row options and gate them, then build the catalogue of
+    :func:`bounds.report_rows`: oversized or malformed requests raise
+    before any row is computed (n first, then each row's spec before its
+    work limit)."""
     n = mi.n
     if n > BOUNDS_MAX_N:
         raise FeasibilityError(f"bounds limit n <= {BOUNDS_MAX_N}, got {n}")
-    fact = float(math.factorial(n))
-    ps = args.p if args.p else ["1", "2", "inf"]
-    tasks = []
-    names: list[tuple[str, dict]] = []
-
-    def add(name, params, fn):
-        names.append((name, params))
-        tasks.append(fn)
-
-    for p in ("1", "inf", "2"):
-        if p in ps:
-            add(f"opnorm_p{p}", {"p": p},
-                lambda p=p: bounds._exp(bounds._log_opnorm(z, p)))
-    add("singular_mean_power", {},
-        lambda: bounds._exp(bounds._log_singular(z)))
-    add("hadamard_column_norm", {},
-        lambda: bounds._exp(bounds._log_hadamard(z)))
-    if mi.form == "unit_circle":
-        x, t = mi.phases, mi.t
-        s_perm = parse_perm(args.s_perm, n) if args.s_perm else None
-        params = {"t": t}
-        if s_perm is not None:
-            params = {"t": t, "s": [v + 1 for v in s_perm]}
-        add("pair_cos", params,
-            lambda: bounds.unit_circle_pair_bound(x, t, s_perm))
-        add("avg_cos", {"t": t}, lambda: bounds.unit_circle_avg_bound(x, t))
-        if args.theta:
-            add("theta_cos", {"t": t},
-                lambda: bounds.unit_circle_theta_bound(x, t))
-    add("krauter_rank", {}, lambda: bounds.baseline_krauter(z))
-    if args.all_baselines:
-        # full-column minor average; its square root bounds |per| / n!
-        add("ckp_column_mean", {},
-            lambda: math.sqrt(bounds.baseline_ckp_minor(z)))
+    s_perm = blocks = parts = None
+    if mi.form == "unit_circle" and args.s_perm:
+        s_perm = parse_perm(args.s_perm, n)
     if args.partition:
-        # malformed requests exit 2 before the work limit
         blocks = validate_partition(parse_partition(args.partition, n), range(n))
         _check_row_work("partition", n, Counter(len(b) for b in blocks))
-        add("partition_subset_avg",
-            {"blocks": [[v + 1 for v in b] for b in blocks]},
-            lambda: bounds._partition_root(z, blocks))
     if args.composition:
         parts = as_composition(parse_composition(args.composition), total=n)
         _check_row_work("composition", n, {k: math.comb(n, k) for k in set(parts)})
-        add("composition_level_avg", {"parts": list(parts)},
-            lambda: bounds._composition_root(z, parts))
-
-    values = map_in_order(tasks)
-    exact_norm = None
-    if n <= EXACT_COLUMN_MAX_N:
-        exact_norm = abs(permanent(z)) / fact
-    rows = []
-    for (name, params), value in zip(names, values):
-        if name == "krauter_rank":
-            if value is None:
-                rows.append(BoundRow(name=name, params=params, applicable=False))
-                continue
-            value = value / fact
-        if not math.isfinite(value):
-            raise FeasibilityError(f"{name} row value {value} does not fit a double")
-        row = BoundRow(name=name, params=params, raw_value=float(value))
-        if exact_norm is not None:
-            row.exact_norm = exact_norm
-            row.dominates_exact = row.raw_value >= exact_norm - 1e-12
-        rows.append(row)
-    return rows
+    return bounds.report_rows(
+        mi, ps=args.p, s_perm=s_perm, theta=args.theta,
+        all_baselines=args.all_baselines, blocks=blocks, parts=parts,
+    )
 
 
 def cmd_bounds(args) -> int:
@@ -362,21 +304,11 @@ def cmd_table1(args) -> int:
     if args.format == "json":
         _emit(args, json.dumps(result.to_json(), indent=2))
     elif args.format == "csv":
-        flat: list[BoundRow] = []
-        for label, rows in result.rows_by_t.items():
-            for row in rows:
-                merged = dict(row.params)
-                merged["t"] = label
-                flat.append(
-                    BoundRow(
-                        name=row.name,
-                        params=merged,
-                        raw_value=row.raw_value,
-                        applicable=row.applicable,
-                        exact_norm=row.exact_norm,
-                        dominates_exact=row.dominates_exact,
-                    )
-                )
+        flat = [
+            dataclasses.replace(row, params={**row.params, "t": label})
+            for label, rows in result.rows_by_t.items()
+            for row in rows
+        ]
         _emit(args, report_to_csv(flat))
     else:
         lines = []
@@ -565,18 +497,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

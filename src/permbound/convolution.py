@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,22 +84,6 @@ class SetFunction:
     @property
     def arity(self) -> int:
         return len(self.sizes)
-
-    @classmethod
-    def from_callable(cls, sizes, levels, fn: Callable) -> "SetFunction":
-        """Tabulate ``fn`` over the subset lattice.
-
-        ``fn`` receives one subset per axis (a bare subset for arity 1).
-        """
-        sizes_t = (sizes,) if isinstance(sizes, int) else tuple(sizes)
-        levels_t = (levels,) if isinstance(levels, int) else tuple(levels)
-        streams = [_subsets(n, j) for n, j in zip(sizes_t, levels_t)]
-        table = np.zeros(tuple(len(s) for s in streams), dtype=complex)
-        for cell in itertools.product(*(range(len(s)) for s in streams)):
-            table[cell] = fn(*(streams[s][cell[s]] for s in range(len(streams))))
-        if table.size == 0 or not np.max(np.abs(table.imag)) > 0:
-            table = np.ascontiguousarray(table.real)
-        return cls(sizes_t, levels_t, table)
 
     def value(self, subsets):
         """Value at an l-tuple of subsets (bare subset allowed for arity 1)."""

@@ -2,8 +2,10 @@
 arguments.
 
 The fixture matrix has entries exp(i t x) for the 0/1 exponent pattern
-below. For each t in (pi, pi/2, pi/4) the catalogue evaluates, normalized
-by 8!: the three operator-norm bounds, the singular-value bound, the
+below. For each t in (pi, pi/2, pi/4) the table is the catalogue of
+:func:`bounds.report_rows` (``permbound bounds --partition
+"1,2,3|4,5,6|7,8" --composition "3,3,2"`` on the fixture), normalized by
+8!: the three operator-norm bounds, the singular-value bound, the
 column-norm bound, the pairing and averaged cosine bounds with column pairs
 (1,2)(3,4)(5,6)(7,8), the rank bound for sign matrices, and the
 block-partition and level-composition bounds with blocks of sizes (3, 3, 2).
@@ -21,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .exact import permanent
-from .matrixio import BoundRow, round_up_decimals
-from .parallel import map_in_order
+from .matrixio import BoundRow, from_unit_circle, round_up_decimals
 
 EXPONENTS = np.array(
     [
@@ -62,75 +62,13 @@ REFERENCE = (
 
 EXACT_PREFIXES = ("0.003968", "0.077976", "0.556344")
 
-_FACT8 = float(math.factorial(8))
-
-
-def fixture_matrix(t: float) -> np.ndarray:
-    return np.exp(1j * t * EXPONENTS)
-
 
 def compute_rows(t: float) -> list[BoundRow]:
-    """The ten catalogue bounds at one argument, normalized by 8!."""
-    z = fixture_matrix(t)
-
-    def krauter() -> BoundRow:
-        value = bounds.baseline_krauter(z)
-        if value is None:
-            return BoundRow(name="krauter_rank", applicable=False)
-        return BoundRow(name="krauter_rank", raw_value=value / _FACT8)
-
-    tasks = [
-        lambda: BoundRow(
-            name="opnorm_p1",
-            params={"p": 1},
-            raw_value=bounds._exp(bounds._log_opnorm(z, 1)),
-        ),
-        lambda: BoundRow(
-            name="opnorm_pinf",
-            params={"p": "inf"},
-            raw_value=bounds._exp(bounds._log_opnorm(z, "inf")),
-        ),
-        lambda: BoundRow(
-            name="opnorm_p2",
-            params={"p": 2},
-            raw_value=bounds._exp(bounds._log_opnorm(z, 2)),
-        ),
-        lambda: BoundRow(
-            name="singular_mean_power",
-            raw_value=bounds._exp(bounds._log_singular(z)),
-        ),
-        lambda: BoundRow(
-            name="hadamard_column_norm",
-            raw_value=bounds._exp(bounds._log_hadamard(z)),
-        ),
-        lambda: BoundRow(
-            name="pair_cos",
-            params={"pairs": "identity"},
-            raw_value=bounds.unit_circle_pair_bound(EXPONENTS, t),
-        ),
-        lambda: BoundRow(
-            name="avg_cos",
-            raw_value=bounds.unit_circle_avg_bound(EXPONENTS, t),
-        ),
-        krauter,
-        lambda: BoundRow(
-            name="partition_332",
-            params={"blocks": [list(b) for b in BLOCKS_332]},
-            raw_value=bounds._partition_root(z, BLOCKS_332),
-        ),
-        lambda: BoundRow(
-            name="composition_332",
-            params={"parts": list(COMPOSITION_332)},
-            raw_value=bounds._composition_root(z, COMPOSITION_332),
-        ),
-    ]
-    rows = map_in_order(tasks)
-    exact = abs(permanent(z)) / _FACT8
-    for row in rows:
-        row.exact_norm = exact
-        if row.raw_value is not None:
-            row.dominates_exact = row.raw_value >= exact - 1e-12
-    return rows
+    """The ten catalogue rows of ``permbound bounds`` on the fixture at one
+    argument, with the 3, 3, 2 partition and composition rows."""
+    return bounds.report_rows(
+        from_unit_circle(EXPONENTS, t), blocks=BLOCKS_332, parts=COMPOSITION_332
+    )
 
 
 def _match_reference(raw: float | None, printed: str) -> tuple[bool, str]:

@@ -149,8 +149,8 @@ def test_criterion_1_benchmark_table_reproduction():
             ),
             "pair_cos": pair,
             "avg_cos": avg,
-            "partition_332": part,
-            "composition_332": comp,
+            "partition_subset_avg": part,
+            "composition_level_avg": comp,
         }
         if label == "pi":
             rank = int(np.linalg.matrix_rank(z.real))

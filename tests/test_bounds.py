@@ -689,3 +689,31 @@ def test_no_average_calls_a_kernel_per_minor(monkeypatch):
         exact.hyperhafnian_via_expansion(h, (1, 1)),
     ):
         assert np.isfinite(value)
+
+
+def test_only_bounds_reads_its_private_names():
+    # the report catalogue lives in bounds.report_rows; no other module
+    # rebuilds rows from bounds' private helpers
+    import ast
+    import pathlib
+
+    src = pathlib.Path(bounds.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "bounds.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "bounds"
+                and node.attr.startswith("_")
+            ):
+                offenders.append(f"{path.name}:{node.lineno} bounds.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("bounds"):
+                offenders += [
+                    f"{path.name}:{node.lineno} {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert offenders == []

@@ -256,38 +256,30 @@ def test_bad_partition_spec(phase_matrix):
     assert "char" in proc.stderr
 
 
-def test_bounds_matches_benchmark_rows(phase_matrix):
-    proc = run_cli(
-        "bounds",
-        "--input", phase_matrix,
-        "--partition", "1,2,3|4,5,6|7,8",
-        "--composition", "3,3,2",
-        "--format", "json",
-    )
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["n"] == 8
-    assert doc["form"] == "unit_circle"
-    got = {row["name"]: row for row in doc["rows"]}
-    assert [row["name"] for row in doc["rows"]] == [
-        "opnorm_p1", "opnorm_pinf", "opnorm_p2",
-        "singular_mean_power", "hadamard_column_norm",
-        "pair_cos", "avg_cos", "krauter_rank",
-        "partition_subset_avg", "composition_level_avg",
-    ]
-    rename = {
-        "partition_332": "partition_subset_avg",
-        "composition_332": "composition_level_avg",
-    }
-    for ref in table1.compute_rows(math.pi / 2):
-        row = got[rename.get(ref.name, ref.name)]
-        if not ref.applicable:
-            assert row["applicable"] is False
-            assert row["raw_value"] is None
-            continue
-        assert row["raw_value"] == pytest.approx(ref.raw_value, rel=1e-12)
-        assert row["exact_norm"] == pytest.approx(ref.exact_norm, rel=1e-12)
-        assert row["dominates_exact"] is True
+def test_bounds_matches_benchmark_rows(phase_matrix, capsys):
+    # table1 is the bounds catalogue on the fixture: the same rows, names,
+    # params and bit-identical values at each of its arguments
+    for t in table1.T_VALUES:
+        code = cli.main([
+            "bounds",
+            "--input", phase_matrix,
+            "--t", repr(t),
+            "--partition", "1,2,3|4,5,6|7,8",
+            "--composition", "3,3,2",
+            "--format", "json",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n"] == 8
+        assert doc["form"] == "unit_circle"
+        assert doc["rows"] == [r.to_json() for r in table1.compute_rows(t)]
+        assert [row["name"] for row in doc["rows"]] == [
+            "opnorm_p1", "opnorm_pinf", "opnorm_p2",
+            "singular_mean_power", "hadamard_column_norm",
+            "pair_cos", "avg_cos", "krauter_rank",
+            "partition_subset_avg", "composition_level_avg",
+        ]
+        assert all(r["dominates_exact"] for r in doc["rows"] if r["applicable"])
 
 
 def test_bounds_text_and_csv(phase_matrix):

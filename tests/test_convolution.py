@@ -45,15 +45,6 @@ def test_set_function_value_and_shape():
         SetFunction(4, 5, np.zeros(1))
 
 
-def test_set_function_from_callable():
-    g = SetFunction.from_callable(4, 2, lambda s: sum(s))
-    assert g.value((1, 3)) == 4
-    assert g.table.dtype.kind == "f"  # real-valued tables are stored real
-    h = SetFunction.from_callable((3, 3), (1, 2), lambda a, b: len(a) * 1j)
-    assert h.arity == 2
-    assert h.value(((2,), (0, 1))) == 1j
-
-
 def test_is_nonnegative():
     assert not SetFunction(3, 1, np.array([1.0, -0.5, 2.0])).is_nonnegative()
     assert not SetFunction(3, 1, np.array([1.0, 1j, 0.0])).is_nonnegative()
@@ -240,11 +231,15 @@ def test_generalized_R_reproduces_permanent():
     n = 5
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     col_blocks = ((0, 1), (2,), (3, 4))
+    # oracle tables from one direct permanent per row subset, in rank order
     fs = tuple(
-        SetFunction.from_callable(
+        SetFunction(
             n,
             len(block),
-            lambda rows, block=block: permanent(z[np.ix_(rows, block)]),
+            np.array([
+                permanent(z[np.ix_(rows, block)])
+                for rows in itertools.combinations(range(n), len(block))
+            ]),
         )
         for block in col_blocks
     )
