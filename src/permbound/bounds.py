@@ -36,6 +36,7 @@ from .combinatorics import (
     as_composition,
     as_index_set,
     subset_count,
+    subset_table,
     validate_partition,
 )
 from .errors import DomainError, FeasibilityError
@@ -46,7 +47,6 @@ from .exact import (
     _check_symmetric,
     _minor_stack,
     _principal_stack,
-    _subsets,
     permanent,
     permanent_D,
 )
@@ -217,7 +217,7 @@ def F_ell_level(t, k: int) -> float:
         raise DomainError(f"level k={k} outside [0, {m}]")
     if k == 0:
         return 1.0
-    return float(_minor_means(a, k, _subsets(m, k)).mean())
+    return float(_minor_means(a, k, subset_table(m, k)).mean())
 
 
 def partition_bound_f_ell(
@@ -518,7 +518,7 @@ def minor_sum_phi(z, k: int) -> complex:
         raise DomainError(f"level k={k} outside [0, {min(n, m)}]")
     if k == 0:
         return 1.0 + 0.0j
-    return complex(sum(per.sum() for *_, per in _minor_stack(a, k, _subsets(m, k))))
+    return complex(sum(per.sum() for *_, per in _minor_stack(a, k, subset_table(m, k))))
 
 
 def phi_bound(z, k: int) -> float:

@@ -238,7 +238,9 @@ def cmd_exact(args) -> int:
 
 def _check_row_work(name: str, n: int, sets: dict[int, int]) -> None:
     # sets[k] column sets of size k, each C(n, k) minors of 2^(k-1) k products
-    work = sum(c * math.comb(n, k) * (k << k >> 1) for k, c in sets.items())
+    work = sum(
+        c * math.comb(n, k) * multidim_permanent_work(k, 1) for k, c in sets.items()
+    )
     if work > BOUNDS_MAX_WORK:
         raise FeasibilityError(
             f"{name} row work limit {BOUNDS_MAX_WORK} products, got {work}"
@@ -248,14 +250,18 @@ def _check_row_work(name: str, n: int, sets: dict[int, int]) -> None:
 def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
     """Parse the row options and gate them, then build the catalogue of
     :func:`bounds.report_rows`: oversized or malformed requests raise
-    before any row is computed (n first, then each row's spec before its
-    work limit)."""
+    before any row is computed (n first, then ``--s-perm`` and ``--theta``,
+    which need a unit_circle input, then each row's spec before its work
+    limit)."""
     n = mi.n
     if n > BOUNDS_MAX_N:
         raise FeasibilityError(f"bounds limit n <= {BOUNDS_MAX_N}, got {n}")
     s_perm = blocks = parts = None
-    if mi.form == "unit_circle" and args.s_perm:
+    if args.s_perm is not None:
         s_perm = parse_perm(args.s_perm, n)
+    for option, given in (("--s-perm", s_perm is not None), ("--theta", args.theta)):
+        if given and mi.form != "unit_circle":
+            raise ParseError(f"{option} requires the unit_circle form")
     if args.partition:
         blocks = validate_partition(parse_partition(args.partition, n), range(n))
         _check_row_work("partition", n, Counter(len(b) for b in blocks))

@@ -4,14 +4,20 @@ Enumerations are lazy generators in deterministic lexicographic order and
 all indices are 0-based. An index set is a strictly increasing tuple of
 ints, a composition is a tuple of non-negative ints (zero parts allowed),
 and an ordered partition is a tuple of pairwise disjoint index sets
-covering its ground set. Subset counts and ranks are exact integers.
+covering its ground set. Subset counts, ranks and multinomials are exact
+integers. This module holds the one subset order every other module reads:
+:func:`subset_table` lists the k-subsets of range(n) in it and
+:func:`subset_ranks` maps subsets back to their positions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -52,21 +58,55 @@ def subset_count(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def subset_rank(subset: Sequence[int], n: int) -> int:
-    """Lexicographic rank of a k-subset of range(n).
+@functools.lru_cache(maxsize=None)
+def subset_table(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in rank order, as the columns of a read-only
+    (k, C(n, k)) table."""
+    combos = list(enumerate_subsets(n, k))
+    table = np.array(combos, dtype=np.intp).reshape(len(combos), k).T
+    table.flags.writeable = False
+    return table
 
-    Ranks run from 0 to C(n, k) - 1 in the same order as
+
+def subset_ranks(sub, n: int) -> np.ndarray:
+    """Lexicographic ranks of k-subsets of range(n), the same order as
     :func:`enumerate_subsets`.
+
+    ``sub`` has shape (k, ...): each subset runs down the first axis in
+    increasing order (unchecked) and the ranks have shape sub.shape[1:].
+    With s_(-1) = -1, the subsets before s that agree with it below
+    position i and differ at i number C(n-1-s_(i-1), k-i) - C(n-s_i, k-i).
+    No term exceeds C(n, k), so the ranks are int64 wherever C(n, k)
+    fits one (exact Python ints otherwise).
     """
-    s = as_index_set(subset, n)
-    k = len(s)
-    rank = 0
+    sub = np.asarray(sub, dtype=np.intp)
+    k = len(sub)
+    dtype = np.int64 if math.comb(n, k) <= np.iinfo(np.int64).max else object
+    ranks = np.zeros(sub.shape[1:], dtype=dtype)
     prev = -1
-    for i, e in enumerate(s):
-        for j in range(prev + 1, e):
-            rank += math.comb(n - 1 - j, k - 1 - i)
-        prev = e
-    return rank
+    for i in range(k):
+        # C(m, k-i) for m <= n-i: the rank terms at i read no larger m
+        coef = np.array([math.comb(m, k - i) for m in range(n - i + 1)], dtype=dtype)
+        ranks += coef[n - 1 - prev] - coef[n - sub[i]]
+        prev = sub[i]
+    return ranks
+
+
+def subset_rank(subset: Sequence[int], n: int) -> int:
+    """Lexicographic rank of one k-subset of range(n), validated: ranks run
+    from 0 to C(n, k) - 1 in the order of :func:`enumerate_subsets`."""
+    s = as_index_set(subset, n)
+    return int(subset_ranks(np.array(s, dtype=np.intp), n))
+
+
+def multinomial(parts: Sequence[int]) -> int:
+    """The number k! / prod_r parts[r]! of ordered partitions of a k-set
+    into blocks of sizes ``parts`` (k = sum(parts)), exact."""
+    out, k = 1, 0
+    for p in as_composition(parts):
+        k += p
+        out *= math.comb(k, p)
+    return out
 
 
 def as_composition(parts: Iterable[int], total: int | None = None) -> Composition:

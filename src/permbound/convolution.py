@@ -8,40 +8,38 @@ operation is the size-restricted subset convolution
 
 (componentwise over the l axes), whose mean-square is dominated by the
 product of the factor mean-squares after dividing by the number of terms.
-It is one gather over cached per-axis tables of the ranks of I and J \\ I.
+It is one gather over cached per-axis tables of the ranks of I and J \\ I,
+read from the subset order of :mod:`combinatorics`.
 :func:`verify_convolution_inequality` checks that inequality on explicit
-tables, :func:`classify_equality` reports which structural equality
-conditions an instance satisfies, and :func:`generalized_R` with
-:func:`verify_master_inequality` handle the block-product generalization
-(sums over partition tuples of products of factor functions, that is the
-iterated convolution of the factors).
+tables and :func:`classify_equality` reports which structural equality
+conditions an instance satisfies. The block-product generalization sums,
+over ordered partitions of J, products of factor values: R(J), the
+iterated convolution of the factors. :func:`generalized_R` is its one
+single-cell evaluation (the expansion identities of :mod:`exact` call it on
+the full index sets) and :func:`verify_master_inequality` its mean-square
+bound over every J at once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import (
-    IndexSet,
     as_index_set,
+    multinomial,
     subset_count,
     subset_rank,
+    subset_ranks,
+    subset_table,
 )
 from .errors import DomainError
 
 HOLD_RTOL = 1e-12
 EQ_RTOL = 1e-10
-
-
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int, k: int) -> tuple[IndexSet, ...]:
-    return tuple(itertools.combinations(range(n), k))
 
 
 def _normalize_arg(subsets, arity: int):
@@ -88,11 +86,7 @@ class SetFunction:
     def value(self, subsets):
         """Value at an l-tuple of subsets (bare subset allowed for arity 1)."""
         args = _normalize_arg(subsets, self.arity)
-        cell = tuple(
-            subset_rank(as_index_set(sub, n), n)
-            for sub, n in zip(args, self.sizes)
-        )
-        return self.table[cell]
+        return self.table[tuple(subset_rank(s, n) for s, n in zip(args, self.sizes))]
 
     def mean_square(self) -> float:
         """Mean of |value|^2 over all cells."""
@@ -107,16 +101,12 @@ class SetFunction:
 @functools.lru_cache(maxsize=None)
 def _split_ranks(n: int, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Tables [a, b] of the ranks of I and of J \\ I, for J the a-th k-subset
-    of range(n) and I the b-th element of ``itertools.combinations(J, j)``."""
-    rank_i = {s: r for r, s in enumerate(_subsets(n, j))}
-    rank_rest = {s: r for r, s in enumerate(_subsets(n, k - j))}
-    pairs = [
-        (rank_i[part], rank_rest[tuple(e for e in big if e not in part)])
-        for big in _subsets(n, k)
-        for part in itertools.combinations(big, j)
-    ]
-    table = np.array(pairs, dtype=np.intp).reshape(-1, math.comb(k, j), 2)
-    return table[..., 0], table[..., 1]
+    of range(n) and I the b-th j-subset of J. I sits at the b-th j-subset of
+    positions in J, J \\ I at its complement: the (C(k, j) - 1 - b)-th
+    (k - j)-subset of positions."""
+    big = subset_table(n, k)
+    positions = (subset_table(k, j), subset_table(k, k - j)[:, ::-1])
+    return tuple(subset_ranks(big[p], n).T.astype(np.intp) for p in positions)
 
 
 def subset_convolution(g: SetFunction, h: SetFunction) -> SetFunction:
@@ -245,80 +235,44 @@ def classify_equality(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExpansionSystem:
-    """A family of factor set functions sharing ground sets.
-
-    Factor r consumes one subset per axis with sizes given by its levels;
-    the per-axis level sums k_s = sum_r levels_r[s] must not exceed the
-    ground sizes.
-    """
-
-    factors: tuple[SetFunction, ...]
-    sizes: tuple[int, ...] = field(init=False)
-    levels: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        if not self.factors:
-            raise DomainError("need at least one factor")
-        sizes = self.factors[0].sizes
-        for f in self.factors:
-            if f.sizes != sizes:
-                raise DomainError("factors must share ground sets")
-        levels = tuple(
-            sum(f.levels[s] for f in self.factors) for s in range(len(sizes))
-        )
-        for n, k in zip(sizes, levels):
-            if k > n:
-                raise DomainError(f"combined level {k} exceeds ground size {n}")
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def arity(self) -> int:
-        return len(self.sizes)
-
-    def weight(self, axis: int) -> tuple[int, ...]:
-        """Block sizes consumed on one axis, ordered by factor."""
-        return tuple(f.levels[axis] for f in self.factors)
-
-
-def _as_system(factors) -> ExpansionSystem:
-    if isinstance(factors, ExpansionSystem):
-        return factors
-    return ExpansionSystem(tuple(factors))
+def _level_sums(factors) -> tuple[int, ...]:
+    """Per-axis level sums of factors that share ground sets."""
+    if not factors:
+        raise DomainError("need at least one factor")
+    if any(f.sizes != factors[0].sizes for f in factors):
+        raise DomainError("factors must share ground sets")
+    return tuple(map(sum, zip(*(f.levels for f in factors))))
 
 
 def generalized_R(factors, subsets) -> complex:
     """Sum over per-axis ordered partitions of products of factor values.
 
     ``subsets`` carries one index set J_s per axis with |J_s| equal to the
-    per-axis level sum; the value is
-    sum over (V_1s, ..., V_ds) in Part(J_s, weight(s)) for every axis s of
+    per-axis level sum; the value is the sum over ordered partitions
+    (V_1s, ..., V_ds) of every J_s, block r of size factor_r.levels[s], of
     prod_r factor_r(V_r1, ..., V_rl).
 
-    The convolution of the factors restricted to the subsets of J has R(J)
-    as its single cell, so the cost is set by |J_s|, not the ground sizes.
+    It is the single cell of the convolution of the factors restricted to
+    the subsets of J, one rank gather per axis (none where J_s is the whole
+    ground set), so the cost is set by |J_s|, not the ground sizes.
     """
-    system = _as_system(factors)
-    args = _normalize_arg(subsets, system.arity)
-    js = tuple(
-        as_index_set(sub, n) for sub, n in zip(args, system.sizes)
-    )
-    for j, k in zip(js, system.levels):
+    factors = tuple(factors)
+    levels = _level_sums(factors)
+    sizes = factors[0].sizes
+    js = [as_index_set(sub, n) for sub, n in zip(_normalize_arg(subsets, len(sizes)), sizes)]
+    for j, k in zip(js, levels):
         if len(j) != k:
             raise DomainError(
                 f"index set size {len(j)} does not match level sum {k}"
             )
     restricted = []
-    for f in system.factors:
-        ranks = [
-            [subset_rank(sub, n) for sub in itertools.combinations(j, w)]
-            for j, n, w in zip(js, f.sizes, f.levels)
-        ]
-        restricted.append(
-            SetFunction(system.levels, f.levels, f.table[np.ix_(*ranks)])
-        )
+    for f in factors:
+        table = f.table
+        for axis, (j, n, w) in enumerate(zip(js, sizes, f.levels)):
+            if len(j) < n:
+                sub = np.array(j, dtype=np.intp)[subset_table(len(j), w)]
+                table = table.take(subset_ranks(sub, n), axis=axis)
+        restricted.append(f if table is f.table else SetFunction(levels, f.levels, table))
     p = functools.reduce(subset_convolution, restricted)
     return complex(p.table.reshape(-1)[0])
 
@@ -342,17 +296,12 @@ def verify_master_inequality(
     their mean squares. Factors may be complex valued. R(J) for every
     J-tuple at once is the iterated subset convolution of the factors.
     """
-    system = _as_system(factors)
-    prefactor = 1.0
-    for s, (n, k) in enumerate(zip(system.sizes, system.levels)):
-        w = system.weight(s)
-        num = 1.0
-        for p in w:
-            num *= math.factorial(p)
-        prefactor *= num / math.factorial(k)
-    r_table = functools.reduce(subset_convolution, system.factors).table
+    factors = tuple(factors)
+    _level_sums(factors)
+    r_table = functools.reduce(subset_convolution, factors).table
+    prefactor = 1.0 / math.prod(
+        multinomial(w) for w in zip(*(f.levels for f in factors))
+    )
     lhs = float((np.abs(prefactor * r_table) ** 2).mean())
-    rhs = 1.0
-    for f in system.factors:
-        rhs *= f.mean_square()
+    rhs = math.prod(f.mean_square() for f in factors)
     return MasterCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + rtol * rhs)

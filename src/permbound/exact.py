@@ -15,8 +15,9 @@ Algorithms), on numbers for one tensor or on numpy rows for a chunk of
 principal minors: :func:`hyperhafnian_work` counts its memo states times the
 partner subsets of each. Direct enumerations are kept behind a flag as
 oracles. Expansion identities (developing a permanent or hafnian along a
-fixed block structure) convolve stacked tables of block values, an
-independent route that tests cross-check against the kernels.
+fixed block structure) are :func:`convolution.generalized_R` on the full
+index sets, over stacked tables of block values: an independent route that
+tests cross-check against the kernels.
 
 Conventions: the permanent of an empty matrix is 1, the hafnian of an empty
 matrix is 1, hafnian-type functions never read diagonal blocks, and all
@@ -32,8 +33,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .combinatorics import as_composition, validate_partition
-from .convolution import SetFunction, subset_convolution
+from .combinatorics import (
+    as_composition,
+    multinomial,
+    subset_table,
+    validate_partition,
+)
+from .convolution import SetFunction, generalized_R
 from .errors import DomainError
 
 SYMMETRY_ATOL = 1e-12
@@ -199,14 +205,6 @@ def _glynn_chunk(k: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _subsets(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n) in rank order, as the columns of a
-    (k, C(n, k)) table."""
-    combos = list(itertools.combinations(range(n), k))
-    return np.array(combos, dtype=np.intp).reshape(len(combos), k).T
-
-
-@functools.lru_cache(maxsize=None)
 def _tensor_tables(k: int, ell: int):
     """Row positions of the Glynn matrices of an order-(ell+1) minor with
     axes of size k: entry (i, j) reads column j at position
@@ -256,7 +254,7 @@ def _minor_stack(a: np.ndarray, k: int, cols: np.ndarray):
     _glynn_chunk(k) Glynn matrices."""
     ell = a.ndim - 1
     n, m = a.shape[0], a.shape[-1]
-    sub = _subsets(n, k)
+    sub = subset_table(n, k)
     rows = sub * (n ** (ell - 1) * m)
     for r in range(1, ell):
         step = sub * (n ** (ell - 1 - r) * m)
@@ -296,6 +294,12 @@ def _minor_table(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
         for q, r, per in _minor_stack(a, k, cols):
             out[q : q + per.shape[0], r : r + per.shape[1]] = per
     return out.reshape((cols.shape[1],) + (count,) * ell)
+
+
+def _block_table(a: np.ndarray, block) -> np.ndarray:
+    """Permanents of the minors a[J_1, ..., J_l, block] for every l-tuple of
+    row subsets of the block's size, in rank order: one stacked table."""
+    return _minor_table(a, len(block), np.array(block, dtype=np.intp)[:, None])[0]
 
 
 def _check_symmetric(a: np.ndarray, atol: float) -> None:
@@ -374,9 +378,9 @@ def _principal_stack(a: np.ndarray, s: int):
     if s == 0:
         yield np.ones(1, dtype=complex)
         return
-    combos = _subsets(s, ell)
+    combos = subset_table(s, ell)
     pos = (combos.T @ (s ** np.arange(ell - 1, -1, -1))).tolist()
-    sub = _subsets(n, s)
+    sub = subset_table(n, s)
     index = sum(sub[combos[r]] * n ** (ell - 1 - r) for r in range(ell))
     work = hyperhafnian_work(s, ell) + len(pos)
     step = max(1, min(_GLYNN_BATCH_ROWS, (_GLYNN_BATCH_ROWS << 7) // work))
@@ -442,17 +446,6 @@ def hyperhafnian_work(n: int, ell: int) -> int:
     return total
 
 
-def _expand(n: int, sizes: Sequence[int], tables: Sequence[np.ndarray]) -> complex:
-    """Sum over ordered partitions of range(n) with block sizes ``sizes``, one
-    partition per table axis, of the products over blocks r of
-    tables[r][rank of block r on each axis]: the single cell of the iterated
-    subset convolution of the tables."""
-    factors = [
-        SetFunction((n,) * t.ndim, (p,) * t.ndim, t) for p, t in zip(sizes, tables)
-    ]
-    return complex(functools.reduce(subset_convolution, factors).table.reshape(-1)[0])
-
-
 def permanent_via_laplace(z, column_blocks: Sequence[Sequence[int]]) -> complex:
     """Permanent via expansion along an ordered partition of the columns.
 
@@ -486,8 +479,8 @@ def multidim_permanent_via_laplace(
 
     The block permanents come from stacked tables over every l-tuple of row
     subsets, one per column block (one per block size, over every column
-    subset of that size, when symmetrized), read by subset rank in their
-    iterated subset convolution.
+    subset of that size, when symmetrized): the factors of
+    :func:`generalized_R` on the full index sets.
     """
     a, order, k = _as_cube(t)
     if order < 2:
@@ -496,16 +489,19 @@ def multidim_permanent_via_laplace(
     if symmetrized:
         if column_blocks is not None:
             raise DomainError("symmetrized expansion chooses its own column blocks")
-        tables = {p: _minor_table(a, p, _subsets(k, p)) for p in w}
-        factor = math.prod(math.factorial(p) for p in w) / math.factorial(k)
-        return complex(factor * _expand(k, w, [tables[p] for p in w]))
+        tables = {p: _minor_table(a, p, subset_table(k, p)) for p in w}
+        factors = [SetFunction((k,) * order, (p,) * order, tables[p]) for p in w]
+        return generalized_R(factors, (range(k),) * order) / multinomial(w)
     if column_blocks is None:
         raise DomainError("column_blocks is required unless symmetrized=True")
     blocks = validate_partition(column_blocks, range(k))
     if tuple(len(b) for b in blocks) != w:
         raise DomainError("column block sizes do not match the given sizes")
-    cols = [np.array(b, dtype=np.intp).reshape(-1, 1) for b in blocks]
-    return _expand(k, w, [_minor_table(a, p, c)[0] for p, c in zip(w, cols)])
+    ell = order - 1
+    factors = [
+        SetFunction((k,) * ell, (len(b),) * ell, _block_table(a, b)) for b in blocks
+    ]
+    return generalized_R(factors, (range(k),) * ell)
 
 
 def hyperhafnian_via_expansion(t, sizes: Sequence[int]) -> complex:
@@ -515,9 +511,9 @@ def hyperhafnian_via_expansion(t, sizes: Sequence[int]) -> complex:
     composition ``sizes`` of k, the value equals
     prod_r sizes[r]! / k! times the sum over ordered partitions
     (V_1, ..., V_d) of the index set with |V_r| = l * sizes[r] of
-    prod_r hyperhafnian(t[V_r, ..., V_r]), read by subset rank from one
-    stacked table of principal hyperhafnians per block size in their
-    iterated subset convolution. Independent route used to cross-check
+    prod_r hyperhafnian(t[V_r, ..., V_r]): :func:`generalized_R` on the full
+    index set over one stacked table of principal hyperhafnians per block
+    size. Independent route used to cross-check
     :func:`hyperhafnian` (and :func:`hafnian` at l = 2).
     """
     a, ell, n = _as_cube(t)
@@ -525,10 +521,9 @@ def hyperhafnian_via_expansion(t, sizes: Sequence[int]) -> complex:
         raise DomainError(f"axis size {n} is not a multiple of the order {ell}")
     _check_symmetric(a, SYMMETRY_ATOL)
     w = as_composition(sizes, total=n // ell)
-    factor = math.prod(math.factorial(p) for p in w) / math.factorial(n // ell)
-    block_sizes = tuple(ell * p for p in w)
-    tables = {s: np.concatenate(list(_principal_stack(a, s))) for s in block_sizes}
-    return complex(factor * _expand(n, block_sizes, [tables[s] for s in block_sizes]))
+    tables = {p: np.concatenate(list(_principal_stack(a, ell * p))) for p in w}
+    factors = [SetFunction(n, ell * p, tables[p]) for p in w]
+    return generalized_R(factors, range(n)) / multinomial(w)
 
 
 def permanent_D(n: int, neg: int) -> int:

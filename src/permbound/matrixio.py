@@ -12,8 +12,8 @@ position.
 
 Report rows record one bound each: ``raw_value`` is the double, and
 ``rounded_up_6dp`` rounds it up at the sixth decimal (never below the raw
-value). Table display additionally uses a seven-digit round-up so printed
-cells carry seven digits regardless of magnitude.
+value). Table display rounds up at any number of decimals
+(:func:`round_up_decimals`), the precision of each printed cell.
 """
 
 from __future__ import annotations
@@ -263,13 +263,6 @@ def round_up_decimals(value: float, decimals: int) -> str:
         return str(scaled)
     text = f"{scaled:0{decimals + 1}d}"
     return f"{text[:-decimals]}.{text[-decimals:]}"
-
-
-def display_round_up(value: float, digits: int = 7) -> str:
-    """Seven-digit rounded-up decimal string (e.g. 416.1016, 0.292023): the
-    decimals left after the integer digits (one below 1), floored at 0."""
-    int_digits = 1 if value < 1.0 else len(str(int(value)))
-    return round_up_decimals(value, max(digits - int_digits, 0))
 
 
 @dataclass

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, charfn
+from .combinatorics import multinomial
 from .convolution import (
     SetFunction,
     classify_equality,
@@ -37,7 +38,7 @@ from .convolution import (
 )
 from .errors import DomainError
 from .exact import (
-    _minor_table,
+    _block_table,
     hafnian,
     hyperhafnian,
     hyperhafnian_via_expansion,
@@ -618,12 +619,6 @@ def suite_convolution(seed: int = 0, trials: int = 200) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _block_table(a: np.ndarray, block) -> np.ndarray:
-    """Permanents of the minors a[J_1, ..., J_l, block] for every l-tuple of
-    row subsets of the block's size, in rank order: one stacked table."""
-    return _minor_table(a, len(block), np.array(block, dtype=np.intp)[:, None])[0]
-
-
 def suite_master(seed: int = 0, trials: int = 100) -> SuiteResult:
     """Block-product mean-square inequality and its reproductions."""
     rec = _Recorder()
@@ -675,13 +670,8 @@ def suite_master(seed: int = 0, trials: int = 100) -> SuiteResult:
         factors = [SetFunction(n, len(wr), _block_table(z, wr)) for wr in blocks]
         r_value = generalized_R(factors, tuple(range(n)))
         direct = permanent(z)
-        prefactor = 1.0
-        for p in w:
-            prefactor *= math.factorial(p)
-        product_bound = (math.factorial(n) / prefactor) * math.prod(
-            math.sqrt(f.mean_square()) for f in factors
-        )
-        counts = math.factorial(n) / prefactor
+        counts = multinomial(w)
+        product_bound = counts * math.prod(math.sqrt(f.mean_square()) for f in factors)
         ones = [
             SetFunction(n, len(wr), np.ones(math.comb(n, len(wr))))
             for wr in blocks

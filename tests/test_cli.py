@@ -430,6 +430,42 @@ def test_bounds_partition_rows_beyond_double_factorials(tmp_path, capsys, option
     assert row["raw_value"] == pytest.approx(426.0**100, rel=1e-12)
 
 
+def test_bounds_s_perm_pairs_the_fixture_columns(phase_matrix, capsys):
+    s = (1, 0, 3, 2, 5, 4, 7, 6)
+    code = cli.main([
+        "bounds", "--input", phase_matrix, "--s-perm", "2,1,4,3,6,5,8,7",
+        "--format", "json",
+    ])
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    t = math.pi / 2
+    assert rows["pair_cos"]["params"] == {"t": t, "s": [2, 1, 4, 3, 6, 5, 8, 7]}
+    assert rows["pair_cos"]["raw_value"] == bounds.unit_circle_pair_bound(
+        table1.EXPONENTS, t, s
+    )
+
+
+@pytest.mark.parametrize("option", [("--s-perm", "2,1,4,3,6,5"), ("--theta",)])
+def test_bounds_unit_circle_options_need_unit_circle_input(tmp_path, capsys, option):
+    z = np.random.default_rng(6).standard_normal((6, 6))
+    code, err, _ = run_main_timed(
+        capsys, "bounds", "--input", entries_file(tmp_path, z), *option
+    )
+    assert code == 2
+    assert f"{option[0]} requires the unit_circle form" in err
+
+
+@pytest.mark.parametrize("spec", ["x", "", "1,2,3", "1,1,2,3,4,5,6,7", "0,1,2,3,4,5,6,7"])
+@pytest.mark.parametrize("form", ["unit_circle", "entries"])
+def test_bounds_malformed_s_perm_exit(tmp_path, phase_matrix, capsys, spec, form):
+    path = phase_matrix
+    if form == "entries":
+        path = entries_file(tmp_path, np.exp(0.5j * table1.EXPONENTS))
+    code, err, _ = run_main_timed(capsys, "bounds", "--input", path, "--s-perm", spec)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("n", [5, 12])
 def test_bounds_rows_dominate_exact(tmp_path, capsys, n):
     rng = np.random.default_rng(80 + n)

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from permbound.combinatorics import (
@@ -8,8 +9,11 @@ from permbound.combinatorics import (
     as_index_set,
     enumerate_partitions,
     enumerate_subsets,
+    multinomial,
     subset_count,
     subset_rank,
+    subset_ranks,
+    subset_table,
     validate_partition,
 )
 from permbound.errors import DomainError
@@ -29,6 +33,65 @@ def test_subset_rank_matches_enumeration_order():
         for k in range(n + 1):
             for i, sub in enumerate(enumerate_subsets(n, k)):
                 assert subset_rank(sub, n) == i
+
+
+def loop_rank(subset, n):
+    # one skipped block of C(n - 1 - j, k - 1 - i) subsets per element j
+    # passed over before the i-th element
+    k, rank, prev = len(subset), 0, -1
+    for i, e in enumerate(subset):
+        for j in range(prev + 1, e):
+            rank += math.comb(n - 1 - j, k - 1 - i)
+        prev = e
+    return rank
+
+
+def test_subset_table_and_ranks_match_enumeration_order():
+    for n in range(9):
+        for k in range(n + 1):
+            table = subset_table(n, k)
+            assert table.shape == (k, math.comb(n, k))
+            assert [tuple(c) for c in table.T] == list(enumerate_subsets(n, k))
+            ranks = subset_ranks(table, n)
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == list(range(math.comb(n, k)))
+    assert not subset_table(5, 2).flags.writeable
+
+
+def test_subset_ranks_do_not_overflow():
+    # C(100, 99) = 100 subsets, but C(100, 50) > 2^63: no coefficient
+    # beyond the table's own size may be formed
+    table = subset_table(100, 99)
+    assert subset_ranks(table, 100).tolist() == list(range(100))
+    rng = np.random.default_rng(3)
+    sub = np.sort(
+        np.array([rng.choice(60, 5, replace=False) for _ in range(200)]).T, axis=0
+    )
+    sub[:, 0] = (0, 1, 2, 3, 4)
+    sub[:, 1] = (55, 56, 57, 58, 59)
+    ranks = subset_ranks(sub, 60)
+    assert ranks.tolist() == [loop_rank(tuple(c), 60) for c in sub.T]
+    assert ranks[0] == 0 and ranks[1] == math.comb(60, 5) - 1
+    # beyond an int64 the scalar rank stays exact
+    assert subset_rank(range(50, 100), 100) == math.comb(100, 50) - 1
+    assert subset_rank((1, 3, 98), 100) == loop_rank((1, 3, 98), 100)
+
+
+def test_subset_rank_validates():
+    with pytest.raises(DomainError):
+        subset_rank((2, 2), 4)
+    with pytest.raises(DomainError):
+        subset_rank((4,), 4)
+
+
+def test_multinomial_is_the_factorial_ratio():
+    for parts in [(), (0,), (3,), (2, 1, 2), (0, 4, 0, 1), (3, 3, 2), (6, 6, 6, 6)]:
+        expected = math.factorial(sum(parts))
+        for p in parts:
+            expected //= math.factorial(p)
+        assert multinomial(parts) == expected
+    with pytest.raises(DomainError):
+        multinomial((2, -1))
 
 
 def test_complement_has_reversed_rank():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from permbound.combinatorics import enumerate_partitions, enumerate_subsets
 from permbound.convolution import (
-    ExpansionSystem,
     SetFunction,
+    _split_ranks,
     classify_equality,
     generalized_R,
     subset_convolution,
@@ -197,20 +197,36 @@ def test_multi_axis_inequality():
         assert check.holds
 
 
-def test_expansion_system_weights():
-    fs = tuple(
-        SetFunction(6, j, np.ones(math.comb(6, j))) for j in (1, 2, 3)
-    )
-    system = ExpansionSystem(fs)
-    assert system.sizes == (6,)
-    assert system.levels == (6,)
-    assert system.weight(0) == (1, 2, 3)
-    with pytest.raises(DomainError):
-        ExpansionSystem(
-            (SetFunction(4, 3, np.ones(4)), SetFunction(4, 2, np.ones(6)))
-        )
-    with pytest.raises(DomainError):
-        ExpansionSystem(())
+def test_expansion_rejects_unequal_grounds_excess_levels_and_no_factors():
+    fs = tuple(SetFunction(6, j, np.ones(math.comb(6, j))) for j in (1, 2, 3))
+    assert generalized_R(fs, tuple(range(6))) == 60  # 6! / (1! 2! 3!)
+    unequal = (SetFunction(4, 1, np.ones(4)), SetFunction(5, 1, np.ones(5)))
+    excess = (SetFunction(4, 3, np.ones(4)), SetFunction(4, 2, np.ones(6)))
+    for factors, js in ((unequal, (0, 1)), (excess, tuple(range(5))), ((), ())):
+        with pytest.raises(DomainError):
+            generalized_R(factors, js)
+        with pytest.raises(DomainError):
+            verify_master_inequality(factors)
+
+
+def test_split_ranks_match_dict_construction():
+    for n in range(7):
+        for k in range(n + 1):
+            for j in range(k + 1):
+                rank_i = {s: r for r, s in enumerate(enumerate_subsets(n, j))}
+                rank_rest = {s: r for r, s in enumerate(enumerate_subsets(n, k - j))}
+                pairs = [
+                    (rank_i[part], rank_rest[tuple(e for e in big if e not in part)])
+                    for big in enumerate_subsets(n, k)
+                    for part in itertools.combinations(big, j)
+                ]
+                expected = np.array(pairs, dtype=np.intp).reshape(
+                    math.comb(n, k), math.comb(k, j), 2
+                )
+                got_i, got_rest = _split_ranks(n, k, j)
+                assert got_i.dtype == got_rest.dtype == np.intp
+                assert np.array_equal(got_i, expected[..., 0])
+                assert np.array_equal(got_rest, expected[..., 1])
 
 
 def test_generalized_R_counts_partitions_for_ones():

@@ -9,7 +9,6 @@ from permbound.errors import ParseError
 from permbound.matrixio import (
     BoundRow,
     MatrixInput,
-    display_round_up,
     from_entries,
     from_polar,
     from_unit_circle,
@@ -20,6 +19,7 @@ from permbound.matrixio import (
     report_to_csv,
     report_to_json,
     round_up_6dp,
+    round_up_decimals,
     save_matrix,
     tensor_from_json,
     tensor_to_json,
@@ -182,21 +182,16 @@ def test_round_up_6dp_properties(value):
     assert out - value < 2e-6
 
 
-def test_display_round_up_examples():
-    assert display_round_up(416.10155) == "416.1016"
-    assert display_round_up(0.29202201) == "0.292023"
-    assert display_round_up(1.0) == "1.000000"
-    assert display_round_up(0.5) == "0.500000"
-    assert display_round_up(12.3) == "12.30000"
-    assert display_round_up(1234567.0) == "1234567"
-    with pytest.raises(ValueError):
-        display_round_up(-0.1)
-
-
-@given(st.floats(min_value=1e-8, max_value=1e6, allow_nan=False))
-def test_display_round_up_never_below(value):
-    shown = float(display_round_up(value))
-    assert shown >= value - 1e-9 * max(1.0, value)
+@given(
+    st.floats(min_value=1e-8, max_value=1e6, allow_nan=False),
+    st.integers(min_value=0, max_value=8),
+)
+def test_round_up_decimals_never_below(value, decimals):
+    shown = round_up_decimals(value, decimals)
+    assert len(shown.partition(".")[2]) == decimals
+    # the relative fuzz of 1e-9 may keep a value just above the grid point
+    assert float(shown) >= value - 1e-9 * max(10.0**-decimals, value)
+    assert float(shown) - value <= 10.0**-decimals + 1e-15 * value
 
 
 def test_bound_row_json():
