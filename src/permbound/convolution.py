@@ -1,8 +1,12 @@
 """Set functions on subset lattices, their convolution, and inequality checks.
 
 A :class:`SetFunction` stores one value per l-tuple of fixed-size subsets of
-l ground sets, densely indexed by lexicographic subset rank. The central
-operation is the size-restricted subset convolution
+l ground sets, densely indexed by lexicographic subset rank. Its table may
+carry leading batch axes (one row per trial) before the l cell axes: the
+convolution, mean squares, inequality check and equality classifier act row
+by row, reducing over the trailing cell axes only, and an unbatched table
+is the one-row case. The central operation is the size-restricted subset
+convolution
 
     p(J) = sum over I <= J with |I| = j of g(I) * h(J \\ I)
 
@@ -11,13 +15,14 @@ product of the factor mean-squares after dividing by the number of terms.
 It is one gather over cached per-axis tables of the ranks of I and J \\ I,
 read from the subset order of :mod:`combinatorics`.
 :func:`verify_convolution_inequality` checks that inequality on explicit
-tables and :func:`classify_equality` reports which structural equality
-conditions an instance satisfies. The block-product generalization sums,
-over ordered partitions of J, products of factor values: R(J), the
-iterated convolution of the factors. :func:`generalized_R` is its one
-single-cell evaluation (the expansion identities of :mod:`exact` call it on
-the full index sets) and :func:`verify_master_inequality` its mean-square
-bound over every J at once.
+tables and :func:`equality_conditions` flags, per row, the structural
+equality conditions an instance satisfies (:func:`classify_equality` names
+them). The block-product generalization sums, over ordered partitions of
+J, products of factor values: R(J), the iterated convolution of the factors.
+:func:`generalized_R` is its one single-cell evaluation (the expansion
+identities of :mod:`exact` call it on the full index sets) and
+:func:`verify_master_inequality` its mean-square bound over every J at
+once; both take unbatched factors.
 """
 
 from __future__ import annotations
@@ -44,22 +49,26 @@ EQ_RTOL = 1e-10
 
 def _normalize_arg(subsets, arity: int):
     """Accept a bare subset for arity 1, else a tuple of subsets."""
-    if arity == 1 and subsets and all(isinstance(e, int) for e in subsets):
+    if arity == 1 and all(isinstance(e, int) for e in subsets):
         return (tuple(subsets),)
-    if arity == 1 and not subsets:
-        return ((),)
     out = tuple(tuple(s) for s in subsets)
     if len(out) != arity:
         raise DomainError(f"expected {arity} subsets, got {len(out)}")
     return out
 
 
+def _unbatched(x):
+    """A 0-d result as a Python float or bool, a batched one as its array."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
 class SetFunction:
     """Dense table over products of fixed-size subset levels.
 
     sizes[s] is the ground set size of axis s and levels[s] the subset size;
-    the table has shape (C(sizes[s], levels[s]))_s with cells addressed by
-    lexicographic subset rank per axis.
+    the trailing axes of the table have shape (C(sizes[s], levels[s]))_s with
+    cells addressed by lexicographic subset rank per axis. Leading axes, if
+    any, are batch axes: one set function per row.
     """
 
     def __init__(self, sizes, levels, table):
@@ -70,32 +79,40 @@ class SetFunction:
         for n, j in zip(self.sizes, self.levels):
             if not 0 <= j <= n:
                 raise DomainError(f"level {j} outside [0, {n}]")
-        shape = tuple(
-            subset_count(n, j) for n, j in zip(self.sizes, self.levels)
-        )
+        shape = tuple(subset_count(n, j) for n, j in zip(self.sizes, self.levels))
         self.table = np.asarray(table)
-        if self.table.shape != shape:
-            raise DomainError(
-                f"table shape {self.table.shape} does not match {shape}"
-            )
+        if self.table.shape[self.table.ndim - len(shape):] != shape:
+            raise DomainError(f"table shape {self.table.shape} does not end in {shape}")
 
     @property
     def arity(self) -> int:
         return len(self.sizes)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The table, C-ordered, with its cell axes flattened into one trailing
+        axis, so that a row reduces in the order of its unbatched table."""
+        batch = self.table.shape[: self.table.ndim - self.arity]
+        cells = math.prod(self.table.shape[len(batch):])
+        return np.ascontiguousarray(self.table).reshape(*batch, cells)
+
     def value(self, subsets):
-        """Value at an l-tuple of subsets (bare subset allowed for arity 1)."""
+        """Value at an l-tuple of subsets (bare subset allowed for arity 1);
+        one value per row for a batched table."""
         args = _normalize_arg(subsets, self.arity)
-        return self.table[tuple(subset_rank(s, n) for s, n in zip(args, self.sizes))]
+        for axis, (sub, j) in enumerate(zip(args, self.levels)):
+            if len(sub) != j:
+                raise DomainError(f"axis {axis}: subset of size {len(sub)} at level {j}")
+        ranks = tuple(subset_rank(s, n) for s, n in zip(args, self.sizes))
+        return self.table[(..., *ranks)]
 
-    def mean_square(self) -> float:
-        """Mean of |value|^2 over all cells."""
-        return float((np.abs(self.table) ** 2).mean())
+    def mean_square(self):
+        """Mean of |value|^2 over the cells of each row."""
+        return _unbatched((np.abs(self.rows) ** 2).mean(axis=-1))
 
-    def is_nonnegative(self) -> bool:
-        if np.iscomplexobj(self.table) and np.max(np.abs(self.table.imag)) > 0:
-            return False
-        return bool(np.min(self.table.real) >= 0)
+    def is_nonnegative(self):
+        """Whether each row is real and >= 0: equal to its modulus, cell by cell."""
+        return _unbatched((self.rows == np.abs(self.rows)).all(axis=-1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,7 +131,7 @@ def subset_convolution(g: SetFunction, h: SetFunction) -> SetFunction:
 
     Both factors must share ground sets; the result lives at the
     componentwise level sum: p(J) = sum over I <= J with |I_s| = g.levels[s]
-    of g(I) * h(J \\ I).
+    of g(I) * h(J \\ I). Batch axes broadcast against each other.
     """
     if g.sizes != h.sizes:
         raise DomainError("factors must share ground sets")
@@ -123,27 +140,28 @@ def subset_convolution(g: SetFunction, h: SetFunction) -> SetFunction:
         if k > n:
             raise DomainError(f"combined level {k} exceeds ground size {n}")
     arity = g.arity
-    # axis s: output cell at position s, split term at position arity + s
+    # axis s: output cell at position s, split term at arity + s, after the batch axes
     idx = []
     for s, (n, k, j) in enumerate(zip(g.sizes, out_levels, g.levels)):
         shape = [1] * (2 * arity)
         shape[s], shape[arity + s] = math.comb(n, k), math.comb(k, j)
         idx.append([ranks.reshape(shape) for ranks in _split_ranks(n, k, j)])
-    gidx, hidx = zip(*idx)
+    gidx, hidx = ((slice(None),) * (f.table.ndim - arity) + ix for f, ix in zip((g, h), zip(*idx)))
     dtype = np.result_type(g.table.dtype, h.table.dtype, float)
-    terms = np.multiply(g.table[gidx], h.table[hidx], dtype=dtype)
-    table = terms.sum(axis=tuple(range(arity, 2 * arity)))
+    terms = np.multiply(g.table[gidx], h.table[hidx], dtype=dtype, order="C")
+    table = terms.sum(axis=tuple(range(-arity, 0)))
     return SetFunction(g.sizes, out_levels, table)
 
 
 @dataclass(frozen=True)
 class ConvolutionCheck:
-    """Outcome of one convolution inequality evaluation."""
+    """Outcome of one convolution inequality evaluation: floats and bools
+    for unbatched factors, arrays over the batch axes otherwise."""
 
-    lhs: float
-    rhs: float
-    holds: bool
-    equal: bool
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    holds: bool | np.ndarray
+    equal: bool | np.ndarray
 
 
 def verify_multi_inequality(
@@ -153,22 +171,18 @@ def verify_multi_inequality(
 
     For non-negative g, h the mean over J of
     (p(J) / prod_s C(k_s, j_s))^2 is at most the product of the factor
-    mean squares; ``holds`` allows the slack rtol * rhs.
+    mean squares; ``holds`` allows the slack rtol * rhs. Each row of
+    batched factors is one instance.
     """
-    if not (g.is_nonnegative() and h.is_nonnegative()):
+    if not np.all(g.is_nonnegative() & h.is_nonnegative()):
         raise DomainError("inequality requires non-negative set functions")
     p = subset_convolution(g, h)
-    scale = 1.0
-    for k, j in zip(p.levels, g.levels):
-        scale *= math.comb(k, j)
-    lhs = float((np.abs(p.table.real / scale) ** 2).mean())
+    scale = math.prod(map(math.comb, p.levels, g.levels))
+    lhs = (np.abs(p.rows.real / scale) ** 2).mean(axis=-1)
     rhs = g.mean_square() * h.mean_square()
-    return ConvolutionCheck(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + rtol * rhs,
-        equal=abs(lhs - rhs) <= EQ_RTOL * max(lhs, rhs, 1e-300),
-    )
+    holds = lhs <= rhs + rtol * rhs
+    equal = np.abs(lhs - rhs) <= EQ_RTOL * np.maximum(np.maximum(lhs, rhs), 1e-300)
+    return ConvolutionCheck(*map(_unbatched, (lhs, rhs, holds, equal)))
 
 
 def verify_convolution_inequality(
@@ -180,12 +194,18 @@ def verify_convolution_inequality(
     return verify_multi_inequality(g, h, rtol=rtol)
 
 
-def classify_equality(
+EQUALITY_CONDITIONS = (
+    "degenerate_level", "g_zero", "h_zero", "complement_proportional", "both_constant"
+)
+
+
+def equality_conditions(
     g: SetFunction, h: SetFunction, *, rtol: float = EQ_RTOL
-) -> tuple[str, ...]:
+) -> np.ndarray:
     """Structural conditions under which the convolution inequality is tight.
 
-    Returns the satisfied condition names among:
+    Returns booleans of shape batch + (5,), one flag per name of
+    :data:`EQUALITY_CONDITIONS`, in its order:
 
     * "degenerate_level": one factor sits at level 0 or at the full
       combined level (the convolution is then a plain product),
@@ -200,39 +220,39 @@ def classify_equality(
         raise DomainError("expected arity-1 set functions")
     if g.sizes != h.sizes:
         raise DomainError("factors must share ground sets")
-    n = g.sizes[0]
-    j = g.levels[0]
-    k = j + h.levels[0]
+    n, j, k = g.sizes[0], g.levels[0], g.levels[0] + h.levels[0]
     if k > n:
         raise DomainError(f"combined level {k} exceeds ground size {n}")
-    gt = g.table.real.astype(float)
-    ht = h.table.real.astype(float)
-    out: list[str] = []
-    if j == 0 or j == k:
-        out.append("degenerate_level")
-    g_scale = float(np.max(np.abs(gt))) if gt.size else 0.0
-    h_scale = float(np.max(np.abs(ht))) if ht.size else 0.0
-    if g_scale == 0.0:
-        out.append("g_zero")
-    if h_scale == 0.0:
-        out.append("h_zero")
+    gt = g.rows.real.astype(float)
+    ht = h.rows.real.astype(float)
+    g_scale = np.abs(gt).max(axis=-1)
+    h_scale = np.abs(ht).max(axis=-1)
+    proportional = False
     if k == n:
-        comp = ht[::-1]  # the r-th j-subset's complement has rank C(n, j) - 1 - r
-        denom = float((comp**2).sum())
-        if denom == 0.0:
-            x = 0.0
-        else:
-            x = max(float((gt * comp).sum() / denom), 0.0)
-        resid = float(np.max(np.abs(gt - x * comp))) if gt.size else 0.0
-        if resid <= rtol * max(g_scale, h_scale, 1e-300):
-            out.append("complement_proportional")
-    g_spread = float(np.max(gt) - np.min(gt)) if gt.size else 0.0
-    h_spread = float(np.max(ht) - np.min(ht)) if ht.size else 0.0
-    if g_spread <= rtol * max(g_scale, 1e-300) and h_spread <= rtol * max(
-        h_scale, 1e-300
-    ):
-        out.append("both_constant")
-    return tuple(out)
+        comp = ht[..., ::-1]  # the r-th j-subset's complement has rank C(n, j) - 1 - r
+        denom = (comp**2).sum(axis=-1)
+        dot = (gt * comp).sum(axis=-1)
+        x = np.maximum(np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0), 0.0)
+        resid = np.abs(gt - x[..., None] * comp).max(axis=-1)
+        proportional = resid <= rtol * np.maximum(np.maximum(g_scale, h_scale), 1e-300)
+    both_constant = (np.ptp(gt, axis=-1) <= rtol * np.maximum(g_scale, 1e-300)) & (
+        np.ptp(ht, axis=-1) <= rtol * np.maximum(h_scale, 1e-300)
+    )
+    flags = (j == 0 or j == k, g_scale == 0.0, h_scale == 0.0, proportional, both_constant)
+    return np.stack(np.broadcast_arrays(*flags), axis=-1)
+
+
+def classify_equality(
+    g: SetFunction, h: SetFunction, *, rtol: float = EQ_RTOL
+) -> tuple[str, ...] | list[tuple[str, ...]]:
+    """The names of the :func:`equality_conditions` an instance satisfies;
+    for batched factors, one such tuple per row (batch axes flattened)."""
+    flags = equality_conditions(g, h, rtol=rtol)
+    rows = [
+        tuple(name for name, hit in zip(EQUALITY_CONDITIONS, row) if hit)
+        for row in flags.reshape(-1, flags.shape[-1])
+    ]
+    return rows[0] if flags.ndim == 1 else rows
 
 
 def _level_sums(factors) -> tuple[int, ...]:
@@ -241,6 +261,8 @@ def _level_sums(factors) -> tuple[int, ...]:
         raise DomainError("need at least one factor")
     if any(f.sizes != factors[0].sizes for f in factors):
         raise DomainError("factors must share ground sets")
+    if any(f.table.ndim != f.arity for f in factors):
+        raise DomainError("expansions take unbatched factors")
     return tuple(map(sum, zip(*(f.levels for f in factors))))
 
 

@@ -1,9 +1,10 @@
 """Randomized verification suites.
 
-Each suite draws reproducible random instances (per-instance seeds derived
-from one base seed), checks an identity or inequality, and returns a
-:class:`SuiteResult` whose failures carry the serialized offending instance
-for replay. Suites:
+Each suite draws reproducible random instances from seeds derived from one
+base seed (per instance; the convolution suite draws one generator per
+(n, k, j) case and checks its trials as one stacked batch), checks an
+identity or inequality, and returns a :class:`SuiteResult` whose failures
+carry the serialized offending instance for replay. Suites:
 
 * laplace: block expansions reproduce the exact kernels,
 * dominance: subset-average products dominate exact normalized values, and
@@ -29,8 +30,10 @@ import numpy as np
 from . import bounds, charfn
 from .combinatorics import multinomial
 from .convolution import (
+    EQUALITY_CONDITIONS,
     SetFunction,
     classify_equality,
+    equality_conditions,
     generalized_R,
     verify_convolution_inequality,
     verify_master_inequality,
@@ -86,13 +89,18 @@ class _Recorder:
         self.failures: list[dict] = []
         self.cap = cap
 
-    def record(self, ok: bool, family: str, index: int, detail: dict) -> bool:
-        self.checks += 1
-        if not ok and len(self.failures) < self.cap:
+    def record(self, ok: bool, family: str, index: int, detail: dict) -> None:
+        self.record_rows([ok], family, index, lambda _: detail)
+
+    def record_rows(self, ok, family: str, first: int, detail) -> None:
+        """Count one check per entry of the boolean sequence ``ok``, entry i
+        having index first + i; ``detail(i)`` serializes a failing entry."""
+        self.checks += len(ok)
+        failing = (i for i, good in enumerate(ok) if not good)
+        for i in itertools.islice(failing, max(self.cap - len(self.failures), 0)):
             self.failures.append(
-                {"family": family, "index": index, **_jsonable(detail)}
+                {"family": family, "index": first + i, **_jsonable(detail(i))}
             )
-        return ok
 
 
 def _jsonable(value):
@@ -104,14 +112,10 @@ def _jsonable(value):
         if np.iscomplexobj(value):
             return [_jsonable(v) for v in value.tolist()]
         return value.tolist()
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.complexfloating,)):
+    if isinstance(value, (complex, np.complexfloating)):
         return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
@@ -558,59 +562,40 @@ def suite_convolution(seed: int = 0, trials: int = 200) -> SuiteResult:
     for n in range(1, 6):
         for k in range(0, n + 1):
             for j in range(0, k + 1):
-                for i in range(trials):
-                    rng = _rng(seed, 30, case, i)
-                    g = SetFunction(n, j, rng.random(math.comb(n, j)))
-                    h = SetFunction(n, k - j, rng.random(math.comb(n, k - j)))
-                    check = verify_convolution_inequality(g, h)
-                    conditions = classify_equality(g, h)
-                    ok = check.holds and (check.equal == bool(conditions))
-                    rec.record(ok, "random_convolution", case * trials + i, {
-                        "n": n, "j": j, "k": k, "g": g.table, "h": h.table,
-                        "lhs": check.lhs, "rhs": check.rhs,
-                        "holds": check.holds, "equal": check.equal,
-                        "conditions": list(conditions),
-                    })
+                cg, ch = math.comb(n, j), math.comb(n, k - j)
+                rng = _rng(seed, 30, case)
+                g = SetFunction(n, j, rng.random((trials, cg)))
+                h = SetFunction(n, k - j, rng.random((trials, ch)))
+                check = verify_convolution_inequality(g, h)
+                flags = equality_conditions(g, h)
+                ok = check.holds & (check.equal == flags.any(axis=-1))
+                rec.record_rows(ok, "random_convolution", case * trials, lambda i: {
+                    "n": n, "j": j, "k": k, "g": g.table[i], "h": h.table[i],
+                    "lhs": check.lhs[i], "rhs": check.rhs[i],
+                    "holds": check.holds[i], "equal": check.equal[i],
+                    "conditions": [c for c, hit in zip(EQUALITY_CONDITIONS, flags[i]) if hit],
+                })
                 rng = _rng(seed, 31, case)
                 constructed = [
-                    (
-                        "g_zero",
-                        SetFunction(n, j, np.zeros(math.comb(n, j))),
-                        SetFunction(n, k - j, rng.random(math.comb(n, k - j))),
-                    ),
-                    (
-                        "h_zero",
-                        SetFunction(n, j, rng.random(math.comb(n, j))),
-                        SetFunction(n, k - j, np.zeros(math.comb(n, k - j))),
-                    ),
-                    (
-                        "both_constant",
-                        SetFunction(
-                            n, j, np.full(math.comb(n, j), float(rng.random()) + 0.5)
-                        ),
-                        SetFunction(
-                            n,
-                            k - j,
-                            np.full(math.comb(n, k - j), float(rng.random()) + 0.5),
-                        ),
-                    ),
+                    ("g_zero", np.zeros(cg), rng.random(ch)),
+                    ("h_zero", rng.random(cg), np.zeros(ch)),
+                    ("both_constant", np.full(cg, rng.random() + 0.5),
+                     np.full(ch, rng.random() + 0.5)),
                 ]
                 if k == n:
-                    h = SetFunction(n, k - j, rng.random(math.comb(n, k - j)))
-                    x = float(rng.random()) + 0.5
+                    hvals = rng.random(ch)
                     # g(I) = x * h(complement of I): complements in reverse order
-                    gvals = x * h.table[::-1]
                     constructed.append(
-                        ("complement_proportional", SetFunction(n, j, gvals), h)
+                        ("complement_proportional", (rng.random() + 0.5) * hvals[::-1], hvals)
                     )
-                for label, g, h in constructed:
+                for label, gvals, hvals in constructed:
+                    g, h = SetFunction(n, j, gvals), SetFunction(n, k - j, hvals)
                     check = verify_convolution_inequality(g, h)
                     conditions = classify_equality(g, h)
                     ok = check.holds and check.equal and bool(conditions)
                     rec.record(ok, f"constructed_{label}", case, {
-                        "n": n, "j": j, "k": k, "lhs": check.lhs,
-                        "rhs": check.rhs, "equal": check.equal,
-                        "conditions": list(conditions),
+                        "n": n, "j": j, "k": k, "g": gvals, "h": hvals, "lhs": check.lhs,
+                        "rhs": check.rhs, "equal": check.equal, "conditions": list(conditions),
                     })
                 case += 1
     return SuiteResult("convolution", seed, trials, rec.checks, rec.failures)
@@ -645,16 +630,10 @@ def suite_master(seed: int = 0, trials: int = 100) -> SuiteResult:
         })
         lev_g = tuple(int(rng.integers(0, n + 1)) for n in sizes)
         lev_h = tuple(int(rng.integers(0, n - a + 1)) for n, a in zip(sizes, lev_g))
-        multi = verify_multi_inequality(
-            SetFunction(
-                sizes, lev_g,
-                rng.random(tuple(math.comb(n, j) for n, j in zip(sizes, lev_g))),
-            ),
-            SetFunction(
-                sizes, lev_h,
-                rng.random(tuple(math.comb(n, j) for n, j in zip(sizes, lev_h))),
-            ),
-        )
+        multi = verify_multi_inequality(*(
+            SetFunction(sizes, lev, rng.random(tuple(map(math.comb, sizes, lev))))
+            for lev in (lev_g, lev_h)
+        ))
         rec.record(multi.holds, "multi_axis_convolution", i, {
             "sizes": sizes, "g_levels": lev_g, "h_levels": lev_h,
             "lhs": multi.lhs, "rhs": multi.rhs,

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from permbound.combinatorics import enumerate_partitions, enumerate_subsets
 from permbound.convolution import (
+    EQUALITY_CONDITIONS,
     SetFunction,
     _split_ranks,
     classify_equality,
+    equality_conditions,
     generalized_R,
     subset_convolution,
     verify_convolution_inequality,
@@ -45,10 +47,22 @@ def test_set_function_value_and_shape():
         SetFunction(4, 5, np.zeros(1))
 
 
+def test_set_function_value_rejects_subset_of_wrong_size():
+    g = SetFunction(4, 2, np.arange(6.0))
+    for sub in ((0,), (0, 1, 2), ()):
+        with pytest.raises(DomainError, match=f"axis 0: subset of size {len(sub)} at level 2"):
+            g.value(sub)
+    g2 = SetFunction((3, 3), (1, 2), np.ones((3, 3)))
+    with pytest.raises(DomainError, match="axis 1: subset of size 1 at level 2"):
+        g2.value(((0,), (1,)))
+
+
 def test_is_nonnegative():
     assert not SetFunction(3, 1, np.array([1.0, -0.5, 2.0])).is_nonnegative()
     assert not SetFunction(3, 1, np.array([1.0, 1j, 0.0])).is_nonnegative()
     assert SetFunction(3, 1, np.array([0.0, 0.5, 2.0])).is_nonnegative()
+    rows = SetFunction(3, 1, np.array([[1.0, -0.5, 2.0], [0.0, 0.5, 2.0], [1.0, 1j, 0.0]]))
+    assert rows.is_nonnegative().tolist() == [False, True, False]
 
 
 def test_subset_convolution_oracle():
@@ -112,6 +126,8 @@ def test_inequality_requires_nonnegative():
     h = SetFunction(3, 1, np.ones(3))
     with pytest.raises(DomainError):
         verify_convolution_inequality(g, h)
+    with pytest.raises(DomainError):  # one negative row of a batch
+        verify_convolution_inequality(SetFunction(3, 1, np.stack([np.ones(3), g.table])), h)
 
 
 def test_inequality_symmetric_in_factors():
@@ -195,6 +211,75 @@ def test_multi_axis_inequality():
         h = rand_sf(rng, 4, 2, arity=2)
         check = verify_multi_inequality(g, h)
         assert check.holds
+
+
+# a row kind other than "random" is the equality condition it is built to meet
+KINDS = ("random", "g_zero", "h_zero", "both_constant", "complement_proportional")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stacked_calls_equal_per_row_calls(data):
+    arity = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 5))
+    j = data.draw(st.integers(0, n))
+    # a full combined level often, so that complement-proportional rows exist
+    kh = n - j if data.draw(st.booleans()) else data.draw(st.integers(0, n - j))
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sizes, lev_g, lev_h = (n,) * arity, (j,) * arity, (kh,) * arity
+    gt = rng.random((len(kinds),) + (math.comb(n, j),) * arity)
+    ht = rng.random((len(kinds),) + (math.comb(n, kh),) * arity)
+    for b, kind in enumerate(kinds):
+        if kind == "g_zero":
+            gt[b] = 0.0
+        elif kind == "h_zero":
+            ht[b] = 0.0
+        elif kind == "both_constant":
+            gt[b], ht[b] = rng.random() + 0.5, rng.random() + 0.5
+        elif kind == "complement_proportional" and arity == 1 and j + kh == n:
+            gt[b] = (rng.random() + 0.5) * ht[b, ::-1]
+    g, h = SetFunction(sizes, lev_g, gt), SetFunction(sizes, lev_h, ht)
+    rows = [
+        (SetFunction(sizes, lev_g, gt[b]), SetFunction(sizes, lev_h, ht[b]))
+        for b in range(len(kinds))
+    ]
+    p = subset_convolution(g, h)
+    check = verify_multi_inequality(g, h)
+    for b, (gb, hb) in enumerate(rows):
+        assert np.array_equal(p.table[b], subset_convolution(gb, hb).table)
+        assert g.mean_square()[b] == gb.mean_square()
+        one = verify_multi_inequality(gb, hb)
+        assert type(one.lhs) is float and type(one.holds) is bool
+        assert (check.lhs[b], check.rhs[b], check.holds[b], check.equal[b]) == (
+            one.lhs, one.rhs, one.holds, one.equal
+        )
+    if arity == 1:
+        per_row = [classify_equality(gb, hb) for gb, hb in rows]
+        assert classify_equality(g, h) == per_row
+        flags = equality_conditions(g, h)
+        assert flags.shape == (len(kinds), len(EQUALITY_CONDITIONS))
+        for kind, names in zip(kinds, per_row):
+            if kind != "random" and (kind != "complement_proportional" or j + kh == n):
+                assert kind in names
+
+
+def test_batch_axes_broadcast():
+    rng = np.random.default_rng(68)
+    g = SetFunction(5, 2, rng.random((2, 3, 10)))
+    h = SetFunction(5, 1, rng.random((3, 5)))
+    p = subset_convolution(g, h)
+    assert p.table.shape == (2, 3, 10)
+    check = verify_convolution_inequality(g, h)
+    assert check.lhs.shape == check.holds.shape == (2, 3)
+    for a, b in itertools.product(range(2), range(3)):
+        gb, hb = SetFunction(5, 2, g.table[a, b]), SetFunction(5, 1, h.table[b])
+        assert np.array_equal(p.table[a, b], subset_convolution(gb, hb).table)
+        assert check.lhs[a, b] == verify_convolution_inequality(gb, hb).lhs
+        assert g.value((1, 4))[a, b] == gb.value((1, 4))
+    assert equality_conditions(g, h).shape == (2, 3, 5)
+    with pytest.raises(DomainError, match="unbatched"):
+        verify_master_inequality([g, SetFunction(5, 1, h.table[0])])
 
 
 def test_expansion_rejects_unequal_grounds_excess_levels_and_no_factors():

@@ -1,7 +1,11 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from permbound import verify
+from permbound.convolution import SetFunction, classify_equality
 from permbound.errors import DomainError
 from permbound.verify import SUITES, run_suite
 
@@ -69,3 +73,53 @@ def test_run_suite_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         run_suite("nonesuch")
+
+
+def test_convolution_default_trials_count():
+    result = run_suite("convolution", seed=0)
+    assert result.trials == 200
+    assert result.checks == 11_185
+    assert result.ok
+
+
+def test_convolution_failures_are_capped_and_replay(monkeypatch):
+    real = verify.verify_convolution_inequality
+
+    def wrong_verdict(g, h):
+        check = real(g, h)
+        if np.ndim(check.holds):  # every stacked row fails, constructed checks pass
+            check = dataclasses.replace(check, holds=np.zeros_like(check.holds))
+        return check
+
+    monkeypatch.setattr(verify, "verify_convolution_inequality", wrong_verdict)
+    result = run_suite("convolution", seed=1)
+    assert result.checks == 11_185
+    assert len(result.failures) == 25
+    doc = json.loads(json.dumps(result.to_json()))
+    for failure in doc["failures"]:
+        assert failure["family"] == "random_convolution"
+        assert failure["holds"] is False
+        n, j, k = failure["n"], failure["j"], failure["k"]
+        g = SetFunction(n, j, np.array(failure["g"]))
+        h = SetFunction(n, k - j, np.array(failure["h"]))
+        check = real(g, h)
+        assert (check.lhs, check.rhs, check.equal) == (
+            failure["lhs"], failure["rhs"], failure["equal"]
+        )
+        assert failure["conditions"] == list(classify_equality(g, h))
+
+
+def test_convolution_wrong_classifier_fails(monkeypatch):
+    real = verify.equality_conditions
+
+    def drops_degenerate_level(g, h):
+        flags = real(g, h).copy()
+        flags[..., 0] = False
+        return flags
+
+    monkeypatch.setattr(verify, "equality_conditions", drops_degenerate_level)
+    result = run_suite("convolution", seed=0)
+    assert result.checks == 11_185
+    assert len(result.failures) == 25
+    assert {f["family"] for f in result.failures} == {"random_convolution"}
+    assert all(f["equal"] and f["conditions"] == [] for f in result.failures)
