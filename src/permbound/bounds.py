@@ -15,8 +15,9 @@ the ``*_bound`` functions return the corresponding absolute bounds.
 Every average and minor sum reads the minor engine of :mod:`exact` in
 chunks at any order, never one kernel call per minor. ``pair_bound`` and
 ``avg_pair_bound`` bound |per| / n! with blocks of two columns (a
-partition, a composition of levels 2); the ``unit_circle_*`` functions
-apply them to exp(i t x) for a phase matrix x.
+partition, a composition of levels 2) for any square matrix, such as
+exp(i t x) for a phase matrix x or a characteristic-function matrix;
+``unit_circle_theta_bound`` refines the averaged bound from the phases.
 
 Baselines (operator-norm powers, singular-value means, column-norm
 products, the rank bound for sign matrices) are included for comparison
@@ -346,26 +347,6 @@ def avg_pair_bound(z) -> float:
     return _composition_root(a, (2,) * (n // 2) + (1,) * (n % 2))
 
 
-def _as_phase_matrix(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square phase matrix, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise DomainError("unit-circle bounds need dimension >= 2")
-    return a
-
-
-def unit_circle_pair_bound(x, t: float, s: Sequence[int] | None = None) -> float:
-    """:func:`pair_bound` of exp(i t x); each pair mean is the mean of
-    cos(t (x[j,u] - x[k,u] - x[j,v] + x[k,v]) / 2)^2 over rows j != k."""
-    return pair_bound(np.exp(1j * t * _as_phase_matrix(x)), s)
-
-
-def unit_circle_avg_bound(x, t: float) -> float:
-    """:func:`avg_pair_bound` of exp(i t x) for a square phase matrix x."""
-    return avg_pair_bound(np.exp(1j * t * _as_phase_matrix(x)))
-
-
 def unit_circle_theta_bound(x, t: float) -> float:
     """Polynomial refinement (1 - theta)^(floor(n/2)/2) of the averaged bound.
 
@@ -373,8 +354,12 @@ def unit_circle_theta_bound(x, t: float) -> float:
     the resulting average of (t y / 2)^2 * max(0, 1 - (t y)^2 / 12) and lies
     in [0, 3/4].
     """
-    a = _as_phase_matrix(x)
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square phase matrix, got shape {a.shape}")
     n = a.shape[0]
+    if n < 2:
+        raise DomainError("unit-circle bounds need dimension >= 2")
     total = 0.0
     for u in range(n):
         for v in range(n):
@@ -608,14 +593,15 @@ def report_rows(
     add("singular_mean_power", {}, lambda: _exp(_log_singular(z)))
     add("hadamard_column_norm", {}, lambda: _exp(_log_hadamard(z)))
     if mi.form == "unit_circle":
-        x, t = mi.phases, mi.t
+        t = mi.t
         params = {"t": t}
         if s_perm is not None:
             params = {"t": t, "s": [v + 1 for v in s_perm]}
-        add("pair_cos", params, lambda: unit_circle_pair_bound(x, t, s_perm))
-        add("avg_cos", {"t": t}, lambda: unit_circle_avg_bound(x, t))
+        # z is exp(i t x), so the pair rows read it; only theta needs x
+        add("pair_cos", params, lambda: pair_bound(z, s_perm))
+        add("avg_cos", {"t": t}, lambda: avg_pair_bound(z))
         if theta:
-            add("theta_cos", {"t": t}, lambda: unit_circle_theta_bound(x, t))
+            add("theta_cos", {"t": t}, lambda: unit_circle_theta_bound(mi.phases, t))
     add("krauter_rank", {}, lambda: baseline_krauter(z))
     if all_baselines:
         # full-column minor average; its square root bounds |per| / n!

@@ -25,14 +25,19 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .bounds import avg_pair_bound, pair_bound
 from .errors import DomainError, FeasibilityError, ParseError
 from .exact import permanent
 from .matrixio import load_json
 
 EXACT_MAX_N = 12
 
-_FAMILIES = ("point_mass", "bernoulli", "uniform", "normal")
+# The distribution families and their parameter names, in draw order.
+_PARAM_NAMES = {
+    "point_mass": ("x",),
+    "bernoulli": ("p",),
+    "uniform": ("a", "b"),
+    "normal": ("mean", "variance"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,21 +49,21 @@ class Distribution:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        names = _PARAM_NAMES.get(self.family)
+        if names is None:
             raise DomainError(f"unknown family {self.family!r}")
         p = tuple(float(v) for v in self.params)
         object.__setattr__(self, "params", p)
-        if self.family == "point_mass" and len(p) != 1:
-            raise DomainError("point_mass takes one parameter (x)")
-        if self.family == "bernoulli":
-            if len(p) != 1 or not 0.0 <= p[0] <= 1.0:
-                raise DomainError("bernoulli takes one parameter p in [0, 1]")
-        if self.family == "uniform":
-            if len(p) != 2 or not p[0] < p[1]:
-                raise DomainError("uniform takes parameters (a, b) with a < b")
-        if self.family == "normal":
-            if len(p) != 2 or p[1] < 0.0:
-                raise DomainError("normal takes (mean, variance >= 0)")
+        if len(p) != len(names):
+            raise DomainError(
+                f"{self.family} takes parameters ({', '.join(names)}), got {len(p)}"
+            )
+        if self.family == "bernoulli" and not 0.0 <= p[0] <= 1.0:
+            raise DomainError("bernoulli takes one parameter p in [0, 1]")
+        if self.family == "uniform" and not p[0] < p[1]:
+            raise DomainError("uniform takes parameters (a, b) with a < b")
+        if self.family == "normal" and p[1] < 0.0:
+            raise DomainError("normal takes (mean, variance >= 0)")
 
     def char(self, t: float) -> complex:
         """Characteristic function E exp(itX) at a real argument."""
@@ -103,14 +108,6 @@ def uniform(a: float, b: float) -> Distribution:
 
 def normal(mean: float, variance: float) -> Distribution:
     return Distribution("normal", (mean, variance))
-
-
-_PARAM_NAMES = {
-    "point_mass": ("x",),
-    "bernoulli": ("p",),
-    "uniform": ("a", "b"),
-    "normal": ("mean", "variance"),
-}
 
 
 class DiagonalSumModel:
@@ -211,20 +208,6 @@ def exact_charfn(model: DiagonalSumModel, t: float) -> complex:
         )
     phi = model.charfn_matrix(t)
     return permanent(phi) / math.factorial(model.n)
-
-
-def pair_bound_charfn(
-    model: DiagonalSumModel, t: float, s: Sequence[int] | None = None
-) -> float:
-    """Pairing bound on |E exp(itS)|: :func:`bounds.pair_bound` of the
-    characteristic-function matrix, with columns paired by s."""
-    return pair_bound(model.charfn_matrix(t), s)
-
-
-def avg_bound_charfn(model: DiagonalSumModel, t: float) -> float:
-    """Permutation-free averaged bound on |E exp(itS)|:
-    :func:`bounds.avg_pair_bound` of the characteristic-function matrix."""
-    return avg_pair_bound(model.charfn_matrix(t))
 
 
 @dataclass(frozen=True)

@@ -377,7 +377,7 @@ def cmd_charfn(args) -> int:
             f"Monte Carlo limit trials * n^2 <= {MC_MAX_DRAWS},"
             f" got {args.mc} * {model.n}^2"
         )
-    s_perm = parse_perm(args.s_perm, model.n) if args.s_perm else None
+    s_perm = parse_perm(args.s_perm, model.n) if args.s_perm is not None else None
     rows = []
     for t in ts:
         row: dict = {"t": t}
@@ -386,8 +386,9 @@ def cmd_charfn(args) -> int:
             if model.n <= charfn.EXACT_MAX_N
             else None
         )
-        row["pair_bound"] = charfn.pair_bound_charfn(model, t, s_perm)
-        row["avg_bound"] = charfn.avg_bound_charfn(model, t)
+        phi = model.charfn_matrix(t)
+        row["pair_bound"] = bounds.pair_bound(phi, s_perm)
+        row["avg_bound"] = bounds.avg_pair_bound(phi)
         if args.mc:
             mc = charfn.monte_carlo_charfn(
                 model, t, trials=args.mc, seed=args.seed

@@ -147,18 +147,6 @@ def _permanent_gray(a: np.ndarray) -> complex:
     return complex(total / 2.0 ** (n - 1))
 
 
-def permanent_minor(z, rows: Sequence[int], cols: Sequence[int]) -> complex:
-    """Permanent of the submatrix z[rows, cols] (rows and cols same length)."""
-    a = np.asarray(z, dtype=complex)
-    if a.ndim != 2:
-        raise DomainError(f"expected a matrix, got shape {a.shape}")
-    if len(rows) != len(cols):
-        raise DomainError("row and column selections must have equal size")
-    if len(rows) == 0:
-        return 1.0 + 0.0j
-    return permanent(a[np.ix_(tuple(rows), tuple(cols))])
-
-
 def multidim_permanent(t, *, method: str = "glynn") -> complex:
     """Permanent of an order-(l+1) tensor with all axes of equal size k.
 

@@ -188,11 +188,6 @@ def load_matrix(path) -> MatrixInput:
     return matrix_from_json(load_json(path))
 
 
-def save_matrix(mi: MatrixInput, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(mi), fh)
-
-
 def tensor_from_json(data: dict) -> np.ndarray:
     if not isinstance(data, dict) or "shape" not in data or "entries" not in data:
         raise ParseError("tensor file needs 'shape' and 'entries'")

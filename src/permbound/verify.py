@@ -383,12 +383,9 @@ def suite_dominance(seed: int = 0, trials: int = 1080) -> SuiteResult:
             cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
             d = int(rng.integers(1, k))
             w = list(_composition(rng, k - d, d))
-            w = [v + 1 for v in w]  # positive parts so a block can be split
+            w = [v + 1 for v in w]  # d < k positive parts: the largest splits
             coarse = _partition_of(rng, cols, tuple(w))
             big = max(range(len(coarse)), key=lambda r: len(coarse[r]))
-            if len(coarse[big]) < 2:
-                rec.checks += 1
-                continue
             cut = int(rng.integers(1, len(coarse[big])))
             fine = (
                 coarse[:big]
@@ -409,9 +406,6 @@ def suite_dominance(seed: int = 0, trials: int = 1080) -> SuiteResult:
             d = int(rng.integers(1, k))
             w = [v + 1 for v in _composition(rng, k - d, d)]
             big = max(range(len(w)), key=lambda r: w[r])
-            if w[big] < 2:
-                rec.checks += 1
-                continue
             cut = int(rng.integers(1, w[big]))
             fine = w[:big] + [cut, w[big] - cut] + w[big + 1 :]
             coarse_val = bounds.composition_bound_F(z, k, w)
@@ -689,11 +683,9 @@ def suite_master(seed: int = 0, trials: int = 100) -> SuiteResult:
 
 # ---------------------------------------------------------------------------
 
-_CHARFN_FAMILIES = ("point_mass", "bernoulli", "uniform", "normal")
-
-
 def _random_distribution(rng: np.random.Generator) -> charfn.Distribution:
-    family = _CHARFN_FAMILIES[int(rng.integers(0, 4))]
+    families = tuple(charfn._PARAM_NAMES)
+    family = families[int(rng.integers(0, len(families)))]
     if family == "point_mass":
         return charfn.point_mass(float(rng.standard_normal()))
     if family == "bernoulli":
@@ -724,9 +716,10 @@ def suite_charfn(seed: int = 0, trials: int = 10) -> SuiteResult:
         detail: dict = {"n": n, "model": model.to_json(), "violations": []}
         for t in ts:
             value = abs(charfn.exact_charfn(model, float(t)))
-            pair = charfn.pair_bound_charfn(model, float(t))
-            pair_s = charfn.pair_bound_charfn(model, float(t), perm)
-            avg = charfn.avg_bound_charfn(model, float(t))
+            phi = model.charfn_matrix(float(t))
+            pair = bounds.pair_bound(phi)
+            pair_s = bounds.pair_bound(phi, perm)
+            avg = bounds.avg_pair_bound(phi)
             dominated = all(
                 value <= b + 1e-10 + SLACK_RTOL * b for b in (pair, pair_s, avg)
             )
@@ -752,10 +745,9 @@ def suite_charfn(seed: int = 0, trials: int = 10) -> SuiteResult:
             [[charfn.point_mass(float(x[j, r])) for r in range(n)] for j in range(n)]
         )
         t = float(rng.uniform(0.2, 3.0))
-        pair_a = charfn.pair_bound_charfn(model, t)
-        pair_b = bounds.unit_circle_pair_bound(x, t)
-        avg_a = charfn.avg_bound_charfn(model, t)
-        avg_b = bounds.unit_circle_avg_bound(x, t)
+        phi, phases = model.charfn_matrix(t), np.exp(1j * t * x)
+        pair_a, pair_b = bounds.pair_bound(phi), bounds.pair_bound(phases)
+        avg_a, avg_b = bounds.avg_pair_bound(phi), bounds.avg_pair_bound(phases)
         # unit moduli make the odd-n correction factors exactly 1
         ok = _rel_err(pair_a, pair_b) <= REL_TOL and _rel_err(avg_a, avg_b) <= REL_TOL
         rec.record(ok, "point_mass_consistency", i, {
@@ -802,7 +794,11 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResul
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         )
     fn, default_trials = SUITES[name]
+    if trials is None:
+        trials = default_trials
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     start = time.perf_counter()
-    out = fn(seed=seed, trials=default_trials if trials is None else trials)
+    out = fn(seed=seed, trials=trials)
     out.elapsed = time.perf_counter() - start
     return out

@@ -384,16 +384,12 @@ def test_unit_circle_pair_bound_matches_f_products():
     z = np.exp(1j * t * x)
     blocks = ((0, 1), (2, 3), (4, 5))
     expected = bounds.permanent_bound_partition(z, blocks) / math.factorial(6)
-    assert bounds.unit_circle_pair_bound(x, t) == pytest.approx(
-        expected, rel=1e-10
-    )
+    assert bounds.pair_bound(z) == pytest.approx(expected, rel=1e-10)
     # permuted pairing
     s = (3, 0, 5, 1, 2, 4)
     blocks_s = ((0, 3), (1, 5), (2, 4))
     expected_s = bounds.permanent_bound_partition(z, blocks_s) / math.factorial(6)
-    assert bounds.unit_circle_pair_bound(x, t, s) == pytest.approx(
-        expected_s, rel=1e-10
-    )
+    assert bounds.pair_bound(z, s) == pytest.approx(expected_s, rel=1e-10)
 
 
 def test_unit_circle_bounds_dominate_exact():
@@ -403,8 +399,8 @@ def test_unit_circle_bounds_dominate_exact():
         for t in (0.3, 1.0, 2.2):
             z = np.exp(1j * t * x)
             target = abs(permanent(z)) / math.factorial(n)
-            assert bounds.unit_circle_pair_bound(x, t) >= target - 1e-12
-            assert bounds.unit_circle_avg_bound(x, t) >= target - 1e-12
+            assert bounds.pair_bound(z) >= target - 1e-12
+            assert bounds.avg_pair_bound(z) >= target - 1e-12
             assert bounds.unit_circle_theta_bound(x, t) >= target - 1e-12
 
 
@@ -412,7 +408,7 @@ def test_unit_circle_theta_majorizes_avg():
     rng = np.random.default_rng(47)
     x = rng.standard_normal((6, 6))
     for t in (0.2, 0.9, 1.7, 3.0):
-        avg = bounds.unit_circle_avg_bound(x, t)
+        avg = bounds.avg_pair_bound(np.exp(1j * t * x))
         theta = bounds.unit_circle_theta_bound(x, t)
         assert theta >= avg - 1e-12
         # theta bound never drops below (1/4)^(d/2)
@@ -420,12 +416,13 @@ def test_unit_circle_theta_majorizes_avg():
 
 
 def test_unit_circle_rejects_bad_input():
+    for x in (np.zeros((1, 1)), np.zeros((2, 3))):
+        with pytest.raises(DomainError):
+            bounds.pair_bound(np.exp(1j * 1.0 * x))
+        with pytest.raises(DomainError):
+            bounds.unit_circle_theta_bound(x, 1.0)
     with pytest.raises(DomainError):
-        bounds.unit_circle_pair_bound(np.zeros((1, 1)), 1.0)
-    with pytest.raises(DomainError):
-        bounds.unit_circle_pair_bound(np.zeros((2, 3)), 1.0)
-    with pytest.raises(DomainError):
-        bounds.unit_circle_pair_bound(np.zeros((4, 4)), 1.0, s=(0, 1, 2, 2))
+        bounds.pair_bound(np.exp(1j * 1.0 * np.zeros((4, 4))), s=(0, 1, 2, 2))
 
 
 def test_baseline_opnorm():
@@ -655,7 +652,7 @@ def test_no_average_calls_a_kernel_per_minor(monkeypatch):
         raise AssertionError("a public kernel was called")
 
     for module in (bounds, exact):
-        for name in ("hafnian", "hyperhafnian", "multidim_permanent", "permanent_minor"):
+        for name in ("hafnian", "hyperhafnian", "multidim_permanent"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     rng = np.random.default_rng(60)
     z = cmat(rng, 6)
@@ -679,7 +676,7 @@ def test_no_average_calls_a_kernel_per_minor(monkeypatch):
         bounds.G_level(s, 2), bounds.hafnian_bound(s, (1, 2)),
         bounds.G_ell_level(h, 1), bounds.hyperhafnian_bound(h, (1, 1)),
         bounds.pair_bound(z), bounds.avg_pair_bound(z),
-        bounds.unit_circle_pair_bound(x, 0.7), bounds.unit_circle_avg_bound(x, 0.7),
+        bounds.pair_bound(np.exp(0.7j * x)), bounds.avg_pair_bound(np.exp(0.7j * x)),
         bounds.minor_sum_phi(z, 3), bounds.phi_bound(z, 3),
         bounds.subhafnian_sum_psi(s, 2), *bounds.psi_bounds(s, 2),
         exact.permanent_via_laplace(z, blocks),

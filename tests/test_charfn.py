@@ -9,13 +9,11 @@ from permbound.charfn import (
     EXACT_MAX_N,
     DiagonalSumModel,
     Distribution,
-    avg_bound_charfn,
     bernoulli,
     exact_charfn,
     load_model,
     monte_carlo_charfn,
     normal,
-    pair_bound_charfn,
     point_mass,
     uniform,
 )
@@ -133,8 +131,8 @@ def test_bounds_dominate_exact():
             model = mixed_model(n, seed * 10 + n)
             for t in (0.0, 0.4, 1.1, 2.8):
                 value = abs(exact_charfn(model, t))
-                pair = pair_bound_charfn(model, t)
-                avg = avg_bound_charfn(model, t)
+                phi = model.charfn_matrix(t)
+                pair, avg = bounds.pair_bound(phi), bounds.avg_pair_bound(phi)
                 assert value <= pair + 1e-10
                 assert value <= avg + 1e-10
                 assert -1e-12 <= pair <= 1.0 + 1e-12
@@ -143,8 +141,8 @@ def test_bounds_dominate_exact():
 
 def test_bounds_at_zero_are_one():
     model = mixed_model(4, 5)
-    assert pair_bound_charfn(model, 0.0) == pytest.approx(1.0)
-    assert avg_bound_charfn(model, 0.0) == pytest.approx(1.0)
+    assert bounds.pair_bound(model.charfn_matrix(0.0)) == pytest.approx(1.0)
+    assert bounds.avg_pair_bound(model.charfn_matrix(0.0)) == pytest.approx(1.0)
 
 
 def test_pair_bound_is_exact_for_n_two():
@@ -155,7 +153,7 @@ def test_pair_bound_is_exact_for_n_two():
         ]
     )
     for t in (0.3, 1.0, 2.5):
-        assert pair_bound_charfn(model, t) == pytest.approx(
+        assert bounds.pair_bound(model.charfn_matrix(t)) == pytest.approx(
             abs(exact_charfn(model, t)), rel=1e-12
         )
 
@@ -165,19 +163,19 @@ def test_pair_bound_permutation_argument():
     t = 1.2
     value = abs(exact_charfn(model, t))
     for s in [(4, 2, 0, 3, 1), (1, 0, 3, 2, 4)]:
-        assert pair_bound_charfn(model, t, s) >= value - 1e-10
+        assert bounds.pair_bound(model.charfn_matrix(t), s) >= value - 1e-10
     with pytest.raises(DomainError):
-        pair_bound_charfn(model, t, (0, 1, 2, 3, 3))
+        bounds.pair_bound(model.charfn_matrix(t), (0, 1, 2, 3, 3))
     with pytest.raises(DomainError):
-        pair_bound_charfn(model, t, (0, 1, 2))
+        bounds.pair_bound(model.charfn_matrix(t), (0, 1, 2))
 
 
 def test_bounds_reject_trivial_size():
     model = grid([[point_mass(0.0)]])
     with pytest.raises(DomainError):
-        pair_bound_charfn(model, 1.0)
+        bounds.pair_bound(model.charfn_matrix(1.0))
     with pytest.raises(DomainError):
-        avg_bound_charfn(model, 1.0)
+        bounds.avg_pair_bound(model.charfn_matrix(1.0))
 
 
 def test_point_mass_model_matches_unit_circle_bounds():
@@ -188,11 +186,11 @@ def test_point_mass_model_matches_unit_circle_bounds():
             [[point_mass(float(x[j, r])) for r in range(n)] for j in range(n)]
         )
         for t in (0.6, 1.9):
-            assert pair_bound_charfn(model, t) == pytest.approx(
-                bounds.unit_circle_pair_bound(x, t), rel=1e-10
+            assert bounds.pair_bound(model.charfn_matrix(t)) == pytest.approx(
+                bounds.pair_bound(np.exp(1j * t * x)), rel=1e-10
             )
-            assert avg_bound_charfn(model, t) == pytest.approx(
-                bounds.unit_circle_avg_bound(x, t), rel=1e-10
+            assert bounds.avg_pair_bound(model.charfn_matrix(t)) == pytest.approx(
+                bounds.avg_pair_bound(np.exp(1j * t * x)), rel=1e-10
             )
 
 

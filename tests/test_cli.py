@@ -440,8 +440,8 @@ def test_bounds_s_perm_pairs_the_fixture_columns(phase_matrix, capsys):
     rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
     t = math.pi / 2
     assert rows["pair_cos"]["params"] == {"t": t, "s": [2, 1, 4, 3, 6, 5, 8, 7]}
-    assert rows["pair_cos"]["raw_value"] == bounds.unit_circle_pair_bound(
-        table1.EXPONENTS, t, s
+    assert rows["pair_cos"]["raw_value"] == bounds.pair_bound(
+        np.exp(1j * t * table1.EXPONENTS), s
     )
 
 
@@ -513,6 +513,14 @@ def test_verify_json():
     assert len(results) == 1
     assert results[0]["suite"] == "master"
     assert results[0]["ok"] is True
+
+
+@pytest.mark.parametrize("suite", ["convolution", "laplace"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_trials_below_one_exit(capsys, suite, trials):
+    code, err, _ = run_main_timed(capsys, "verify", "--suite", suite, "--trials", trials)
+    assert code == 2
+    assert f"trials must be at least 1, got {trials}" in err
 
 
 def test_charfn_default_argument(model_file):
@@ -589,6 +597,12 @@ def test_charfn_mc_limit_exit(model_file, capsys):
     assert code == 3
     assert f"Monte Carlo limit trials * n^2 <= {cli.MC_MAX_DRAWS}" in err
     assert seconds < 1.0
+
+
+def test_charfn_empty_s_perm_exit(model_file, capsys):
+    code, err, _ = run_main_timed(capsys, "charfn", "--input", model_file, "--s-perm=")
+    assert code == 2
+    assert "expected an integer" in err
 
 
 def test_charfn_bad_model(tmp_path):

@@ -20,7 +20,6 @@ from permbound.exact import (
     multidim_permanent_work,
     permanent,
     permanent_D,
-    permanent_minor,
     permanent_via_laplace,
 )
 
@@ -72,14 +71,6 @@ def test_permanent_row_and_column_permutation_invariance():
 def test_permanent_rejects_nonsquare():
     with pytest.raises(DomainError):
         permanent(np.ones((2, 3)))
-
-
-def test_permanent_minor():
-    rng = np.random.default_rng(13)
-    z = cmat(rng, 5)
-    assert permanent_minor(z, (), ()) == 1.0
-    v = permanent_minor(z, (0, 2), (1, 4))
-    assert rel(v, z[0, 1] * z[2, 4] + z[0, 4] * z[2, 1]) < 1e-12
 
 
 def test_multidim_permanent_order_two_is_permanent():
@@ -393,7 +384,7 @@ def loop_permanent_via_laplace(z, blocks):
     for vs in enumerate_partitions(range(len(z)), [len(b) for b in blocks]):
         prod = 1.0 + 0.0j
         for v, w in zip(vs, blocks):
-            prod *= permanent_minor(z, v, w)
+            prod *= permanent(z[np.ix_(v, w)])
         total += prod
     return total
 
