@@ -5,12 +5,15 @@ The central quantities are averages of squared normalized minors:
 * ``f_set(Z, K)``: mean over row subsets J of |per(Z[J, K]) / k!|^2,
 * ``F_level(Z, k)``: mean of f_set over all column subsets of size k,
 * ``G_level(Z, k)``: mean over principal subsets J of the squared
-  normalized sub-hafnian |haf(Z[J, J]) k! 2^k / (2k)!|^2,
+  normalized sub-hafnian |haf(Z[J, J]) k! 2^k / (2k)!|^2.
 
-together with their tensor versions, whose order-2 cases they are.
-Products of these averages over a partition of the columns (or a
-composition of the level) dominate the normalized permanent or hafnian;
-the ``*_bound`` functions return the corresponding absolute bounds.
+Each takes a matrix or a tensor of any order: f_set and F_level a tensor
+with l equal row axes and a column axis (the multidimensional permanent,
+a matrix being l = 1), G_level a symmetric order-l tensor (the
+hyperhafnian, a symmetric matrix being l = 2). Products of these averages
+over a partition of the columns (or a composition of the level) dominate
+the normalized permanent or hafnian; ``permanent_bound_*`` and
+``hafnian_bound`` return the corresponding absolute bounds.
 
 Every average and minor sum reads the minor engine of :mod:`exact` in
 chunks at any order, never one kernel call per minor. ``pair_bound`` and
@@ -91,17 +94,38 @@ def _level_product(mean, a, parts, power: float = 1.0) -> float:
     return math.prod(values[p] for p in parts)
 
 
-def f_set(z, cols: Sequence[int]) -> float:
-    """Mean over row subsets J of |per(z[J, K]) / k!|^2 for K = cols.
+def _as_row_tensor(t) -> tuple[np.ndarray, int, int, int]:
+    """Validate a matrix, or a tensor with l equal row axes and a final
+    column axis no larger than them; returns it with l, n rows and m columns."""
+    a = np.asarray(t, dtype=complex)
+    if a.ndim < 2:
+        raise DomainError("tensor must have at least 2 axes")
+    ell = a.ndim - 1
+    n = a.shape[0]
+    if any(s != n for s in a.shape[:-1]):
+        raise DomainError(f"row axes must have equal size, got shape {a.shape}")
+    m = a.shape[-1]
+    if m > n:
+        raise DomainError(f"column axis larger than row axes: shape {a.shape}")
+    return a, ell, n, m
 
-    The empty column set gives 1. Requires len(cols) <= number of rows.
-    The order-2 case of :func:`f_ell_set`.
+
+def f_set(t, cols: Sequence[int]) -> float:
+    """Mean over l-tuples of row subsets (J_1, ..., J_l) of
+    |per(t[J_1, ..., J_l, K]) / (k!)^l|^2 for K = cols.
+
+    t is a matrix (l = 1) or a tensor with l row axes of size n and a
+    column axis. The empty column set gives 1.
     """
-    return f_ell_set(_as_matrix(z), cols)
+    a, _, _, m = _as_row_tensor(t)
+    K = as_index_set(cols, m)
+    if not K:
+        return 1.0
+    return float(_minor_means(a, len(K), np.array(K)[:, None])[0])
 
 
 def f_tilde(z, cols: Sequence[int]) -> float:
-    """Row-wise relaxation of :func:`f_set`.
+    """Row-wise relaxation of :func:`f_set` for a matrix.
 
     Mean over row subsets J of prod_{j in J} ((1/k) sum_{r in K} |z[j,r]|^2);
     always >= f_set(z, cols). Computed through the elementary symmetric
@@ -123,96 +147,8 @@ def f_tilde(z, cols: Sequence[int]) -> float:
     return float(e[k] / subset_count(n, k))
 
 
-def F_level(z, k: int) -> float:
-    """Mean of f_set(z, K) over all column subsets K of size k."""
-    return F_ell_level(_as_matrix(z), k)
-
-
-def partition_bound_f(z, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -> float:
-    """Product of f_set over an ordered partition of the column set.
-
-    Dominates f_set(z, cols); refining the partition can only increase the
-    product.
-    """
-    return partition_bound_f_ell(_as_matrix(z), cols, blocks)
-
-
-def _partition_root(a: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
-    """prod_r sqrt(f_ell_set(a, W_r)) over an ordered partition of all
-    columns: the partition bound on |per(a)| / (n!)^l for square a."""
-    parts = validate_partition(blocks, range(a.shape[-1]))
-    return math.prod(math.sqrt(f_ell_set(a, w)) for w in parts)
-
-
-def permanent_bound_partition(z, blocks: Sequence[Sequence[int]]) -> float:
-    """Absolute bound n! * prod_r sqrt(f_set(z, W_r)) >= |per(z)|.
-
-    ``blocks`` must be an ordered partition of all columns of the square
-    matrix z.
-    """
-    a = _as_square(z)
-    return float(math.factorial(a.shape[0])) * _partition_root(a, blocks)
-
-
-def composition_bound_F(z, k: int, parts: Sequence[int]) -> float:
-    """Product of F_level over a weak composition of the level k.
-
-    Dominates F_level(z, k); zero parts contribute the factor F(z, 0) = 1.
-    """
-    return _level_product(F_level, z, as_composition(parts, total=k))
-
-
-def _composition_root(a: np.ndarray, parts: Sequence[int]) -> float:
-    """prod_r sqrt(F_level(a, w_r)) over a weak composition of n for a
-    square matrix: the composition bound on |per(a)| / n!."""
-    w = as_composition(parts, total=a.shape[0])
-    return _level_product(F_level, a, w, 0.5)
-
-
-def permanent_bound_composition(z, parts: Sequence[int]) -> float:
-    """Absolute bound n! * prod_r sqrt(F_level(z, w_r)) >= |per(z)|.
-
-    ``parts`` must be a weak composition of n for the square matrix z.
-    """
-    a = _as_square(z)
-    return float(math.factorial(a.shape[0])) * _composition_root(a, parts)
-
-
-# ---------------------------------------------------------------------------
-# tensor versions
-
-
-def _as_row_tensor(t) -> tuple[np.ndarray, int, int, int]:
-    """Validate a tensor with l equal row axes and a final column axis."""
-    a = np.asarray(t, dtype=complex)
-    if a.ndim < 2:
-        raise DomainError("tensor must have at least 2 axes")
-    ell = a.ndim - 1
-    n = a.shape[0]
-    if any(s != n for s in a.shape[:-1]):
-        raise DomainError(f"row axes must have equal size, got shape {a.shape}")
-    m = a.shape[-1]
-    if m > n:
-        raise DomainError(f"column axis larger than row axes: shape {a.shape}")
-    return a, ell, n, m
-
-
-def f_ell_set(t, cols: Sequence[int]) -> float:
-    """Tensor version of :func:`f_set`.
-
-    For a tensor with l row axes of size n and a column axis, the mean over
-    l-tuples of row subsets (J_1, ..., J_l) of
-    |per(t[J_1, ..., J_l, K]) / (k!)^l|^2.
-    """
-    a, _, _, m = _as_row_tensor(t)
-    K = as_index_set(cols, m)
-    if not K:
-        return 1.0
-    return float(_minor_means(a, len(K), np.array(K)[:, None])[0])
-
-
-def F_ell_level(t, k: int) -> float:
-    """Mean of f_ell_set over all column subsets of size k."""
+def F_level(t, k: int) -> float:
+    """Mean of f_set(t, K) over all column subsets K of size k."""
     a, _, _, m = _as_row_tensor(t)
     if not 0 <= k <= m:
         raise DomainError(f"level k={k} outside [0, {m}]")
@@ -221,67 +157,82 @@ def F_ell_level(t, k: int) -> float:
     return float(_minor_means(a, k, subset_table(m, k)).mean())
 
 
-def partition_bound_f_ell(
-    t, cols: Sequence[int], blocks: Sequence[Sequence[int]]
-) -> float:
-    """Product of f_ell_set over an ordered partition of the column set."""
+def partition_bound_f(t, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -> float:
+    """Product of f_set over an ordered partition of the column set.
+
+    Dominates f_set(t, cols); refining the partition can only increase the
+    product.
+    """
     a, _, _, m = _as_row_tensor(t)
     K = as_index_set(cols, m)
-    return math.prod(f_ell_set(a, w) for w in validate_partition(blocks, K))
+    return math.prod(f_set(a, w) for w in validate_partition(blocks, K))
 
 
-def composition_bound_F_ell(t, k: int, parts: Sequence[int]) -> float:
-    """Product of F_ell_level over a weak composition of the level k."""
-    return _level_product(F_ell_level, t, as_composition(parts, total=k))
+def composition_bound_F(t, k: int, parts: Sequence[int]) -> float:
+    """Product of F_level over a weak composition of the level k.
 
-
-def multidim_permanent_bound(t, blocks_or_parts, *, by_level: bool = False) -> float:
-    """Absolute bound (n!)^l * prod_r sqrt(...) >= |per_l(t)| for square t.
-
-    With ``by_level=False`` interprets the second argument as an ordered
-    partition of the columns and uses f_ell_set; with ``by_level=True`` as a
-    weak composition of n and uses F_ell_level.
+    Dominates F_level(t, k); zero parts contribute the factor F(t, 0) = 1.
     """
+    return _level_product(F_level, t, as_composition(parts, total=k))
+
+
+def _partition_root(a: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
+    """prod_r sqrt(f_set(a, W_r)) over an ordered partition of all
+    columns: the partition bound on |per(a)| / (n!)^l for square a."""
+    parts = validate_partition(blocks, range(a.shape[-1]))
+    return math.prod(math.sqrt(f_set(a, w)) for w in parts)
+
+
+def _composition_root(a: np.ndarray, parts: Sequence[int]) -> float:
+    """prod_r sqrt(F_level(a, w_r)) over a weak composition of n for
+    square a: the composition bound on |per(a)| / (n!)^l."""
+    w = as_composition(parts, total=a.shape[0])
+    return _level_product(F_level, a, w, 0.5)
+
+
+def _as_square_rows(t) -> tuple[np.ndarray, int, int]:
+    """A row tensor whose column count equals its row count n; returns it
+    with l and n."""
     a, ell, n, m = _as_row_tensor(t)
     if m != n:
         raise DomainError("bound needs equal row and column sizes")
-    if by_level:
-        w = as_composition(blocks_or_parts, total=n)
-        root = _level_product(F_ell_level, a, w, 0.5)
-    else:
-        root = _partition_root(a, blocks_or_parts)
-    return float(math.factorial(n)) ** ell * root
+    return a, ell, n
+
+
+def permanent_bound_partition(t, blocks: Sequence[Sequence[int]]) -> float:
+    """Absolute bound (n!)^l * prod_r sqrt(f_set(t, W_r)) >= |per_l(t)|.
+
+    t is a square matrix (l = 1) or a tensor with l row axes and a column
+    axis, all of size n; ``blocks`` must be an ordered partition of all
+    columns.
+    """
+    a, ell, n = _as_square_rows(t)
+    return float(math.factorial(n)) ** ell * _partition_root(a, blocks)
+
+
+def permanent_bound_composition(t, parts: Sequence[int]) -> float:
+    """Absolute bound (n!)^l * prod_r sqrt(F_level(t, w_r)) >= |per_l(t)|.
+
+    t is as for :func:`permanent_bound_partition`; ``parts`` must be a
+    weak composition of n.
+    """
+    a, ell, n = _as_square_rows(t)
+    return float(math.factorial(n)) ** ell * _composition_root(a, parts)
 
 
 # ---------------------------------------------------------------------------
 # hafnian side
 
 
-def G_level(z, k: int) -> float:
-    """Mean over index subsets J of size 2k of the squared normalized
-    sub-hafnian |haf(z[J, J]) * k! 2^k / (2k)!|^2: the order-2 case of
-    :func:`G_ell_level`.
+def G_level(t, k: int) -> float:
+    """Mean over index subsets J of size l*k of the squared normalized
+    sub-hyperhafnian |hyperhafnian(t[J, ..., J]) * k! (l!)^k / (lk)!|^2.
 
-    z must be symmetric; diagonal entries are never read. G_level(z, 0) = 1.
-    """
-    return G_ell_level(_as_square(z), k)
-
-
-def hafnian_bound(z, parts: Sequence[int]) -> float:
-    """Absolute bound (n!/(m! 2^m)) * prod_r sqrt(G_level(z, w_r)) >= |haf(z)|.
-
-    ``parts`` must be a weak composition of m = n/2; the order-2 case of
-    :func:`hyperhafnian_bound`.
-    """
-    return hyperhafnian_bound(_as_square(z), parts)
-
-
-def G_ell_level(t, k: int) -> float:
-    """Tensor version of :func:`G_level` for a symmetric order-l tensor.
-
-    Mean over index subsets J of size l*k of
-    |hyperhafnian(t[J, ..., J]) * k! (l!)^k / (lk)!|^2. Symmetry is checked
-    once, on t: every principal minor of a symmetric tensor is symmetric.
+    t is a symmetric order-l tensor; for a symmetric matrix (l = 2) this is
+    the sub-hafnian |haf(t[J, J]) * k! 2^k / (2k)!|^2. Entries with a
+    repeated index are never read and G_level(t, 0) = 1. Symmetry is
+    checked once, on t: every principal minor of a symmetric tensor is
+    symmetric.
     """
     a, ell, n = _as_cube(t)
     if k < 0 or ell * k > n:
@@ -298,11 +249,12 @@ def G_ell_level(t, k: int) -> float:
     return total / subset_count(n, ell * k)
 
 
-def hyperhafnian_bound(t, parts: Sequence[int]) -> float:
-    """Absolute bound (n!/(m! (l!)^m)) * prod_r sqrt(G_ell_level(t, w_r)).
+def hafnian_bound(t, parts: Sequence[int]) -> float:
+    """Absolute bound (n!/(m! (l!)^m)) * prod_r sqrt(G_level(t, w_r)).
 
     For a symmetric order-l tensor over n = l*m indices and a weak
-    composition ``parts`` of m; dominates |hyperhafnian(t)|.
+    composition ``parts`` of m; dominates |hyperhafnian(t)|, which for a
+    symmetric matrix is |haf(t)| with prefactor n!/(m! 2^m).
     """
     a, ell, n = _as_cube(t)
     if n % ell:
@@ -310,7 +262,7 @@ def hyperhafnian_bound(t, parts: Sequence[int]) -> float:
     m = n // ell
     w = as_composition(parts, total=m)
     prefactor = math.factorial(n) / (math.factorial(m) * math.factorial(ell) ** m)
-    return prefactor * _level_product(G_ell_level, a, w, 0.5)
+    return prefactor * _level_product(G_level, a, w, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +582,7 @@ def report_rows(
         row = BoundRow(name=name, params=params, raw_value=float(value))
         if exact_norm is not None:
             row.exact_norm = exact_norm
-            row.dominates_exact = row.raw_value >= exact_norm - 1e-12
+            # relative slack: a tight row may round a few ulps below exact_norm
+            row.dominates_exact = row.raw_value * (1 + 1e-12) >= exact_norm
         rows.append(row)
     return rows

@@ -233,6 +233,8 @@ def monte_carlo_charfn(
     """
     if trials < 2:
         raise DomainError("need at least 2 trials")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     n = model.n
     rng = np.random.Generator(np.random.Philox(seed))
     draws = np.empty((trials, n, n))

@@ -15,10 +15,11 @@ product of the factor mean-squares after dividing by the number of terms.
 It is one gather over cached per-axis tables of the ranks of I and J \\ I,
 read from the subset order of :mod:`combinatorics`.
 :func:`verify_convolution_inequality` checks that inequality on explicit
-tables and :func:`equality_conditions` flags, per row, the structural
-equality conditions an instance satisfies (:func:`classify_equality` names
-them). The block-product generalization sums, over ordered partitions of
-J, products of factor values: R(J), the iterated convolution of the factors.
+tables of any arity and :func:`equality_conditions` flags, per row, the
+structural equality conditions an arity-1 instance satisfies
+(:func:`classify_equality` names them). The block-product generalization
+sums, over ordered partitions of J, products of factor values: R(J), the
+iterated convolution of the factors.
 :func:`generalized_R` is its one single-cell evaluation (the expansion
 identities of :mod:`exact` call it on the full index sets) and
 :func:`verify_master_inequality` its mean-square bound over every J at
@@ -164,10 +165,10 @@ class ConvolutionCheck:
     equal: bool | np.ndarray
 
 
-def verify_multi_inequality(
+def verify_convolution_inequality(
     g: SetFunction, h: SetFunction, *, rtol: float = HOLD_RTOL
 ) -> ConvolutionCheck:
-    """Check the convolution mean-square inequality on product lattices.
+    """Check the convolution mean-square inequality at any arity.
 
     For non-negative g, h the mean over J of
     (p(J) / prod_s C(k_s, j_s))^2 is at most the product of the factor
@@ -183,15 +184,6 @@ def verify_multi_inequality(
     holds = lhs <= rhs + rtol * rhs
     equal = np.abs(lhs - rhs) <= EQ_RTOL * np.maximum(np.maximum(lhs, rhs), 1e-300)
     return ConvolutionCheck(*map(_unbatched, (lhs, rhs, holds, equal)))
-
-
-def verify_convolution_inequality(
-    g: SetFunction, h: SetFunction, *, rtol: float = HOLD_RTOL
-) -> ConvolutionCheck:
-    """Single-axis (arity 1) version of :func:`verify_multi_inequality`."""
-    if g.arity != 1 or h.arity != 1:
-        raise DomainError("expected arity-1 set functions")
-    return verify_multi_inequality(g, h, rtol=rtol)
 
 
 EQUALITY_CONDITIONS = (

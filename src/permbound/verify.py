@@ -37,7 +37,6 @@ from .convolution import (
     generalized_R,
     verify_convolution_inequality,
     verify_master_inequality,
-    verify_multi_inequality,
 )
 from .errors import DomainError
 from .exact import (
@@ -302,12 +301,12 @@ def suite_dominance(seed: int = 0, trials: int = 1080) -> SuiteResult:
         k = int(rng.integers(1, min(3, n) + 1))
         cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         blocks = _random_column_blocks(rng, cols)
-        lhs = bounds.f_ell_set(t, cols)
-        rhs = bounds.partition_bound_f_ell(t, cols, blocks)
+        lhs = bounds.f_set(t, cols)
+        rhs = bounds.partition_bound_f(t, cols, blocks)
         full_blocks = _random_column_blocks(rng, range(n))
         scale = float(math.factorial(n)) ** 2
         norm = abs(multidim_permanent(t)) / scale
-        bound_full = bounds.multidim_permanent_bound(t, full_blocks) / scale
+        bound_full = bounds.permanent_bound_partition(t, full_blocks) / scale
         ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
         rec.record(ok, "tensor_partition_dominance", i, {
             "n": n, "cols": cols, "blocks": blocks, "t": t,
@@ -321,12 +320,12 @@ def suite_dominance(seed: int = 0, trials: int = 1080) -> SuiteResult:
         k = int(rng.integers(1, n + 1))
         d = int(rng.integers(1, 3))
         w = _composition(rng, k, d)
-        lhs = bounds.F_ell_level(t, k)
-        rhs = bounds.composition_bound_F_ell(t, k, w)
+        lhs = bounds.F_level(t, k)
+        rhs = bounds.composition_bound_F(t, k, w)
         wn = _composition(rng, n, int(rng.integers(1, 3)))
         scale = float(math.factorial(n)) ** 2
         norm = abs(multidim_permanent(t)) / scale
-        bound_full = bounds.multidim_permanent_bound(t, wn, by_level=True) / scale
+        bound_full = bounds.permanent_bound_composition(t, wn) / scale
         ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
         rec.record(ok, "tensor_composition_dominance", i, {
             "n": n, "k": k, "parts": w, "t": t, "F": lhs, "product": rhs,
@@ -361,12 +360,12 @@ def suite_dominance(seed: int = 0, trials: int = 1080) -> SuiteResult:
     for i in range(per_family):
         rng = _rng(seed, 15, i)
         t = _sym_tensor3(rng, 6)
-        lhs = bounds.G_ell_level(t, 2)
-        rhs = bounds.G_ell_level(t, 1) ** 2
+        lhs = bounds.G_level(t, 2)
+        rhs = bounds.G_level(t, 1) ** 2
         w = (1, 1) if i % 2 else (2,)
         scale = math.factorial(6) / (math.factorial(2) * math.factorial(3) ** 2)
         norm = abs(hyperhafnian(t)) / scale
-        bound_full = bounds.hyperhafnian_bound(t, w) / scale
+        bound_full = bounds.hafnian_bound(t, w) / scale
         ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
         rec.record(ok, "tensor_subhafnian_dominance", i, {
             "parts": w, "t": t, "G2": lhs, "G1_squared": rhs,
@@ -524,9 +523,9 @@ def suite_equality(seed: int = 0, trials: int = 50) -> SuiteResult:
         for idx in itertools.permutations(range(n), 3):
             t[idx] = y
         w = (1, 1) if i % 2 else (2,)
-        lhs = bounds.G_ell_level(t, 2)
-        rhs = bounds.G_ell_level(t, 1) ** 2
-        bound_full = bounds.hyperhafnian_bound(t, w)
+        lhs = bounds.G_level(t, 2)
+        rhs = bounds.G_level(t, 1) ** 2
+        bound_full = bounds.hafnian_bound(t, w)
         exact = hyperhafnian(t)
         closed = (
             math.factorial(n)
@@ -624,7 +623,7 @@ def suite_master(seed: int = 0, trials: int = 100) -> SuiteResult:
         })
         lev_g = tuple(int(rng.integers(0, n + 1)) for n in sizes)
         lev_h = tuple(int(rng.integers(0, n - a + 1)) for n, a in zip(sizes, lev_g))
-        multi = verify_multi_inequality(*(
+        multi = verify_convolution_inequality(*(
             SetFunction(sizes, lev, rng.random(tuple(map(math.comb, sizes, lev))))
             for lev in (lev_g, lev_h)
         ))
@@ -798,6 +797,8 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResul
         trials = default_trials
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     start = time.perf_counter()
     out = fn(seed=seed, trials=trials)
     out.elapsed = time.perf_counter() - start

@@ -15,6 +15,7 @@ from permbound.exact import (
     permanent,
     permanent_D,
 )
+from permbound.matrixio import from_entries
 
 
 def cmat(rng, n, m=None):
@@ -229,19 +230,6 @@ def test_zero_column_kills_f():
     assert bounds.partition_bound_f(z, (1, 2), ((1,), (2,))) == 0.0
 
 
-def test_f_ell_set_matrix_case_reduces_to_f_set():
-    rng = np.random.default_rng(39)
-    z = cmat(rng, 4)
-    for K in [(0,), (1, 2), (0, 1, 3)]:
-        assert bounds.f_ell_set(z, K) == pytest.approx(
-            bounds.f_set(z, K), rel=1e-12
-        )
-    for k in range(4):
-        assert bounds.F_ell_level(z, k) == pytest.approx(
-            bounds.F_level(z, k), rel=1e-12
-        )
-
-
 def test_f_ell_set_brute_force_order_three():
     rng = np.random.default_rng(40)
     n = 3
@@ -255,7 +243,7 @@ def test_f_ell_set_brute_force_order_three():
             minor = t[np.ix_(J1, J2, K)]
             total += abs(multidim_permanent(minor) / math.factorial(k) ** 2) ** 2
     expected = total / len(subs) ** 2
-    assert bounds.f_ell_set(t, K) == pytest.approx(expected, rel=1e-12)
+    assert bounds.f_set(t, K) == pytest.approx(expected, rel=1e-12)
 
 
 def test_multidim_permanent_bound_dominates():
@@ -263,12 +251,18 @@ def test_multidim_permanent_bound_dominates():
     n = 3
     t = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     target = abs(multidim_permanent(t))
-    assert bounds.multidim_permanent_bound(t, ((0,), (1,), (2,))) >= target * (
+    assert bounds.permanent_bound_partition(t, ((0,), (1,), (2,))) >= target * (
         1 - 1e-12
     )
-    assert bounds.multidim_permanent_bound(t, (1, 2), by_level=True) >= target * (
+    assert bounds.permanent_bound_composition(t, (1, 2)) >= target * (
         1 - 1e-12
     )
+    # a row tensor with fewer columns than rows has no square permanent
+    narrow = t[:, :, :2]
+    with pytest.raises(DomainError, match="equal row and column sizes"):
+        bounds.permanent_bound_partition(narrow, ((0,), (1,)))
+    with pytest.raises(DomainError, match="equal row and column sizes"):
+        bounds.permanent_bound_composition(narrow, (1, 1))
 
 
 def test_G_level_closed_forms():
@@ -317,17 +311,17 @@ def test_G_ell_level_and_hyperhafnian_bound():
     for axes in itertools.permutations(range(3)):
         t += a.transpose(axes)
     t /= 6.0
-    g1 = bounds.G_ell_level(t, 1)
+    g1 = bounds.G_level(t, 1)
     # scale for k=1 is l!/l! = 1: mean over triples of |t[i,j,k]|^2
     vals = [
         abs(t[i, j, k]) ** 2
         for i, j, k in itertools.combinations(range(6), 3)
     ]
     assert g1 == pytest.approx(float(np.mean(vals)), rel=1e-12)
-    assert bounds.G_ell_level(t, 2) <= g1**2 * (1 + 1e-12)
+    assert bounds.G_level(t, 2) <= g1**2 * (1 + 1e-12)
     target = abs(hyperhafnian(t))
     for parts in [(2,), (1, 1)]:
-        assert bounds.hyperhafnian_bound(t, parts) >= target * (1 - 1e-12)
+        assert bounds.hafnian_bound(t, parts) >= target * (1 - 1e-12)
 
 
 def test_pair_mean_matches_f_set():
@@ -539,8 +533,8 @@ def symmetrized(a):
     return out / math.factorial(a.ndim)
 
 
-def loop_f_ell_set(t, K):
-    """f_ell_set by one direct tensor permanent per l-tuple of row subsets."""
+def loop_f_set(t, K):
+    """f_set by one direct tensor permanent per l-tuple of row subsets."""
     ell, n, k = t.ndim - 1, t.shape[0], len(K)
     if k == 0:
         return 1.0
@@ -553,13 +547,13 @@ def loop_f_ell_set(t, K):
     return total / len(subsets) ** ell
 
 
-def loop_F_ell_level(t, k):
+def loop_F_level(t, k):
     Ks = list(enumerate_subsets(t.shape[-1], k))
-    return sum(loop_f_ell_set(t, K) for K in Ks) / len(Ks)
+    return sum(loop_f_set(t, K) for K in Ks) / len(Ks)
 
 
-def loop_G_ell_level(t, k):
-    """G_ell_level by one hyperhafnian per principal minor."""
+def loop_G_level(t, k):
+    """G_level by one hyperhafnian per principal minor."""
     ell, n = t.ndim, t.shape[0]
     if k == 0:
         return 1.0
@@ -585,8 +579,8 @@ def test_tensor_minor_means_match_per_minor_loop(order, data, seed):
     rng = np.random.default_rng(seed)
     t = cube(rng, n, order)[(Ellipsis, slice(0, m))]
     K = tuple(sorted(rng.choice(m, k, replace=False).tolist()))
-    assert bounds.f_ell_set(t, K) == pytest.approx(loop_f_ell_set(t, K), rel=1e-12)
-    assert bounds.F_ell_level(t, k) == pytest.approx(loop_F_ell_level(t, k), rel=1e-12)
+    assert bounds.f_set(t, K) == pytest.approx(loop_f_set(t, K), rel=1e-12)
+    assert bounds.F_level(t, k) == pytest.approx(loop_F_level(t, k), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -595,9 +589,8 @@ def test_principal_means_match_per_minor_loop(order, data, seed):
     n = data.draw(st.integers(0, {1: 6, 2: 8, 3: 6}[order]))
     k = data.draw(st.integers(0, n // order))
     t = symmetrized(cube(np.random.default_rng(seed), n, order))
-    assert bounds.G_ell_level(t, k) == pytest.approx(loop_G_ell_level(t, k), rel=1e-12)
+    assert bounds.G_level(t, k) == pytest.approx(loop_G_level(t, k), rel=1e-12)
     if order == 2:
-        assert bounds.G_level(t, k) == pytest.approx(loop_G_ell_level(t, k), rel=1e-12)
         psi = bounds.subhafnian_sum_psi(t, k)
         assert abs(psi - loop_psi(t, k)) <= 1e-12 * max(abs(psi), 1e-300)
 
@@ -611,10 +604,10 @@ def test_tensor_minors_across_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(58)
     t = cube(rng, 5, 3)[:, :, :4]
     for k in range(1, 5):
-        assert bounds.F_ell_level(t, k) == pytest.approx(loop_F_ell_level(t, k), rel=1e-12)
+        assert bounds.F_level(t, k) == pytest.approx(loop_F_level(t, k), rel=1e-12)
     t4 = cube(rng, 3, 4)
-    assert bounds.f_ell_set(t4, (0, 1, 2)) == pytest.approx(
-        loop_f_ell_set(t4, (0, 1, 2)), rel=1e-12
+    assert bounds.f_set(t4, (0, 1, 2)) == pytest.approx(
+        loop_f_set(t4, (0, 1, 2)), rel=1e-12
     )
 
 
@@ -625,11 +618,11 @@ def test_principal_minors_across_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(59)
     z = symmetrized(cmat(rng, 8))
     for k in range(5):
-        assert bounds.G_level(z, k) == pytest.approx(loop_G_ell_level(z, k), rel=1e-12)
+        assert bounds.G_level(z, k) == pytest.approx(loop_G_level(z, k), rel=1e-12)
         assert bounds.subhafnian_sum_psi(z, k) == pytest.approx(loop_psi(z, k), rel=1e-12)
     t = symmetrized(cube(rng, 9, 3))
     for k in range(4):
-        assert bounds.G_ell_level(t, k) == pytest.approx(loop_G_ell_level(t, k), rel=1e-12)
+        assert bounds.G_level(t, k) == pytest.approx(loop_G_level(t, k), rel=1e-12)
 
 
 def test_principal_averages_check_the_parent_symmetry():
@@ -640,8 +633,8 @@ def test_principal_averages_check_the_parent_symmetry():
     t[0, 0, 5] += 1e-6
     for call in (
         lambda: bounds.G_level(z, 1), lambda: bounds.subhafnian_sum_psi(z, 2),
-        lambda: bounds.hafnian_bound(z, (3,)), lambda: bounds.G_ell_level(t, 1),
-        lambda: bounds.hyperhafnian_bound(t, (1, 1)),
+        lambda: bounds.hafnian_bound(z, (3,)), lambda: bounds.G_level(t, 1),
+        lambda: bounds.hafnian_bound(t, (1, 1)),
     ):
         with pytest.raises(DomainError):
             call()
@@ -668,13 +661,13 @@ def test_no_average_calls_a_kernel_per_minor(monkeypatch):
         bounds.permanent_bound_partition(z, blocks),
         bounds.composition_bound_F(z, 4, (2, 2)),
         bounds.permanent_bound_composition(z, (2, 3, 1)),
-        bounds.f_ell_set(t, (1, 3)), bounds.F_ell_level(t, 2),
-        bounds.partition_bound_f_ell(t, (0, 1, 2, 3), tblocks),
-        bounds.composition_bound_F_ell(t, 3, (1, 2)),
-        bounds.multidim_permanent_bound(t, tblocks),
-        bounds.multidim_permanent_bound(t, (2, 2), by_level=True),
+        bounds.f_set(t, (1, 3)), bounds.F_level(t, 2),
+        bounds.partition_bound_f(t, (0, 1, 2, 3), tblocks),
+        bounds.composition_bound_F(t, 3, (1, 2)),
+        bounds.permanent_bound_partition(t, tblocks),
+        bounds.permanent_bound_composition(t, (2, 2)),
         bounds.G_level(s, 2), bounds.hafnian_bound(s, (1, 2)),
-        bounds.G_ell_level(h, 1), bounds.hyperhafnian_bound(h, (1, 1)),
+        bounds.G_level(h, 1), bounds.hafnian_bound(h, (1, 1)),
         bounds.pair_bound(z), bounds.avg_pair_bound(z),
         bounds.pair_bound(np.exp(0.7j * x)), bounds.avg_pair_bound(np.exp(0.7j * x)),
         bounds.minor_sum_phi(z, 3), bounds.phi_bound(z, 3),
@@ -686,6 +679,30 @@ def test_no_average_calls_a_kernel_per_minor(monkeypatch):
         exact.hyperhafnian_via_expansion(h, (1, 1)),
     ):
         assert np.isfinite(value)
+
+
+def _flags(z, n):
+    rows = bounds.report_rows(
+        from_entries(z), all_baselines=True, blocks=[list(range(n))], parts=[n]
+    )
+    return {r.name: r.dominates_exact for r in rows if r.applicable}
+
+
+@pytest.mark.parametrize("c", [1000.0, 123.456, 2.0**40])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_tight_rows_on_constant_matrices_dominate(c, n):
+    # the column-norm, partition and composition rows equal |per| / n! on a
+    # constant matrix, so only a relative slack can flag them at every scale
+    flags = _flags(np.full((n, n), c), n)
+    assert {"hadamard_column_norm", "partition_subset_avg", "composition_level_avg"} <= set(flags)
+    assert all(flags.values()), flags
+
+
+def test_dominance_flags_do_not_depend_on_scale():
+    z = cmat(np.random.default_rng(62), 8)
+    flags = _flags(z, 8)
+    for scale in (2.0**40, 2.0**-40):
+        assert _flags(scale * z, 8) == flags
 
 
 def test_only_bounds_reads_its_private_names():

@@ -523,6 +523,12 @@ def test_verify_trials_below_one_exit(capsys, suite, trials):
     assert f"trials must be at least 1, got {trials}" in err
 
 
+def test_verify_negative_seed_exit(capsys):
+    code, err, _ = run_main_timed(capsys, "verify", "--seed", "-1")
+    assert code == 2
+    assert "seed must be non-negative, got -1" in err
+
+
 def test_charfn_default_argument(model_file):
     proc = run_cli("charfn", "--input", model_file)
     assert proc.returncode == 0
@@ -597,6 +603,14 @@ def test_charfn_mc_limit_exit(model_file, capsys):
     assert code == 3
     assert f"Monte Carlo limit trials * n^2 <= {cli.MC_MAX_DRAWS}" in err
     assert seconds < 1.0
+
+
+def test_charfn_negative_seed_exit(model_file, capsys):
+    code, err, _ = run_main_timed(
+        capsys, "charfn", "--input", model_file, "--mc", "100", "--seed", "-1"
+    )
+    assert code == 2
+    assert "seed must be non-negative, got -1" in err
 
 
 def test_charfn_empty_s_perm_exit(model_file, capsys):

@@ -16,7 +16,6 @@ from permbound.convolution import (
     subset_convolution,
     verify_convolution_inequality,
     verify_master_inequality,
-    verify_multi_inequality,
 )
 from permbound.errors import DomainError
 from permbound.exact import permanent
@@ -209,7 +208,7 @@ def test_multi_axis_inequality():
     for _ in range(10):
         g = rand_sf(rng, 4, 1, arity=2)
         h = rand_sf(rng, 4, 2, arity=2)
-        check = verify_multi_inequality(g, h)
+        check = verify_convolution_inequality(g, h)
         assert check.holds
 
 
@@ -245,11 +244,11 @@ def test_stacked_calls_equal_per_row_calls(data):
         for b in range(len(kinds))
     ]
     p = subset_convolution(g, h)
-    check = verify_multi_inequality(g, h)
+    check = verify_convolution_inequality(g, h)
     for b, (gb, hb) in enumerate(rows):
         assert np.array_equal(p.table[b], subset_convolution(gb, hb).table)
         assert g.mean_square()[b] == gb.mean_square()
-        one = verify_multi_inequality(gb, hb)
+        one = verify_convolution_inequality(gb, hb)
         assert type(one.lhs) is float and type(one.holds) is bool
         assert (check.lhs[b], check.rhs[b], check.holds[b], check.equal[b]) == (
             one.lhs, one.rhs, one.holds, one.equal
