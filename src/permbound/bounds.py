@@ -230,9 +230,9 @@ def G_level(t, k: int) -> float:
 
     t is a symmetric order-l tensor; for a symmetric matrix (l = 2) this is
     the sub-hafnian |haf(t[J, J]) * k! 2^k / (2k)!|^2. Entries with a
-    repeated index are never read and G_level(t, 0) = 1. Symmetry is
-    checked once, on t: every principal minor of a symmetric tensor is
-    symmetric.
+    repeated index never enter the mean and G_level(t, 0) = 1. Symmetry
+    and finiteness are checked once, on t: every principal minor of a
+    symmetric tensor is symmetric.
     """
     a, ell, n = _as_cube(t)
     if k < 0 or ell * k > n:

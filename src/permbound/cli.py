@@ -52,9 +52,10 @@ HAF_MAX_N = 20
 PER_ELL_MAX_K = 6
 HAF_ELL_MAX_M = 6
 # Work limits of the tensor kernels, in the units of multidim_permanent_work
-# (products, 13-37 ns each) and hyperhafnian_work (recursion steps,
-# 1.1-2.1 us each) as measured on a 2-core x86 box with Python 3.11 and
-# numpy 2.4: an accepted input finishes within about 5 s there.
+# (products, 13-37 ns each) and hyperhafnian_work (level-table entries, about
+# 0.2 us each in a fresh process, building the tables included) as measured
+# on a 2-core x86 box with Python 3.11 and numpy 2.4: an accepted input
+# finishes within about 5 s there.
 PER_ELL_MAX_WORK = 200_000_000
 HAF_ELL_MAX_WORK = 2_000_000
 # Bound rows are normalized by n!, which a double holds up to n = 170.
@@ -178,6 +179,7 @@ def cmd_exact(args) -> int:
         n = array.shape[0]
         if n > PER_MAX_N:
             raise FeasibilityError(f"permanent kernel limit n <= {PER_MAX_N}, got {n}")
+        work = multidim_permanent_work(n, 1)
         value = permanent(array)
     elif kind == "haf":
         if array.ndim != 2:
@@ -185,6 +187,7 @@ def cmd_exact(args) -> int:
         n = array.shape[0]
         if n > HAF_MAX_N:
             raise FeasibilityError(f"hafnian kernel limit n <= {HAF_MAX_N}, got {n}")
+        work = hyperhafnian_work(n, 2)
         value = hafnian(array)
     elif kind == "per_ell":
         k = array.shape[0] if array.ndim else 0
@@ -223,6 +226,7 @@ def cmd_exact(args) -> int:
         "shape": list(array.shape),
         "value": {"re": value.real, "im": value.imag},
         "elapsed_seconds": elapsed,
+        "work": work,
     }
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2))

@@ -9,19 +9,22 @@ engine serves every order: it gathers the minors t[J_1, ..., J_l, K] of an
 order-(l+1) tensor in chunks, fixing the bijections on their first l-1 axes
 in the same gather, for one stacked Glynn kernel, (k!)^(l-1) * 2^(k-1) * k
 products per minor; the tensor permanent is its one-minor case. Hafnians
-and hyperhafnians share one memoized "match the lowest unused index"
-recursion over bitmasks of unused indices (Nijenhuis-Wilf, Combinatorial
-Algorithms), on numbers for one tensor or on numpy rows for a chunk of
-principal minors: :func:`hyperhafnian_work` counts its memo states times the
-partner subsets of each. Direct enumerations are kept behind a flag as
-oracles. Expansion identities (developing a permanent or hafnian along a
-fixed block structure) are :func:`convolution.generalized_R` on the full
-index sets, over stacked tables of block values: an independent route that
-tests cross-check against the kernels.
+and hyperhafnians share one "match the lowest unused index" kernel
+(Nijenhuis-Wilf, Combinatorial Algorithms), evaluated level by level: the
+sets of unused indices it reaches, grouped by the number of blocks they have
+removed, form cached tables of block ranks and child slots per shape, and
+each level is one gather, product and sum over a chunk of principal minors
+at once; a single tensor is the one-minor chunk. :func:`hyperhafnian_work`
+counts the table entries, states times the partner subsets of each. Direct
+enumerations are kept behind a flag as oracles. Expansion identities
+(developing a permanent or hafnian along a fixed block structure) are
+:func:`convolution.generalized_R` on the full index sets, over stacked
+tables of block values: an independent route that tests cross-check against
+the kernels.
 
 Conventions: the permanent of an empty matrix is 1, the hafnian of an empty
-matrix is 1, hafnian-type functions never read diagonal blocks, and all
-index sets are 0-based.
+matrix is 1, the values of hafnian-type functions never depend on diagonal
+blocks (every entry must still be finite), and all index sets are 0-based.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from .combinatorics import (
     as_composition,
     multinomial,
+    subset_ranks,
     subset_table,
     validate_partition,
 )
@@ -290,20 +294,30 @@ def _block_table(a: np.ndarray, block) -> np.ndarray:
     return _minor_table(a, len(block), np.array(block, dtype=np.intp)[:, None])[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _transpose_generators(ndim: int) -> tuple[tuple[int, ...], ...]:
+    """An adjacent swap and a cycle of the axes (one transpose for a
+    matrix): they generate every transpose of an order-ndim tensor."""
+    if ndim < 2:
+        return ()
+    swap = (1, 0) + tuple(range(2, ndim))
+    cycle = tuple(range(1, ndim)) + (0,)
+    return tuple(dict.fromkeys((swap, cycle)))
+
+
 def _check_symmetric(a: np.ndarray, atol: float) -> None:
-    """Raise DomainError unless a equals its transposes within ``atol``: an
-    adjacent swap and a cycle of the axes generate them all, each compared
-    one slice of the first axis at a time (of at least one index, and of
-    about 2^15 entries)."""
-    if a.ndim < 2:
-        return
-    swap = (1, 0) + tuple(range(2, a.ndim))
-    cycle = tuple(range(1, a.ndim)) + (0,)
+    """Raise DomainError unless every entry of a is finite and a equals its
+    transposes within ``atol``, each generator of them compared one slice of
+    the first axis at a time (of at least one index, and of about 2^15
+    entries). A NaN would pass every comparison, so non-finite entries are
+    rejected first."""
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise DomainError("tensor has a non-finite entry")
     step = max(1, (1 << 15) * len(a) // max(1, a.size))
-    for axes in {swap, cycle}:
+    for axes in _transpose_generators(a.ndim):
         b = a.transpose(axes)
         for i in range(0, len(a), step):
-            if np.abs(a[i : i + step] - b[i : i + step]).max() > atol:
+            if np.count_nonzero(np.abs(a[i : i + step] - b[i : i + step]) > atol):
                 raise DomainError(f"tensor is not symmetric within {atol:g}")
 
 
@@ -311,11 +325,12 @@ def hafnian(z, *, atol: float = SYMMETRY_ATOL) -> complex:
     """Hafnian of a symmetric complex matrix of even dimension.
 
     Sums, over all perfect matchings of the index set, the product of the
-    matched entries, by the memoized match-the-lowest-index recursion
-    (F_(n+1) memo states, a Fibonacci number, times at most n-1 partners
-    each; see :func:`hyperhafnian_work`). Diagonal entries are never read,
-    the empty matrix gives 1, odd dimension or asymmetry beyond ``atol``
-    (absolute) raises DomainError. The order-2 case of :func:`hyperhafnian`.
+    matched entries, by the level-by-level match-the-lowest-index kernel
+    (F_(n+1) states, a Fibonacci number, times at most n-1 partners each;
+    see :func:`hyperhafnian_work`). Diagonal entries never enter the value,
+    the empty matrix gives 1; odd dimension, a non-finite entry or asymmetry
+    beyond ``atol`` (absolute) raises DomainError. The order-2 case of
+    :func:`hyperhafnian`.
     """
     a = _as_square(z)
     if len(a) % 2:
@@ -323,59 +338,85 @@ def hafnian(z, *, atol: float = SYMMETRY_ATOL) -> complex:
     return hyperhafnian(a, atol=atol)
 
 
-def _match_lowest(entries, n: int, ell: int):
-    # Sum over partitions of range(n) into blocks of size ell of the products
-    # of the block entries entries[C-order flat index of (b0, ..., b_{ell-1})]
-    # (b0 < ... < b_{ell-1}): numbers for one tensor, or numpy rows with one
-    # value per tensor of a stack. The lowest unused index is matched with
-    # every (ell-1)-subset of the other unused ones; values are memoized per
-    # bitmask of unused indices, which the lowest-index rule keeps to
-    # hyperhafnian_work's state count.
-    head = n ** (ell - 1)
-    tail = [n ** (ell - 2 - r) for r in range(ell - 1)]
-    memo = {0: 1.0 + 0.0j}
+@functools.lru_cache(maxsize=None)
+def _match_levels(n: int, ell: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The states of the match-the-lowest-index recursion over n indices
+    with blocks of size ell, level by level: level r holds the sets of
+    unused indices reachable after removing r blocks, each with the same
+    C(n - r*ell - 1, ell - 1) partner subsets. Per level it gives
+    ``block[i, p]``, the rank in :func:`subset_table` (n, ell) order of the
+    block that state i removes with partner subset p, and ``child[i, p]``,
+    the slot of the state it leaves in level r + 1. States are boolean rows
+    of unused indices, numbered per level by their packed bytes, so any n
+    works."""
+    levels = []
+    unused = np.ones((1, n), dtype=bool)
+    for _ in range(n // ell):
+        states, f = len(unused), n - len(levels) * ell
+        free = np.nonzero(unused)[1].reshape(states, f)
+        # a block is the lowest free index (column 0) and a partner subset
+        cols = np.pad(subset_table(f - 1, ell - 1) + 1, ((1, 0), (0, 0)))
+        members = free[:, cols]  # (states, ell, partners), increasing on axis 1
+        block = subset_ranks(members.transpose(1, 0, 2), n)
+        left = np.repeat(unused[:, None, :], cols.shape[1], axis=1)
+        np.put_along_axis(left, members.transpose(0, 2, 1), False, axis=2)
+        left = left.reshape(-1, n)
+        keys = np.packbits(left, axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        _, first, child = np.unique(keys, return_index=True, return_inverse=True)
+        for table in (block, child):
+            table.flags.writeable = False
+        levels.append((block, child.reshape(block.shape)))
+        unused = left[first]
+    return tuple(levels)
 
-    def rec(mask: int):
-        value = memo.get(mask)
-        if value is not None:
-            return value
-        low = (mask & -mask).bit_length() - 1
-        rest_mask = mask ^ (1 << low)
-        rest = [i for i in range(low + 1, n) if rest_mask >> i & 1]
-        value = 0.0 + 0.0j
-        for partners in itertools.combinations(rest, ell - 1):
-            index = low * head
-            left = rest_mask
-            for p, stride in zip(partners, tail):
-                index += p * stride
-                left ^= 1 << p
-            value += entries[index] * rec(left)
-        memo[mask] = value
-        return value
 
-    return rec((1 << n) - 1)
+def _match_lowest(entries: np.ndarray, n: int, ell: int) -> np.ndarray:
+    """Sum over the partitions of range(n) into blocks of size ell (n >= 1)
+    of the products of their block entries: ``entries`` has one row per
+    block in :func:`subset_table` (n, ell) rank order, and any trailing axes
+    (one value per tensor of a stack). Evaluated from the deepest level of
+    :func:`_match_levels` up, one gather, product and sum per level."""
+    levels = _match_levels(n, ell)
+    # the last block completes every state of the deepest level
+    value = entries[levels[-1][0][:, 0]]
+    for block, child in levels[-2::-1]:
+        terms = entries[block]
+        terms *= value[child]
+        value = terms.sum(axis=1)
+    return value[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _block_index(n: int, ell: int) -> np.ndarray:
+    """C-order flat indices of the blocks of an order-ell tensor over n
+    indices (increasing entries), in :func:`subset_table` (n, ell) order."""
+    index = subset_table(n, ell).T @ (n ** np.arange(ell - 1, -1, -1))
+    index.flags.writeable = False
+    return index
 
 
 def _principal_stack(a: np.ndarray, s: int):
     """Yield, chunk by chunk, the hyperhafnians of the principal minors
     a[J, ..., J] over the s-subsets J in rank order (s a multiple of the
-    order): at most _GLYNN_BATCH_ROWS minors, fewer where their memo would
-    pass 2^7 values per minor of that limit. Only the entries with
-    increasing indices are gathered; they are all the recursion reads."""
+    order): at most _GLYNN_BATCH_ROWS minors, fewer where a level's terms
+    would pass 2^7 values per minor of that limit. Only the entries with
+    increasing indices are gathered; they are all the kernel reads."""
     ell, n = a.ndim, a.shape[0]
     if s == 0:
         yield np.ones(1, dtype=complex)
         return
-    combos = subset_table(s, ell)
-    pos = (combos.T @ (s ** np.arange(ell - 1, -1, -1))).tolist()
-    sub = subset_table(n, s)
+    if s == n:
+        # one minor: plain rows of entries, the value as a chunk of one
+        yield _match_lowest(a.ravel().take(_block_index(n, ell)), n, ell)[None]
+        return
+    combos, sub = subset_table(s, ell), subset_table(n, s)
     index = sum(sub[combos[r]] * n ** (ell - 1 - r) for r in range(ell))
-    work = hyperhafnian_work(s, ell) + len(pos)
+    work = hyperhafnian_work(s, ell) + len(index)
     step = max(1, min(_GLYNN_BATCH_ROWS, (_GLYNN_BATCH_ROWS << 7) // work))
     flat = a.ravel()
     for r in range(0, index.shape[1], step):
-        entries = dict(zip(pos, flat.take(index[:, r : r + step])))
-        yield _match_lowest(entries, s, ell)
+        yield _match_lowest(flat.take(index[:, r : r + step]), s, ell)
 
 
 def hyperhafnian(
@@ -391,9 +432,12 @@ def hyperhafnian(
     gives 1.
 
     method "recursive" matches the lowest unused index with every
-    (l-1)-subset of the remaining indices, memoized over the set of unused
-    indices (:func:`hyperhafnian_work` counts its steps); "direct" evaluates
-    the normalized n!-term sum and serves as an oracle.
+    (l-1)-subset of the remaining indices, once per reachable set of unused
+    indices, evaluated level by level over cached tables from the last block
+    up (:func:`hyperhafnian_work` counts its steps); it is the one-minor
+    case of the principal-minor stack. "direct" evaluates the normalized
+    n!-term sum and serves as an oracle. A non-finite entry or asymmetry
+    beyond ``atol`` raises DomainError.
     """
     a, ell, n = _as_cube(t)
     if n % ell:
@@ -412,12 +456,14 @@ def hyperhafnian(
         return complex(total / (math.factorial(m) * math.factorial(ell) ** m))
     if method != "recursive":
         raise DomainError(f"unknown hyperhafnian method {method!r}")
-    return complex(_match_lowest(a.ravel().tolist(), n, ell))
+    return complex(next(_principal_stack(a, n))[0])
 
 
+@functools.lru_cache(maxsize=None)
 def hyperhafnian_work(n: int, ell: int) -> int:
     """Steps of the "recursive" hyperhafnian of an order-ell tensor over n
-    indices: memo states times the partner subsets of each.
+    indices: reachable states times the partner subsets of each, the
+    entries of the kernel's level tables.
 
     A state that has removed r blocks is reachable exactly when its lowest
     unused index x satisfies r <= x <= r*ell; the other r*ell - x removed

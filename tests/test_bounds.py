@@ -281,6 +281,22 @@ def test_G_level_closed_forms():
     assert bounds.G_level(z, 0) == 1.0
 
 
+def test_G_level_rejects_non_finite_entries():
+    z = np.zeros((4, 4))
+    z[0, 1] = z[1, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        bounds.G_level(z, 1)
+    z[0, 1] = z[1, 0] = np.inf
+    with pytest.raises(DomainError, match="non-finite"):
+        bounds.G_level(z, 2)
+
+
+def test_G_level_has_no_bit_width_cap():
+    # order 1 over 70 indices: each of the 70 minors of 69 indices has the
+    # hyperhafnian 1.01^69 and the scale 69! 1!^69 / 69! = 1
+    assert bounds.G_level(np.full(70, 1.01), 69) == pytest.approx(1.01**138, rel=1e-12)
+
+
 def test_hafnian_bound_dominates():
     rng = np.random.default_rng(43)
     for n in (4, 6, 8):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from permbound import bounds, cli, table1
+from permbound import bounds, cli, exact, table1
 from permbound.matrixio import from_entries, matrix_to_json, tensor_to_json
 
 
@@ -96,6 +96,27 @@ def test_exact_tensor_kinds(tmp_path):
     proc = run_cli("exact", "haf_ell", "--input", str(flat), "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"]["re"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize(
+    "kind, shape, work",
+    [
+        ("per", (5, 5), exact.multidim_permanent_work(5, 1)),
+        ("haf", (6, 6), exact.hyperhafnian_work(6, 2)),
+        ("per_ell", (3, 3, 3), exact.multidim_permanent_work(3, 2)),
+        ("haf_ell", (6, 6, 6), exact.hyperhafnian_work(6, 3)),
+    ],
+)
+def test_exact_json_reports_the_gated_work(tmp_path, kind, shape, work):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor_to_json(np.ones(shape))))
+    proc = run_cli("exact", kind, "--input", str(path), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["work"] == work
+    assert set(doc) == {"kind", "shape", "value", "elapsed_seconds", "work"}
+    text = run_cli("exact", kind, "--input", str(path))
+    assert text.stdout.splitlines()[0].startswith(f"{kind} = ")
 
 
 def test_exact_t_override(phase_matrix):

@@ -334,9 +334,61 @@ def matching_steps(n, ell):
     return steps
 
 
-@pytest.mark.parametrize("n, ell", [(0, 2), (4, 2), (10, 2), (5, 1), (9, 3), (12, 4), (10, 5)])
+WORK_GRID = [(0, 2), (4, 2), (10, 2), (5, 1), (9, 3), (12, 4), (10, 5)]
+
+
+@pytest.mark.parametrize("n, ell", WORK_GRID)
 def test_hyperhafnian_work_counts_recursion_steps(n, ell):
     assert hyperhafnian_work(n, ell) == matching_steps(n, ell)
+
+
+@pytest.mark.parametrize("n, ell", WORK_GRID)
+def test_hyperhafnian_work_counts_the_level_tables(n, ell):
+    # the cost model the CLI gates read is the size of the kernel's tables
+    levels = exact._match_levels(n, ell)
+    assert len(levels) == n // ell
+    assert sum(block.size for block, _ in levels) == hyperhafnian_work(n, ell)
+
+
+def test_hafnian_rank_one_closed_form_at_twenty():
+    # haf(d d^T) = (n-1)!! prod(d): every one of the 19!! matchings, so every
+    # level of the kernel, contributes the same product
+    d = crandom(70, 20)
+    expected = math.prod(range(19, 0, -2)) * d.prod()
+    assert rel(hafnian(np.outer(d, d)), expected) < 1e-12
+
+
+def test_hyperhafnian_rank_one_closed_form_order_three():
+    # the 18!/(6! 3!^6) block partitions of d x d x d, each prod(d)
+    d = crandom(71, 18)
+    t = np.multiply.outer(np.multiply.outer(d, d), d)
+    expected = math.factorial(18) / (math.factorial(6) * 6**6) * d.prod()
+    assert rel(hyperhafnian(t), expected) < 1e-12
+
+
+def test_hyperhafnian_has_no_bit_width_cap():
+    # an order-1 tensor over 100 indices: 100 levels of one state each
+    assert rel(hyperhafnian(np.full(100, 1.01)), 1.01**100) < 1e-12
+    assert hyperhafnian(np.arange(1.0, 71.0)) == pytest.approx(math.factorial(70))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        [[0.0, np.nan], [1.0, 0.0]],
+        [[0.0, np.nan], [np.nan, 0.0]],
+        [[np.nan, 1.0], [1.0, 0.0]],
+        [[0.0, np.inf], [np.inf, 0.0]],
+        [[0.0, complex(1.0, -np.inf)], [complex(1.0, -np.inf), 0.0]],
+        [2.0, np.nan],
+    ],
+)
+def test_hafnians_reject_non_finite_entries(t):
+    with pytest.raises(DomainError, match="non-finite"):
+        hyperhafnian(t)
+    if np.ndim(t) == 2:
+        with pytest.raises(DomainError, match="non-finite"):
+            hafnian(t)
 
 
 def test_multidim_permanent_work():
