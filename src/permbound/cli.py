@@ -39,8 +39,8 @@ from .exact import (
 from .matrixio import (
     BoundRow,
     MatrixInput,
+    cells_to_json,
     load_json,
-    load_matrix,
     matrix_from_json,
     report_to_csv,
     report_to_json,
@@ -131,19 +131,16 @@ def _parse_index(token: str, where: str, minimum: int = 1) -> int:
 # input loading
 
 
-def _load_input(path: str):
-    """Load either a matrix file or a tensor file, depending on its keys."""
-    data = load_json(path)
-    if isinstance(data, dict) and "shape" in data:
+def _load_input(args, tensors: bool = False):
+    """Load ``--input`` and apply ``--t``, which needs a unit_circle matrix.
+    With ``tensors``, a file with a ``shape`` key is a tensor file."""
+    data = load_json(args.input)
+    if tensors and isinstance(data, dict) and "shape" in data:
+        if args.t is not None:
+            raise ParseError("--t override requires the unit_circle form")
         return tensor_from_json(data)
-    return matrix_from_json(data)
-
-
-def _matrix_input(args) -> MatrixInput:
-    mi = load_matrix(args.input)
-    if getattr(args, "t", None) is not None:
-        mi = mi.with_t(args.t)
-    return mi
+    mi = matrix_from_json(data)
+    return mi if args.t is None else mi.with_t(args.t)
 
 
 def _emit(args, payload: str) -> None:
@@ -161,13 +158,8 @@ def _emit(args, payload: str) -> None:
 
 
 def cmd_exact(args) -> int:
-    loaded = _load_input(args.input)
-    if isinstance(loaded, MatrixInput):
-        if getattr(args, "t", None) is not None:
-            loaded = loaded.with_t(args.t)
-        array = loaded.z
-    else:
-        array = loaded
+    loaded = _load_input(args, tensors=True)
+    array = loaded.z if isinstance(loaded, MatrixInput) else loaded
     kind = args.kind
     if kind in ("per_ell", "haf_ell") and len(set(array.shape)) > 1:
         # before the size and work limits, which read only the first axis
@@ -224,7 +216,7 @@ def cmd_exact(args) -> int:
     doc = {
         "kind": kind,
         "shape": list(array.shape),
-        "value": {"re": value.real, "im": value.imag},
+        "value": cells_to_json(value),
         "elapsed_seconds": elapsed,
         "work": work,
     }
@@ -279,7 +271,7 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
 
 
 def cmd_bounds(args) -> int:
-    mi = _matrix_input(args)
+    mi = _load_input(args)
     rows = _bounds_rows(mi, args)
     meta = {
         "n": mi.n,
@@ -403,15 +395,7 @@ def cmd_charfn(args) -> int:
             )
         rows.append(row)
     if args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CHARFN_COLUMNS)
-        for row in rows:
-            writer.writerow([row.get(col) for col in _CHARFN_COLUMNS])
-        _emit(args, buf.getvalue())
+        _emit(args, report_to_csv(rows, _CHARFN_COLUMNS))
     elif args.format == "json":
         _emit(args, json.dumps({"n": model.n, "rows": rows}, indent=2))
     else:

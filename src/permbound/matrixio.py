@@ -7,8 +7,12 @@ Matrix files are JSON in one of three forms:
 * ``{"polar": {"a": [[...]], "x": [[...]]}}`` for a * exp(i x).
 
 Tensor files carry ``{"shape": [...], "entries": <nested {re, im}>}``.
-Every number must be finite; NaN or an infinity is a ParseError naming its
-position.
+This module alone reads and writes the ``{"re", "im"}`` cell. Sizes
+(``rows``, ``cols``, each ``shape`` item) must be non-negative whole
+numbers, and the nesting is checked against them before anything is
+allocated. Every number must be finite. A ParseError names its position:
+``rows``, ``cols``, ``shape[k]`` or ``entries[i][j]...``, the first bad
+cell in C order; the CLI exits 2 on it.
 
 Report rows record one bound each: ``raw_value`` is the double, and
 ``rounded_up_6dp`` rounds it up at the sixth decimal (never below the raw
@@ -30,8 +34,13 @@ import numpy as np
 from .errors import ParseError
 
 
-def _cell(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
+def cells_to_json(a) -> list | dict:
+    """Nested lists of ``{"re", "im"}`` cells, one level per axis of ``a``;
+    a 0-d array or a scalar gives one cell."""
+    a = np.asarray(a, dtype=complex)
+    pairs = zip(a.real.ravel().tolist(), a.imag.ravel().tolist())
+    cells = [{"re": re, "im": im} for re, im in pairs]
+    return np.array(cells, dtype=object).reshape(a.shape).tolist()
 
 
 def _parse_cell(raw, where: str) -> complex:
@@ -41,9 +50,51 @@ def _parse_cell(raw, where: str) -> complex:
         value = complex(float(raw["re"]), float(raw["im"]))
     except (TypeError, ValueError):
         raise ParseError("entry values must be numbers", position=where) from None
+    except OverflowError:
+        raise ParseError("entry values must be finite", position=where) from None
     if not cmath.isfinite(value):
         raise ParseError("entry values must be finite", position=where)
     return value
+
+
+def _parse_size(raw, where: str) -> int:
+    if type(raw) not in (int, float) or raw < 0 or raw % 1:
+        raise ParseError(f"expected a non-negative whole number, got {raw!r}", where)
+    return int(raw)
+
+
+def _position(where: str, index) -> str:
+    return where + "".join(f"[{i}]" for i in index)
+
+
+def _cells_from_json(node, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """Complex array of ``shape`` from nested lists of cells: the nesting is
+    checked level by level before any allocation, then all cells convert at
+    once through (re, im) pairs, which keeps -0.0. Only if that fails or finds
+    a non-finite value does :func:`_parse_cell` name the first bad cell."""
+    level = [node]
+    for depth, size in enumerate(shape):
+        below = []
+        for i, item in enumerate(level):
+            if not isinstance(item, list) or len(item) != size:
+                raise ParseError(
+                    f"expected {size} items along axis {depth} of shape {list(shape)}",
+                    position=_position(where, np.unravel_index(i, shape[:depth])),
+                )
+            below += item
+        level = below
+    try:
+        pairs = np.array([(cell["re"], cell["im"]) for cell in level], dtype=float)
+        if pairs.shape == (len(level), 2) and np.isfinite(pairs).all():
+            return pairs.view(complex).reshape(shape)
+    except (TypeError, KeyError, ValueError, OverflowError):
+        pass
+    values = [_parse_cell(cell, _position(where, np.unravel_index(i, shape)))
+              for i, cell in enumerate(level)]
+    try:  # the cells are valid, but a zero-size shape can still be too large
+        return np.array(values, dtype=complex).reshape(shape)
+    except ValueError:
+        raise ParseError(f"shape {list(shape)} is too large", position=where) from None
 
 
 def _parse_real_grid(raw, where: str) -> np.ndarray:
@@ -142,23 +193,8 @@ def matrix_from_json(data: dict) -> MatrixInput:
             _parse_real_grid(spec["x"], "polar.x"),
         )
     if "entries" in data:
-        try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("entries form needs integer 'rows' and 'cols'") from None
-        grid = data["entries"]
-        if not isinstance(grid, list) or len(grid) != rows:
-            raise ParseError(f"expected {rows} entry rows", position="entries")
-        z = np.zeros((rows, cols), dtype=complex)
-        for j, row in enumerate(grid):
-            if not isinstance(row, list) or len(row) != cols:
-                raise ParseError(
-                    f"expected {cols} entries", position=f"entries[{j}]"
-                )
-            for r, raw in enumerate(row):
-                z[j, r] = _parse_cell(raw, f"entries[{j}][{r}]")
-        return from_entries(z)
+        shape = tuple(_parse_size(data.get(key), key) for key in ("rows", "cols"))
+        return from_entries(_cells_from_json(data["entries"], shape, "entries"))
     raise ParseError("matrix file needs 'entries', 'unit_circle' or 'polar'")
 
 
@@ -168,11 +204,7 @@ def matrix_to_json(mi: MatrixInput) -> dict:
     if mi.form == "polar":
         return {"polar": {"a": mi.moduli.tolist(), "x": mi.phases.tolist()}}
     rows, cols = mi.z.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [[_cell(v) for v in row] for row in mi.z],
-    }
+    return {"rows": rows, "cols": cols, "entries": cells_to_json(mi.z)}
 
 
 def load_json(path):
@@ -191,39 +223,17 @@ def load_matrix(path) -> MatrixInput:
 def tensor_from_json(data: dict) -> np.ndarray:
     if not isinstance(data, dict) or "shape" not in data or "entries" not in data:
         raise ParseError("tensor file needs 'shape' and 'entries'")
-    try:
-        shape = tuple(int(s) for s in data["shape"])
-    except (TypeError, ValueError):
-        raise ParseError("'shape' must be a list of integers", position="shape") from None
-    out = np.zeros(shape, dtype=complex)
-
-    def fill(node, idx: tuple[int, ...]):
-        depth = len(idx)
-        if depth == len(shape):
-            out[idx] = _parse_cell(node, f"entries{list(idx)}")
-            return
-        if not isinstance(node, list) or len(node) != shape[depth]:
-            raise ParseError(
-                f"expected {shape[depth]} items at depth {depth}",
-                position=f"entries{list(idx)}",
-            )
-        for i, child in enumerate(node):
-            fill(child, idx + (i,))
-
-    fill(data["entries"], ())
-    return out
+    if not isinstance(data["shape"], list):
+        raise ParseError("'shape' must be a list of integers", position="shape")
+    shape = tuple(
+        _parse_size(size, f"shape[{k}]") for k, size in enumerate(data["shape"])
+    )
+    return _cells_from_json(data["entries"], shape, "entries")
 
 
 def tensor_to_json(t) -> dict:
     a = np.asarray(t, dtype=complex)
-
-    def build(idx: tuple[int, ...]):
-        depth = len(idx)
-        if depth == a.ndim:
-            return _cell(a[idx])
-        return [build(idx + (i,)) for i in range(a.shape[depth])]
-
-    return {"shape": list(a.shape), "entries": build(())}
+    return {"shape": list(a.shape), "entries": cells_to_json(a)}
 
 
 def load_tensor(path) -> np.ndarray:
@@ -312,12 +322,15 @@ def report_to_json(rows, meta: dict | None = None) -> dict:
     return out
 
 
-def report_to_csv(rows) -> str:
+def report_to_csv(rows, columns=_CSV_COLUMNS) -> str:
+    """CSV of BoundRows (params as sorted JSON) or of dict rows (a missing
+    column is empty), under a header of ``columns``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        data = row.to_json()
-        data["params"] = json.dumps(data["params"], sort_keys=True)
-        writer.writerow([data[col] for col in _CSV_COLUMNS])
+        if isinstance(row, BoundRow):
+            row = row.to_json()
+            row["params"] = json.dumps(row["params"], sort_keys=True)
+        writer.writerow([row.get(col) for col in columns])
     return buf.getvalue()

@@ -49,6 +49,7 @@ from .exact import (
     permanent,
     permanent_via_laplace,
 )
+from .matrixio import cells_to_json
 
 REL_TOL = 1e-10
 SLACK_RTOL = 1e-12
@@ -107,12 +108,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [_jsonable(v) for v in value.tolist()]
-        return value.tolist()
-    if isinstance(value, (complex, np.complexfloating)):
-        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, (np.ndarray, complex, np.complexfloating)):
+        return cells_to_json(value) if np.iscomplexobj(value) else value.tolist()
     if isinstance(value, np.generic):
         return value.item()
     return value

@@ -250,6 +250,43 @@ def test_non_finite_t_override_exit(phase_matrix):
         assert "--t" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, array",
+    [(("bounds",), np.eye(2)), (("exact", "per"), np.eye(2)),
+     (("exact", "haf_ell"), np.ones((3, 3, 3))), (("exact", "per_ell"), np.ones((2, 2)))],
+)
+def test_t_override_needs_a_unit_circle_input(tmp_path, capsys, command, array):
+    path = tmp_path / "input.json"
+    doc = tensor_to_json(array) if command[-1].endswith("_ell") else matrix_to_json(
+        from_entries(array)
+    )
+    path.write_text(json.dumps(doc))
+    assert cli.main([*command, "--input", str(path), "--t", "0.5"]) == 2
+    assert "--t override requires the unit_circle form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"shape": [-1], "entries": []}, "shape[0]"),
+        ({"shape": [10**6] * 3, "entries": []}, "shape [1000000, 1000000, 1000000]"),
+        ({"shape": [2.5], "entries": []}, "shape[0]"),
+        ({"rows": 1, "cols": -1, "entries": [[]]}, "cols"),
+        ({"rows": 1, "cols": 2.7, "entries": [[{"re": 1, "im": 0}] * 2]}, "cols"),
+    ],
+)
+def test_bad_sizes_exit_2(tmp_path, capsys, doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    commands = [("exact", "per_ell")]
+    if "rows" in doc:
+        commands.append(("bounds",))
+    for command in commands:
+        assert cli.main([*command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("seed", [58, 59])
 def test_bounds_near_tied_spectrum(tmp_path, seed):
     # top two singular values 1e-6 apart (relative), where power iteration

@@ -1,14 +1,19 @@
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as npst
 
+from permbound import matrixio
 from permbound.errors import ParseError
 from permbound.matrixio import (
     BoundRow,
     MatrixInput,
+    cells_to_json,
     from_entries,
     from_polar,
     from_unit_circle,
@@ -113,7 +118,7 @@ def test_non_finite_tensor_entry_and_t_override():
                                          {"re": float("nan"), "im": 0.0}]]}
     with pytest.raises(ParseError) as err:
         tensor_from_json(doc)
-    assert "entries[0, 1]" in str(err.value)
+    assert "entries[0][1]" in str(err.value)
     mi = from_unit_circle(np.zeros((2, 2)), 1.0)
     with pytest.raises(ParseError) as err:
         mi.with_t(float("nan"))
@@ -152,7 +157,114 @@ def test_tensor_from_json_errors():
         tensor_from_json(
             {"shape": [1, 1], "entries": [[{"re": 0.0}]]}
         )
-    assert "entries[0, 0]" in str(err.value)
+    assert "entries[0][0]" in str(err.value)
+
+
+# finite doubles with the edge cases a cell must carry bit for bit
+_EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072e-310, 1e308, -1e308]
+)
+
+
+@given(
+    npst.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3).flatmap(
+        lambda shape: st.tuples(
+            npst.arrays(float, shape, elements=_EDGE_FLOATS),
+            npst.arrays(float, shape, elements=_EDGE_FLOATS),
+        )
+    )
+)
+def test_tensor_codec_roundtrip_is_bit_identical(parts):
+    re, im = parts
+    a = np.empty(re.shape, dtype=complex)
+    a.real, a.imag = re, im
+    back = tensor_from_json(json.loads(json.dumps(tensor_to_json(a))))
+    assert back.shape == a.shape and back.dtype == a.dtype
+    assert back.tobytes() == a.tobytes()
+
+
+def test_cells_to_json_scalar_and_zero_size():
+    assert cells_to_json(np.complex128(complex(-0.0, 2.5))) == {"re": -0.0, "im": 2.5}
+    assert cells_to_json(np.zeros((2, 0, 3))) == [[], []]
+    back = tensor_from_json({"shape": [], "entries": {"re": -0.0, "im": -0.0}})
+    assert back.shape == () and np.signbit([back.real, back.imag]).all()
+
+
+_BAD_CELLS = {
+    "none_value": ({"re": None, "im": 0.0}, "entry values must be numbers"),
+    "missing_im": ({"re": 1.0}, "entry needs 're' and 'im'"),
+    "text_value": ({"re": "abc", "im": 0.0}, "entry values must be numbers"),
+    "nan_value": ({"re": 0.0, "im": float("nan")}, "entry values must be finite"),
+    "list_cell": ([1.0, 2.0], "entry needs 're' and 'im'"),
+}
+
+
+@pytest.mark.parametrize("form", ["matrix", "tensor"])
+@pytest.mark.parametrize("bad", sorted(_BAD_CELLS))
+def test_first_bad_cell_in_c_order_is_named(form, bad):
+    # the later bad cell (2, 0) comes first in column order, (1, 2) in C order
+    shape = (3, 3) if form == "matrix" else (2, 3, 3)
+    grid = np.array(cells_to_json(np.ones(shape)), dtype=object)
+    first = (1, 2) if form == "matrix" else (1, 1, 2)
+    later = (2, 0) if form == "matrix" else (1, 2, 0)
+    cell, message = _BAD_CELLS[bad]
+    grid[first] = grid[later] = cell
+    entries = json.loads(json.dumps(grid.tolist()))
+    with pytest.raises(ParseError) as err:
+        if form == "matrix":
+            matrix_from_json({"rows": 3, "cols": 3, "entries": entries})
+        else:
+            tensor_from_json({"shape": list(shape), "entries": entries})
+    position = "entries" + "".join(f"[{i}]" for i in first)
+    assert str(err.value) == f"{message} (at {position})"
+
+
+@pytest.mark.parametrize(
+    "doc, position",
+    [
+        ({"shape": [-1], "entries": []}, "shape[0]"),
+        ({"shape": [2.5], "entries": []}, "shape[0]"),
+        ({"shape": [2, True], "entries": []}, "shape[1]"),
+        ({"shape": "22", "entries": []}, "shape"),
+        ({"rows": 1, "cols": -1, "entries": [[]]}, "cols"),
+        ({"rows": 1, "cols": 2.7, "entries": [[]]}, "cols"),
+        ({"rows": "1", "cols": 1, "entries": [[]]}, "rows"),
+    ],
+)
+def test_sizes_must_be_non_negative_whole_numbers(doc, position):
+    read = tensor_from_json if "shape" in doc else matrix_from_json
+    with pytest.raises(ParseError) as err:
+        read(doc)
+    assert err.value.position == position
+
+
+def test_nesting_is_checked_before_allocation():
+    with pytest.raises(ParseError) as err:
+        tensor_from_json({"shape": [10**6] * 3, "entries": []})
+    assert "shape [1000000, 1000000, 1000000]" in str(err.value)
+    assert err.value.position == "entries"
+    with pytest.raises(ParseError) as err:
+        tensor_from_json({"shape": [0, 10**20], "entries": []})
+    assert "shape [0, 100000000000000000000] is too large" in str(err.value)
+    assert tensor_from_json({"shape": [0, 3], "entries": []}).shape == (0, 3)
+    # a deeper level names its item: here a cell where a list belongs
+    cell = {"re": 0, "im": 0}
+    with pytest.raises(ParseError) as err:
+        tensor_from_json({"shape": [1, 2, 1], "entries": [[[cell], cell]]})
+    assert err.value.position == "entries[0][1]"
+
+
+def test_only_matrixio_spells_the_cell_keys():
+    # the {re, im} cell is read and written by matrixio alone
+    src = pathlib.Path(matrixio.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "matrixio.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in ("re", "im")
+    ]
+    assert offenders == []
 
 
 def test_load_tensor(tmp_path):

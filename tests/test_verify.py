@@ -7,6 +7,7 @@ import pytest
 from permbound import verify
 from permbound.convolution import SetFunction, classify_equality
 from permbound.errors import DomainError
+from permbound.matrixio import matrix_from_json
 from permbound.verify import SUITES, run_suite
 
 
@@ -107,6 +108,25 @@ def test_convolution_failures_are_capped_and_replay(monkeypatch):
             failure["lhs"], failure["rhs"], failure["equal"]
         )
         assert failure["conditions"] == list(classify_equality(g, h))
+
+
+def test_laplace_failure_records_replay_bit_identical(monkeypatch):
+    real = verify.permanent_via_laplace
+    drawn = []
+
+    def off_by_one(z, blocks):
+        drawn.append(z)
+        return real(z, blocks) + 1.0
+
+    monkeypatch.setattr(verify, "permanent_via_laplace", off_by_one)
+    result = run_suite("laplace", seed=3)
+    assert len(result.failures) == 25
+    doc = json.loads(json.dumps(result.to_json()))
+    for failure in doc["failures"]:
+        assert failure["family"] == "permanent_expansion"
+        n = failure["n"]
+        z = matrix_from_json({"rows": n, "cols": n, "entries": failure["z"]}).z
+        assert z.tobytes() == drawn[failure["index"]].tobytes()
 
 
 def test_convolution_wrong_classifier_fails(monkeypatch):
