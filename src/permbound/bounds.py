@@ -25,8 +25,8 @@ exp(i t x) for a phase matrix x or a characteristic-function matrix;
 Baselines (operator-norm powers, singular-value means, column-norm
 products, the rank bound for sign matrices) are included for comparison
 tables. Spectral quantities (the 2-norm, singular values, the rank) come
-from numpy.linalg. :func:`report_rows` is that comparison: the catalogue
-of rows that ``permbound bounds`` prints and ``permbound table1`` checks.
+from numpy.linalg. :func:`report_rows` is that comparison, limits included:
+the catalogue of rows that ``permbound bounds`` prints and ``table1`` checks.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .exact import (
     _check_symmetric,
     _minor_stack,
     _principal_stack,
+    multidim_permanent_work,
     permanent,
     permanent_D,
 )
@@ -59,6 +60,13 @@ from .parallel import map_in_order
 
 # Largest n whose report rows carry the exact normalized permanent.
 EXACT_COLUMN_MAX_N = 12
+# Report rows are normalized by n!, which a double holds up to n = 170.
+BOUNDS_MAX_N = 170
+# Glynn products over the minors of a partition or composition row (4-36 ns
+# each on a 2-core x86 box with Python 3.11 and numpy 2.4, level 2 slowest):
+# accepted rows finish within 7 s there.
+BOUNDS_MAX_WORK = 200_000_000
+SIGN_ATOL = 1e-12
 
 
 def _as_matrix(z) -> np.ndarray:
@@ -86,6 +94,17 @@ def _minor_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
     for q, _, per in _minor_stack(a, k, cols):
         sums[q : q + len(per)] += ((np.abs(per) / fact) ** 2).sum(axis=1)
     return sums / subset_count(a.shape[0], k) ** ell
+
+
+def _check_row_work(name: str, n: int, sets) -> None:
+    """Refuse a report row whose :func:`_minor_means` calls read, for each
+    (k, c) in sets, c column sets of size k of an n x n matrix: C(n, k) row
+    minors of multidim_permanent_work(k, 1) products per set."""
+    work = sum(c * math.comb(n, k) * multidim_permanent_work(k, 1) for k, c in sets)
+    if work > BOUNDS_MAX_WORK:
+        raise FeasibilityError(
+            f"{name} row work limit {BOUNDS_MAX_WORK} products, got {work}"
+        )
 
 
 def _level_product(mean, a, parts, power: float = 1.0) -> float:
@@ -412,10 +431,10 @@ def baseline_singular(z) -> float:
     return _exp(_log_singular(z) + math.lgamma(len(z) + 1))
 
 
-def baseline_krauter(z, *, atol: float = 1e-12) -> int | None:
+def baseline_krauter(z) -> int | None:
     """Rank-based bound for sign matrices, or None when not applicable.
 
-    For an n x n matrix with entries +-1 (within ``atol``) and n >= 5,
+    For an n x n matrix with entries +-1 (within ``SIGN_ATOL``) and n >= 5,
     returns the exact integer permanent_D(n, rank - 1) dominating |per(z)|,
     with the rank from numpy.linalg.matrix_rank. Any other input returns
     None (the not-applicable signal, not an error).
@@ -426,7 +445,7 @@ def baseline_krauter(z, *, atol: float = 1e-12) -> int | None:
     n = a.shape[0]
     if n < 5:
         return None
-    if np.max(np.abs(np.abs(a.real) - 1.0)) > atol or np.max(np.abs(a.imag)) > atol:
+    if np.abs(np.abs(a.real) - 1.0).max() > SIGN_ATOL or np.abs(a.imag).max() > SIGN_ATOL:
         return None
     signs = np.where(a.real > 0, 1.0, -1.0)
     rank = int(np.linalg.matrix_rank(signs))
@@ -519,18 +538,34 @@ def report_rows(
     blocks: Sequence[Sequence[int]] | None = None,
     parts: Sequence[int] | None = None,
 ) -> list[BoundRow]:
-    """Catalogue of bound rows on |per(z)| / n! for n <= 170.
+    """Catalogue of bound rows on |per(z)| / n!, limits included.
 
     Row order is fixed: the operator norms in ``ps`` (of "1", "inf", "2";
     None selects all three), singular mean, column norms, the unit-circle
     rows (unit_circle inputs only; ``s_perm`` pairs the columns, ``theta``
     adds the refinement), rank bound, the column mean-square row with
     ``all_baselines``, then the partition row for the 0-based ``blocks``
-    and the composition row for ``parts`` when given. For n <= 12 every
-    applicable row carries the exact value and whether it dominates it.
-    A row value that does not fit a double raises FeasibilityError.
+    and the composition row for ``parts`` when given. The rank row off
+    sign matrices or below n = 5, and the unit-circle rows below n = 2, are
+    not applicable. For n <= 12 every applicable row carries the exact
+    value and whether it dominates it.
+
+    Before any row is computed: n > BOUNDS_MAX_N raises FeasibilityError,
+    ``blocks`` and ``parts`` are checked (DomainError), and a partition or
+    composition row over BOUNDS_MAX_WORK Glynn products raises
+    FeasibilityError. So does a row value that does not fit a double.
     """
     z, n = mi.z, mi.n
+    if n > BOUNDS_MAX_N:
+        raise FeasibilityError(f"bounds limit n <= {BOUNDS_MAX_N}, got {n}")
+    if blocks is not None:
+        blocks = validate_partition(blocks, range(n))
+        # one f_set per block
+        _check_row_work("partition", n, ((len(b), 1) for b in blocks))
+    if parts is not None:
+        parts = as_composition(parts, total=n)
+        # one F_level per distinct level, over all its column sets
+        _check_row_work("composition", n, ((k, math.comb(n, k)) for k in set(parts)))
     fact = float(math.factorial(n))
     tasks = []
     names: list[tuple[str, dict]] = []
@@ -549,11 +584,14 @@ def report_rows(
         params = {"t": t}
         if s_perm is not None:
             params = {"t": t, "s": [v + 1 for v in s_perm]}
-        # z is exp(i t x), so the pair rows read it; only theta needs x
-        add("pair_cos", params, lambda: pair_bound(z, s_perm))
-        add("avg_cos", {"t": t}, lambda: avg_pair_bound(z))
+        # z is exp(i t x), so the pair rows read it; only theta needs x. All
+        # three need a pair of columns.
+        pairs = n >= 2
+        add("pair_cos", params, lambda: pair_bound(z, s_perm) if pairs else None)
+        add("avg_cos", {"t": t}, lambda: avg_pair_bound(z) if pairs else None)
         if theta:
-            add("theta_cos", {"t": t}, lambda: unit_circle_theta_bound(mi.phases, t))
+            add("theta_cos", {"t": t},
+                lambda: unit_circle_theta_bound(mi.phases, t) if pairs else None)
     add("krauter_rank", {}, lambda: baseline_krauter(z))
     if all_baselines:
         # full-column minor average; its square root bounds |per| / n!
@@ -572,10 +610,10 @@ def report_rows(
         exact_norm = abs(permanent(z)) / fact
     rows = []
     for (name, params), value in zip(names, values):
+        if value is None:
+            rows.append(BoundRow(name=name, params=params, applicable=False))
+            continue
         if name == "krauter_rank":
-            if value is None:
-                rows.append(BoundRow(name=name, params=params, applicable=False))
-                continue
             value = value / fact
         if not math.isfinite(value):
             raise FeasibilityError(f"{name} row value {value} does not fit a double")

@@ -21,12 +21,8 @@ import json
 import math
 import sys
 import time
-from collections import Counter
-
-import numpy as np
 
 from . import bounds, charfn, table1, verify
-from .combinatorics import as_composition, validate_partition
 from .errors import DomainError, FeasibilityError, ParseError
 from .exact import (
     hafnian,
@@ -58,11 +54,6 @@ HAF_ELL_MAX_M = 6
 # finishes within about 5 s there.
 PER_ELL_MAX_WORK = 200_000_000
 HAF_ELL_MAX_WORK = 2_000_000
-# Bound rows are normalized by n!, which a double holds up to n = 170.
-BOUNDS_MAX_N = 170
-# Glynn products over the minors of a partition or composition row (4-36 ns
-# each on the same box, levels 2 slowest): accepted rows finish within 7 s.
-BOUNDS_MAX_WORK = 200_000_000
 # Entries sampled by charfn --mc: 10^7 took about 0.5 s and 130-250 MB there.
 MC_MAX_DRAWS = 10_000_000
 
@@ -232,26 +223,13 @@ def cmd_exact(args) -> int:
 # bounds
 
 
-def _check_row_work(name: str, n: int, sets: dict[int, int]) -> None:
-    # sets[k] column sets of size k, each C(n, k) minors of 2^(k-1) k products
-    work = sum(
-        c * math.comb(n, k) * multidim_permanent_work(k, 1) for k, c in sets.items()
-    )
-    if work > BOUNDS_MAX_WORK:
-        raise FeasibilityError(
-            f"{name} row work limit {BOUNDS_MAX_WORK} products, got {work}"
-        )
-
-
 def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
-    """Parse the row options and gate them, then build the catalogue of
-    :func:`bounds.report_rows`: oversized or malformed requests raise
-    before any row is computed (n first, then ``--s-perm`` and ``--theta``,
-    which need a unit_circle input, then each row's spec before its work
-    limit)."""
+    """Parse the row options (``--s-perm``, then the unit_circle form that
+    it and ``--theta`` need, then ``--partition`` and ``--composition``)
+    and build the catalogue of :func:`bounds.report_rows`, which checks n,
+    the partition, the composition and the row work limits before it
+    computes any row."""
     n = mi.n
-    if n > BOUNDS_MAX_N:
-        raise FeasibilityError(f"bounds limit n <= {BOUNDS_MAX_N}, got {n}")
     s_perm = blocks = parts = None
     if args.s_perm is not None:
         s_perm = parse_perm(args.s_perm, n)
@@ -259,11 +237,9 @@ def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
         if given and mi.form != "unit_circle":
             raise ParseError(f"{option} requires the unit_circle form")
     if args.partition:
-        blocks = validate_partition(parse_partition(args.partition, n), range(n))
-        _check_row_work("partition", n, Counter(len(b) for b in blocks))
+        blocks = parse_partition(args.partition, n)
     if args.composition:
-        parts = as_composition(parse_composition(args.composition), total=n)
-        _check_row_work("composition", n, {k: math.comb(n, k) for k in set(parts)})
+        parts = parse_composition(args.composition)
     return bounds.report_rows(
         mi, ps=args.p, s_perm=s_perm, theta=args.theta,
         all_baselines=args.all_baselines, blocks=blocks, parts=parts,

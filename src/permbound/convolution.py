@@ -165,14 +165,12 @@ class ConvolutionCheck:
     equal: bool | np.ndarray
 
 
-def verify_convolution_inequality(
-    g: SetFunction, h: SetFunction, *, rtol: float = HOLD_RTOL
-) -> ConvolutionCheck:
+def verify_convolution_inequality(g: SetFunction, h: SetFunction) -> ConvolutionCheck:
     """Check the convolution mean-square inequality at any arity.
 
     For non-negative g, h the mean over J of
     (p(J) / prod_s C(k_s, j_s))^2 is at most the product of the factor
-    mean squares; ``holds`` allows the slack rtol * rhs. Each row of
+    mean squares; ``holds`` allows the slack HOLD_RTOL * rhs. Each row of
     batched factors is one instance.
     """
     if not np.all(g.is_nonnegative() & h.is_nonnegative()):
@@ -181,7 +179,7 @@ def verify_convolution_inequality(
     scale = math.prod(map(math.comb, p.levels, g.levels))
     lhs = (np.abs(p.rows.real / scale) ** 2).mean(axis=-1)
     rhs = g.mean_square() * h.mean_square()
-    holds = lhs <= rhs + rtol * rhs
+    holds = lhs <= rhs + HOLD_RTOL * rhs
     equal = np.abs(lhs - rhs) <= EQ_RTOL * np.maximum(np.maximum(lhs, rhs), 1e-300)
     return ConvolutionCheck(*map(_unbatched, (lhs, rhs, holds, equal)))
 
@@ -191,9 +189,7 @@ EQUALITY_CONDITIONS = (
 )
 
 
-def equality_conditions(
-    g: SetFunction, h: SetFunction, *, rtol: float = EQ_RTOL
-) -> np.ndarray:
+def equality_conditions(g: SetFunction, h: SetFunction) -> np.ndarray:
     """Structural conditions under which the convolution inequality is tight.
 
     Returns booleans of shape batch + (5,), one flag per name of
@@ -206,7 +202,7 @@ def equality_conditions(
       and g(I) = x * h(complement of I) for some x >= 0,
     * "both_constant": both factors are constant.
 
-    Arity 1 only; tolerances are relative with parameter ``rtol``.
+    Arity 1 only; the tolerances are EQ_RTOL, relative.
     """
     if g.arity != 1 or h.arity != 1:
         raise DomainError("expected arity-1 set functions")
@@ -226,20 +222,20 @@ def equality_conditions(
         dot = (gt * comp).sum(axis=-1)
         x = np.maximum(np.divide(dot, denom, out=np.zeros_like(dot), where=denom != 0), 0.0)
         resid = np.abs(gt - x[..., None] * comp).max(axis=-1)
-        proportional = resid <= rtol * np.maximum(np.maximum(g_scale, h_scale), 1e-300)
-    both_constant = (np.ptp(gt, axis=-1) <= rtol * np.maximum(g_scale, 1e-300)) & (
-        np.ptp(ht, axis=-1) <= rtol * np.maximum(h_scale, 1e-300)
+        proportional = resid <= EQ_RTOL * np.maximum(np.maximum(g_scale, h_scale), 1e-300)
+    both_constant = (np.ptp(gt, axis=-1) <= EQ_RTOL * np.maximum(g_scale, 1e-300)) & (
+        np.ptp(ht, axis=-1) <= EQ_RTOL * np.maximum(h_scale, 1e-300)
     )
     flags = (j == 0 or j == k, g_scale == 0.0, h_scale == 0.0, proportional, both_constant)
     return np.stack(np.broadcast_arrays(*flags), axis=-1)
 
 
 def classify_equality(
-    g: SetFunction, h: SetFunction, *, rtol: float = EQ_RTOL
+    g: SetFunction, h: SetFunction
 ) -> tuple[str, ...] | list[tuple[str, ...]]:
     """The names of the :func:`equality_conditions` an instance satisfies;
     for batched factors, one such tuple per row (batch axes flattened)."""
-    flags = equality_conditions(g, h, rtol=rtol)
+    flags = equality_conditions(g, h)
     rows = [
         tuple(name for name, hit in zip(EQUALITY_CONDITIONS, row) if hit)
         for row in flags.reshape(-1, flags.shape[-1])
@@ -300,9 +296,7 @@ class MasterCheck:
     holds: bool
 
 
-def verify_master_inequality(
-    factors, *, rtol: float = HOLD_RTOL
-) -> MasterCheck:
+def verify_master_inequality(factors) -> MasterCheck:
     """Check the mean-square bound for block-product expansions.
 
     The mean over J-tuples of |prefactor * R(J)|^2, with prefactor
@@ -318,4 +312,4 @@ def verify_master_inequality(
     )
     lhs = float((np.abs(prefactor * r_table) ** 2).mean())
     rhs = math.prod(f.mean_square() for f in factors)
-    return MasterCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + rtol * rhs)
+    return MasterCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + HOLD_RTOL * rhs)

@@ -321,7 +321,7 @@ def _check_symmetric(a: np.ndarray, atol: float) -> None:
                 raise DomainError(f"tensor is not symmetric within {atol:g}")
 
 
-def hafnian(z, *, atol: float = SYMMETRY_ATOL) -> complex:
+def hafnian(z) -> complex:
     """Hafnian of a symmetric complex matrix of even dimension.
 
     Sums, over all perfect matchings of the index set, the product of the
@@ -329,13 +329,13 @@ def hafnian(z, *, atol: float = SYMMETRY_ATOL) -> complex:
     (F_(n+1) states, a Fibonacci number, times at most n-1 partners each;
     see :func:`hyperhafnian_work`). Diagonal entries never enter the value,
     the empty matrix gives 1; odd dimension, a non-finite entry or asymmetry
-    beyond ``atol`` (absolute) raises DomainError. The order-2 case of
+    beyond ``SYMMETRY_ATOL`` (absolute) raises DomainError. The order-2 case of
     :func:`hyperhafnian`.
     """
     a = _as_square(z)
     if len(a) % 2:
         raise DomainError(f"hafnian needs an even dimension, got {len(a)}")
-    return hyperhafnian(a, atol=atol)
+    return hyperhafnian(a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,9 +419,7 @@ def _principal_stack(a: np.ndarray, s: int):
         yield _match_lowest(flat.take(index[:, r : r + step]), s, ell)
 
 
-def hyperhafnian(
-    t, *, method: str = "recursive", atol: float = SYMMETRY_ATOL
-) -> complex:
+def hyperhafnian(t, *, method: str = "recursive") -> complex:
     """Hafnian generalization for a fully symmetric order-l tensor.
 
     For an l-dimensional tensor over n = l*m indices the value is
@@ -437,12 +435,12 @@ def hyperhafnian(
     up (:func:`hyperhafnian_work` counts its steps); it is the one-minor
     case of the principal-minor stack. "direct" evaluates the normalized
     n!-term sum and serves as an oracle. A non-finite entry or asymmetry
-    beyond ``atol`` raises DomainError.
+    beyond ``SYMMETRY_ATOL`` raises DomainError.
     """
     a, ell, n = _as_cube(t)
     if n % ell:
         raise DomainError(f"axis size {n} is not a multiple of the order {ell}")
-    _check_symmetric(a, atol)
+    _check_symmetric(a, SYMMETRY_ATOL)
     if n == 0:
         return 1.0 + 0.0j
     if method == "direct":

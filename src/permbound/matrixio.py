@@ -15,9 +15,10 @@ allocated. Every number must be finite. A ParseError names its position:
 cell in C order; the CLI exits 2 on it.
 
 Report rows record one bound each: ``raw_value`` is the double, and
-``rounded_up_6dp`` rounds it up at the sixth decimal (never below the raw
-value). Table display rounds up at any number of decimals
-(:func:`round_up_decimals`), the precision of each printed cell.
+``rounded_up_6dp`` rounds it up at the sixth decimal. Table display rounds
+up at any number of decimals (:func:`round_up_decimals`), the precision of
+each printed cell. Both roundings are exact ceilings of the double, so a
+printed bound is never below the raw value.
 """
 
 from __future__ import annotations
@@ -244,30 +245,21 @@ def load_tensor(path) -> np.ndarray:
 # rounding and report rows
 
 
-def round_up_6dp(value: float) -> float:
-    """Smallest multiple of 1e-6 that is >= value (never below it)."""
-    if 2.0**53 <= value < math.inf:  # an integer: on the grid, and * 1e6 may overflow
-        return value
-    out = math.ceil(value * 1e6) / 1e6
-    if out < value:
-        out += 1e-6
-    return out
-
-
 def round_up_decimals(value: float, decimals: int) -> str:
-    """Decimal string of value rounded up at ``decimals`` decimals.
-
-    A relative fuzz of 1e-9 keeps values that are mathematically on the
-    rounding grid from being pushed up a step by floating noise.
-    """
+    """Decimal string of the smallest multiple of 10^-decimals that is >=
+    value, computed exactly from the value's integer ratio: never below the
+    value, and a value on the grid is printed as it is."""
     if value < 0:
         raise ValueError("display rounding expects non-negative values")
-    scaled = value * 10**decimals
-    scaled = math.ceil(scaled - 1e-9 * max(1.0, scaled))
-    if decimals == 0:
-        return str(scaled)
-    text = f"{scaled:0{decimals + 1}d}"
-    return f"{text[:-decimals]}.{text[-decimals:]}"
+    num, den = value.as_integer_ratio()
+    whole, frac = divmod(-(-num * 10**decimals // den), 10**decimals)
+    return f"{whole}.{frac:0{decimals}d}" if decimals else str(whole)
+
+
+def round_up_6dp(value: float) -> float:
+    """The double nearest the smallest multiple of 1e-6 that is >= value;
+    never below the value, which is a double itself."""
+    return float(round_up_decimals(value, 6))
 
 
 @dataclass

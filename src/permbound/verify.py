@@ -54,6 +54,7 @@ from .matrixio import cells_to_json
 REL_TOL = 1e-10
 SLACK_RTOL = 1e-12
 EQ_RTOL = 1e-12
+FAILURE_CAP = 25
 
 
 @dataclass
@@ -82,12 +83,11 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Collects check counts and serialized failures (capped)."""
+    """Collects check counts and the first FAILURE_CAP serialized failures."""
 
-    def __init__(self, cap: int = 25):
+    def __init__(self):
         self.checks = 0
         self.failures: list[dict] = []
-        self.cap = cap
 
     def record(self, ok: bool, family: str, index: int, detail: dict) -> None:
         self.record_rows([ok], family, index, lambda _: detail)
@@ -97,7 +97,7 @@ class _Recorder:
         having index first + i; ``detail(i)`` serializes a failing entry."""
         self.checks += len(ok)
         failing = (i for i, good in enumerate(ok) if not good)
-        for i in itertools.islice(failing, max(self.cap - len(self.failures), 0)):
+        for i in itertools.islice(failing, max(FAILURE_CAP - len(self.failures), 0)):
             self.failures.append(
                 {"family": family, "index": first + i, **_jsonable(detail(i))}
             )

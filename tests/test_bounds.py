@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from permbound import bounds, exact
 from permbound.combinatorics import enumerate_subsets
-from permbound.errors import DomainError
+from permbound.errors import DomainError, FeasibilityError
 from permbound.exact import (
     hafnian,
     hyperhafnian,
@@ -15,7 +15,7 @@ from permbound.exact import (
     permanent,
     permanent_D,
 )
-from permbound.matrixio import from_entries
+from permbound.matrixio import from_entries, from_unit_circle
 
 
 def cmat(rng, n, m=None):
@@ -719,6 +719,46 @@ def test_dominance_flags_do_not_depend_on_scale():
     flags = _flags(z, 8)
     for scale in (2.0**40, 2.0**-40):
         assert _flags(scale * z, 8) == flags
+
+
+@pytest.mark.parametrize(
+    "n, options, limit",
+    [
+        (171, {}, "bounds limit n <= 170"),
+        (24, {"parts": (12, 12)}, "composition row work limit 200000000"),
+        (24, {"blocks": [range(24)]}, "partition row work limit 200000000"),
+    ],
+)
+def test_report_rows_limits_apply_before_any_minor(monkeypatch, n, options, limit):
+    # library callers get the limits of permbound bounds; an oversized row
+    # is refused before the minor engine runs
+    def refuse(*args):
+        raise AssertionError("a minor mean was computed")
+
+    monkeypatch.setattr(bounds, "_minor_means", refuse)
+    mi = from_unit_circle(np.zeros((n, n)), 1.0)
+    with pytest.raises(FeasibilityError, match=limit):
+        bounds.report_rows(mi, **options)
+
+
+def test_only_bounds_sets_its_limits():
+    # the row limits live next to the code whose cost they bound
+    import ast
+    import pathlib
+
+    src = pathlib.Path(bounds.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "bounds.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a name or attribute in Store context is an assignment target
+            ident = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(getattr(node, "ctx", None), ast.Store) and ident in (
+                "BOUNDS_MAX_N", "BOUNDS_MAX_WORK"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} {ident}")
+    assert offenders == []
 
 
 def test_only_bounds_reads_its_private_names():

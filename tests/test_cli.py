@@ -414,7 +414,7 @@ def test_bounds_feasibility_exit(tmp_path, capsys, n, options, limit):
 def test_bounds_avg_cos_row_is_not_work_limited(tmp_path, capsys, monkeypatch):
     # the work limit refuses partition and composition rows only: with no
     # work allowed, the unit-circle rows are still computed
-    monkeypatch.setattr(cli, "BOUNDS_MAX_WORK", 0)
+    monkeypatch.setattr(bounds, "BOUNDS_MAX_WORK", 0)
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 1.0, (20, 20))
     path = tmp_path / "phases.json"
@@ -429,6 +429,23 @@ def test_bounds_avg_cos_row_is_not_work_limited(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "composition row work limit 0" in err
+
+
+def test_bounds_pair_rows_not_applicable_below_two_columns(tmp_path, capsys):
+    # a 1 x 1 unit_circle input has no column pair: its cosine rows are n.a.
+    # and every other row is reported, as for the same matrix as entries
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"unit_circle": {"x": [[0.3]], "t": 1.0}}))
+    argv = ["bounds", "--input", str(path), "--theta", "--s-perm", "1"]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    na = {name for name, r in rows.items() if not r["applicable"]}
+    assert na == {"pair_cos", "avg_cos", "theta_cos", "krauter_rank"}
+    assert rows["opnorm_p1"]["raw_value"] == pytest.approx(1.0)
+    assert rows["opnorm_p1"]["dominates_exact"] is True
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.split()[1:] == ["n.a."] for line in lines) == 4
 
 
 def entries_file(tmp_path, z):

@@ -2,10 +2,11 @@ import ast
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as npst
 
 from permbound import matrixio
@@ -297,11 +298,14 @@ def test_round_up_6dp_properties(value):
     st.floats(min_value=1e-8, max_value=1e6, allow_nan=False),
     st.integers(min_value=0, max_value=8),
 )
+@example(444690.1304783302, 8)
+@example(1234567.891, 6)
+@example(2.0**53, 6)
+@example(1.7e308, 6)
 def test_round_up_decimals_never_below(value, decimals):
     shown = round_up_decimals(value, decimals)
     assert len(shown.partition(".")[2]) == decimals
-    # the relative fuzz of 1e-9 may keep a value just above the grid point
-    assert float(shown) >= value - 1e-9 * max(10.0**-decimals, value)
+    assert Fraction(shown) >= Fraction(value)
     assert float(shown) - value <= 10.0**-decimals + 1e-15 * value
 
 
