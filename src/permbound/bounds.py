@@ -16,7 +16,8 @@ the normalized permanent or hafnian; ``permanent_bound_*`` and
 ``hafnian_bound`` return the corresponding absolute bounds.
 
 Every average and minor sum reads the minor engine of :mod:`exact` in
-chunks at any order, never one kernel call per minor. ``pair_bound`` and
+chunks at any order, never one kernel call per minor; a partition's blocks
+take one engine call per distinct block size. ``pair_bound`` and
 ``avg_pair_bound`` bound |per| / n! with blocks of two columns (a
 partition, a composition of levels 2) for any square matrix, such as
 exp(i t x) for a phase matrix x or a characteristic-function matrix;
@@ -107,10 +108,23 @@ def _check_row_work(name: str, n: int, sets) -> None:
         )
 
 
-def _level_product(mean, a, parts, power: float = 1.0) -> float:
-    """Product of mean(a, p) ** power over the parts, each distinct p once."""
-    values = {p: mean(a, p) ** power for p in dict.fromkeys(parts)}
-    return math.prod(values[p] for p in parts)
+def _block_means(a: np.ndarray, blocks) -> list[float]:
+    """f_set(a, W) for each validated column set W, in order: one
+    :func:`_minor_means` call per distinct size."""
+    means = [1.0] * len(blocks)
+    for k in dict.fromkeys(len(w) for w in blocks if w):
+        at = [i for i, w in enumerate(blocks) if len(w) == k]
+        for i, v in zip(at, _minor_means(a, k, np.array([blocks[i] for i in at]).T)):
+            means[i] = float(v)
+    return means
+
+
+def _level_product(mean, a, parts, power: float = 1.0, levels=None) -> float:
+    """Product of mean(a, p) ** power over the parts, each distinct p
+    evaluated once; ``levels`` keeps mean(a, p) across calls on one a."""
+    levels = {} if levels is None else levels
+    levels.update({p: mean(a, p) for p in dict.fromkeys(parts) if p not in levels})
+    return math.prod(levels[p] ** power for p in parts)
 
 
 def _as_row_tensor(t) -> tuple[np.ndarray, int, int, int]:
@@ -137,10 +151,7 @@ def f_set(t, cols: Sequence[int]) -> float:
     column axis. The empty column set gives 1.
     """
     a, _, _, m = _as_row_tensor(t)
-    K = as_index_set(cols, m)
-    if not K:
-        return 1.0
-    return float(_minor_means(a, len(K), np.array(K)[:, None])[0])
+    return _block_means(a, [as_index_set(cols, m)])[0]
 
 
 def f_tilde(z, cols: Sequence[int]) -> float:
@@ -173,7 +184,8 @@ def F_level(t, k: int) -> float:
         raise DomainError(f"level k={k} outside [0, {m}]")
     if k == 0:
         return 1.0
-    return float(_minor_means(a, k, subset_table(m, k)).mean())
+    means = _minor_means(a, k, subset_table(m, k))
+    return float(means.sum() / len(means))
 
 
 def partition_bound_f(t, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -> float:
@@ -184,7 +196,7 @@ def partition_bound_f(t, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -
     """
     a, _, _, m = _as_row_tensor(t)
     K = as_index_set(cols, m)
-    return math.prod(f_set(a, w) for w in validate_partition(blocks, K))
+    return math.prod(_block_means(a, validate_partition(blocks, K)))
 
 
 def composition_bound_F(t, k: int, parts: Sequence[int]) -> float:
@@ -199,14 +211,15 @@ def _partition_root(a: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
     """prod_r sqrt(f_set(a, W_r)) over an ordered partition of all
     columns: the partition bound on |per(a)| / (n!)^l for square a."""
     parts = validate_partition(blocks, range(a.shape[-1]))
-    return math.prod(math.sqrt(f_set(a, w)) for w in parts)
+    return math.prod(math.sqrt(v) for v in _block_means(a, parts))
 
 
-def _composition_root(a: np.ndarray, parts: Sequence[int]) -> float:
+def _composition_root(a: np.ndarray, parts: Sequence[int], levels=None) -> float:
     """prod_r sqrt(F_level(a, w_r)) over a weak composition of n for
-    square a: the composition bound on |per(a)| / (n!)^l."""
+    square a: the composition bound on |per(a)| / (n!)^l. ``levels``
+    shares the F_level values between calls on the same a."""
     w = as_composition(parts, total=a.shape[0])
-    return _level_product(F_level, a, w, 0.5)
+    return _level_product(F_level, a, w, 0.5, levels)
 
 
 def _as_square_rows(t) -> tuple[np.ndarray, int, int]:
@@ -315,7 +328,12 @@ def avg_pair_bound(z) -> float:
     n = a.shape[0]
     if n < 2:
         raise DomainError("averaged bound needs n >= 2")
-    return _composition_root(a, (2,) * (n // 2) + (1,) * (n % 2))
+    return _composition_root(a, _pair_levels(n))
+
+
+def _pair_levels(n: int) -> tuple[int, ...]:
+    """floor(n/2) levels 2, then a level 1 for odd n."""
+    return (2,) * (n // 2) + (1,) * (n % 2)
 
 
 def unit_circle_theta_bound(x, t: float) -> float:
@@ -548,16 +566,23 @@ def report_rows(
     and the composition row for ``parts`` when given. The rank row off
     sign matrices or below n = 5, and the unit-circle rows below n = 2, are
     not applicable. For n <= 12 every applicable row carries the exact
-    value and whether it dominates it.
+    value and whether it dominates it. Rows share their F_level values.
 
     Before any row is computed: n > BOUNDS_MAX_N raises FeasibilityError,
-    ``blocks`` and ``parts`` are checked (DomainError), and a partition or
-    composition row over BOUNDS_MAX_WORK Glynn products raises
-    FeasibilityError. So does a row value that does not fit a double.
+    ``s_perm`` or ``theta`` off a unit_circle input, an ``s_perm`` that is
+    no permutation of range(n) and invalid ``blocks`` or ``parts`` raise
+    DomainError, and a partition or composition row over BOUNDS_MAX_WORK
+    Glynn products raises FeasibilityError. So does a row value that does
+    not fit a double.
     """
     z, n = mi.z, mi.n
     if n > BOUNDS_MAX_N:
         raise FeasibilityError(f"bounds limit n <= {BOUNDS_MAX_N}, got {n}")
+    for option, given in (("s_perm", s_perm is not None), ("theta", theta)):
+        if given and mi.form != "unit_circle":
+            raise DomainError(f"{option} needs the unit_circle form, got {mi.form}")
+    if s_perm is not None and sorted(s_perm) != list(range(n)):
+        raise DomainError(f"s_perm {list(s_perm)} is not a permutation of range({n})")
     if blocks is not None:
         blocks = validate_partition(blocks, range(n))
         # one f_set per block
@@ -567,6 +592,7 @@ def report_rows(
         # one F_level per distinct level, over all its column sets
         _check_row_work("composition", n, ((k, math.comb(n, k)) for k in set(parts)))
     fact = float(math.factorial(n))
+    levels: dict[int, float] = {}
     tasks = []
     names: list[tuple[str, dict]] = []
 
@@ -588,7 +614,8 @@ def report_rows(
         # three need a pair of columns.
         pairs = n >= 2
         add("pair_cos", params, lambda: pair_bound(z, s_perm) if pairs else None)
-        add("avg_cos", {"t": t}, lambda: avg_pair_bound(z) if pairs else None)
+        add("avg_cos", {"t": t},
+            lambda: _composition_root(z, _pair_levels(n), levels) if pairs else None)
         if theta:
             add("theta_cos", {"t": t},
                 lambda: unit_circle_theta_bound(mi.phases, t) if pairs else None)
@@ -602,7 +629,7 @@ def report_rows(
             lambda: _partition_root(z, blocks))
     if parts is not None:
         add("composition_level_avg", {"parts": list(parts)},
-            lambda: _composition_root(z, parts))
+            lambda: _composition_root(z, parts, levels))
 
     values = map_in_order(tasks)
     exact_norm = None

@@ -8,7 +8,8 @@ O(2^n * n) multiplications, n <= 11 takes one matrix product. One minor
 engine serves every order: it gathers the minors t[J_1, ..., J_l, K] of an
 order-(l+1) tensor in chunks, fixing the bijections on their first l-1 axes
 in the same gather, for one stacked Glynn kernel, (k!)^(l-1) * 2^(k-1) * k
-products per minor; the tensor permanent is its one-minor case. Hafnians
+products per minor (gather offsets cached per shape where a column set's
+minors fit a chunk); the tensor permanent is its one-minor case. Hafnians
 and hyperhafnians share one "match the lowest unused index" kernel
 (Nijenhuis-Wilf, Combinatorial Algorithms), evaluated level by level: the
 sets of unused indices it reaches, grouped by the number of blocks they have
@@ -221,31 +222,53 @@ def _tensor_tables(k: int, ell: int):
     return outer, np.arange(k)[:, None, None] + inner
 
 
+@functools.lru_cache(maxsize=None)
+def _stack_signs(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """For k = b + 1 rows: the sign vectors as rows of a real (2^b, k) table
+    whose last column of ones adds the sign-fixed row, and 2^-b (exact) times
+    the sign products of the runs s = 4g..4g+3 (signed +, -, -, +; b < 2: s = 0)."""
+    d, w = _sign_table(b)
+    table = np.hstack([d.real.T, np.ones((1 << b, 1))])
+    return table, (w.real[::4] / 2.0**b)[:, None]
+
+
 def _glynn_stack(m: np.ndarray) -> np.ndarray:
     """Glynn permanents of the k x k matrices m[:, :, c] of a C-contiguous
-    stack, k >= 1: block[s, j, c] holds the column sums of sign vector s, so
-    the products run along contiguous rows. Beyond the dense sign table's
-    rows, :func:`_permanent_gray` walks each matrix."""
+    stack, k >= 1, whose sign-fixed row is the last (a minor's rows 1..k-1,
+    then its row 0): block[s, j, c] holds the column sums of sign vector s,
+    so the products run along contiguous rows. Beyond the dense sign
+    table's rows, :func:`_permanent_gray` walks each matrix.
+
+    No value depends on the stack's width: column sums multiply left to
+    right (numpy's reduction over a contiguous axis, a stack of one, does
+    not), and the signed sum adds each run of four, then the runs in order
+    (as BLAS gemv does, except for the last c mod 4 matrices of a stack)."""
     k, _, c = m.shape
     if k - 1 > _GLYNN_BLOCK_ROWS:
+        m = np.roll(m, 1, axis=0)
         return np.array([_permanent_gray(m[:, :, i]) for i in range(c)])
-    d, w = _sign_table(k - 1)
+    d, w = _stack_signs(k - 1)
     # the signs are real: one real product over the (re, im) pairs
-    block = d.real.T @ m[1:].reshape(k - 1, k * c).view(float)
-    block = block.view(complex).reshape(-1, k, c)
-    block += m[0]
-    return (w @ block.prod(axis=1)) / 2.0 ** (k - 1)
+    block = (d @ m.reshape(k, k * c).view(float)).view(complex).reshape(-1, k, c)
+    block = (block.prod(axis=1) if c > 1
+             else functools.reduce(np.multiply, block.transpose(1, 0, 2)))
+    if k < 3:
+        total = block[0] - block[1] if k == 2 else block[0]
+        total *= w[0]
+        return total
+    runs = block.reshape(-1, 4, c)
+    total = runs[:, 0] - runs[:, 1]
+    total -= runs[:, 2]
+    total += runs[:, 3]
+    total *= w
+    return np.add.accumulate(total)[-1] if len(total) > 1 else total[0]
 
 
-def _minor_stack(a: np.ndarray, k: int, cols: np.ndarray):
-    """Yield (q, r, per) chunk by chunk, k >= 1: per[i, j] is the permanent
-    of a[J_1, ..., J_l, cols[:, q + i]] for the (r + j)-th l-tuple of row
-    k-subsets (product of rank orders) of an order-(l+1) tensor. An entry's
-    flat index is the row offset at its :func:`_tensor_tables` position plus
-    its column, so one gather fixes the bijections too; a chunk is at most
-    _glynn_chunk(k) Glynn matrices."""
-    ell = a.ndim - 1
-    n, m = a.shape[0], a.shape[-1]
+def _row_plan(n: int, m: int, ell: int, k: int, chunk: int):
+    """The shape-only side of :func:`_minor_stack`: qstep column sets per
+    chunk and a function yielding (r, gathers) per chunk of row tuples from
+    the r-th. A gather (k, k, matrices, 1, rows) holds flat offsets less the
+    column: row offsets at :func:`_tensor_tables` positions (bijections)."""
     sub = subset_table(n, k)
     rows = sub * (n ** (ell - 1) * m)
     for r in range(1, ell):
@@ -254,26 +277,62 @@ def _minor_stack(a: np.ndarray, k: int, cols: np.ndarray):
             len(rows) * k, -1
         )
     outer, index = _tensor_tables(k, ell)
-    chunk = _glynn_chunk(k)
+    # row 0 of each minor goes last, as :func:`_glynn_stack` reads it
+    index = np.roll(index, -1, axis=0)
     cstep = min(index.shape[2], chunk)
     rstep = min(rows.shape[1], max(1, chunk // cstep))
     qstep = max(1, chunk // cstep // rstep)
+
+    def chunks():
+        for r in range(0, rows.shape[1], rstep):
+            block = rows[:, r : r + rstep]
+            yield r, (
+                block.take(pos[:, :, s : s + cstep], axis=0)[:, :, :, None, :]
+                for pos in (sum(choice, index) for choice in itertools.product(*outer))
+                for s in range(0, pos.shape[2], cstep)
+            )
+
+    return qstep, chunks
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_plan(n: int, m: int, ell: int, k: int, chunk: int):
+    """:func:`_row_plan` of a row side that fits one chunk (one gather of at
+    most ``chunk`` matrices), built once per shape and chunk bound."""
+    qstep, chunks = _row_plan(n, m, ell, k, chunk)
+    plan = tuple((r, tuple(gathers)) for r, gathers in chunks())
+    for _, gathers in plan:
+        for g in gathers:
+            g.flags.writeable = False
+    return qstep, lambda: plan
+
+
+def _minor_stack(a: np.ndarray, k: int, cols: np.ndarray):
+    """Yield (q, r, per) chunk by chunk, k >= 1: per[i, j] is the permanent
+    of a[J_1, ..., J_l, cols[:, q + i]] for the (r + j)-th l-tuple of row
+    k-subsets (product of rank orders) of an order-(l+1) tensor, at most
+    _glynn_chunk(k) Glynn matrices a chunk. Row gathers are cached per shape
+    where one column set's C(n, k)^l * (k!)^(l-1) matrices fit a chunk (the
+    overhead-bound case), else made on every call and kept by none."""
+    ell = a.ndim - 1
+    n, m = a.shape[0], a.shape[-1]
+    chunk = _glynn_chunk(k)
+    fits = math.comb(n, k) ** ell * math.factorial(k) ** (ell - 1) <= chunk
+    qstep, chunks = (_cached_plan if fits else _row_plan)(n, m, ell, k, chunk)
     flat = a.ravel()
     for q in range(0, cols.shape[1], qstep):
         c = cols[None, :, None, q : q + qstep, None]
-        for r in range(0, rows.shape[1], rstep):
-            block = rows[:, r : r + rstep]
+        for r, gathers in chunks():
             per = None
-            for choice in itertools.product(*outer):
-                pos = sum(choice, index)
-                for s in range(0, pos.shape[2], cstep):
-                    g = block.take(pos[:, :, s : s + cstep], axis=0)
-                    g = g[:, :, :, None, :] + c
-                    values = _glynn_stack(flat.take(g).reshape(k, k, -1))
-                    # sum over the matrices of each minor; order 2 has one
-                    values = values.reshape(g.shape[2:])
-                    values = values.sum(axis=0) if len(values) > 1 else values[0]
-                    per = values if per is None else per + values
+            for g in gathers:
+                shape = g.shape[2:3] + c.shape[3:4] + g.shape[4:]
+                # rebinding g frees an unplanned gather before the kernel runs
+                g = flat.take(g + c)
+                values = _glynn_stack(g.reshape(k, k, -1)).reshape(shape)
+                # sum the matrices of each minor in order (order 2 has one),
+                # as numpy does wherever a chunk has two minors
+                values = np.add.accumulate(values)[-1] if len(values) > 1 else values[0]
+                per = values if per is None else per + values
             yield q, r, per
 
 

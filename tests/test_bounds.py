@@ -15,7 +15,7 @@ from permbound.exact import (
     permanent,
     permanent_D,
 )
-from permbound.matrixio import from_entries, from_unit_circle
+from permbound.matrixio import from_entries, from_polar, from_unit_circle
 
 
 def cmat(rng, n, m=None):
@@ -103,12 +103,40 @@ def test_minor_means_match_direct_oracle(n, data, seed):
     assert bounds.F_level(z, k) == pytest.approx(expected, rel=1e-12)
 
 
+def count_chunks(monkeypatch) -> list[int]:
+    """Make bounds' minor engine record the chunks each call yields."""
+    counts = []
+
+    def counted(*args):
+        counts.append(0)
+        for item in exact._minor_stack(*args):
+            counts[-1] += 1
+            yield item
+
+    monkeypatch.setattr(bounds, "_minor_stack", counted)
+    return counts
+
+
+def count_minor_means(monkeypatch) -> list[tuple[int, int]]:
+    """Make bounds record (k, column sets) of each _minor_means call."""
+    calls = []
+    means = bounds._minor_means
+
+    def counted(a, k, cols):
+        calls.append((k, cols.shape[1]))
+        return means(a, k, cols)
+
+    monkeypatch.setattr(bounds, "_minor_means", counted)
+    return calls
+
+
 def test_minor_means_across_chunk_boundaries(monkeypatch):
     # 2^5 sign-vector rows per chunk: at k = 1 a chunk of 32 minors holds
     # four column sets of 8 row subsets, and 6 column sets end in a partial
     # chunk; from k = 2 on (16, 8, 4, 2, 1 minors) the 28, 56, 70, 56, 28
     # row subsets of one column set span several chunks
     monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
+    chunks = count_chunks(monkeypatch)
     rng = np.random.default_rng(39)
     z = cmat(rng, 8, 6)
     for k in range(1, 7):
@@ -120,6 +148,8 @@ def test_minor_means_across_chunk_boundaries(monkeypatch):
             for K in enumerate_subsets(6, k) for J in enumerate_subsets(8, k)
         )
         assert bounds.minor_sum_phi(z, k) == pytest.approx(phi, rel=1e-12)
+        assert max(chunks) > 1
+        chunks.clear()
 
 
 @pytest.mark.parametrize("n", [12, 13, 16])
@@ -617,14 +647,75 @@ def test_tensor_minors_across_chunk_boundaries(monkeypatch):
     # matrices of k = 4 split into slices of 4, and order 4 at k = 3 splits
     # its 36 matrices per minor into slices of 8
     monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
+    chunks = count_chunks(monkeypatch)
     rng = np.random.default_rng(58)
     t = cube(rng, 5, 3)[:, :, :4]
     for k in range(1, 5):
         assert bounds.F_level(t, k) == pytest.approx(loop_F_level(t, k), rel=1e-12)
+        assert chunks.pop() > 1
+    # one minor, so one chunk, whose 36 matrices take six Glynn stacks of six
+    stacks = []
+    glynn = exact._glynn_stack
+    monkeypatch.setattr(exact, "_glynn_stack", lambda m: stacks.append(m) or glynn(m))
     t4 = cube(rng, 3, 4)
     assert bounds.f_set(t4, (0, 1, 2)) == pytest.approx(
         loop_f_set(t4, (0, 1, 2)), rel=1e-12
     )
+    assert chunks == [1] and len(stacks) == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(2, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_column_sets_equal_per_set_calls(order, data, seed):
+    # stacking column sets into one call changes only which Glynn matrices
+    # share a chunk, never a value's bits
+    n = data.draw(st.integers(1, 7 if order == 2 else 4))
+    m = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(1, m))
+    width = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(seed)
+    t = cube(rng, n, order)[(Ellipsis, slice(0, m))]
+    cols = np.array([rng.choice(m, k, replace=False) for _ in range(width)]).T
+    stacked = bounds._minor_means(t, k, cols)
+    single = [bounds._minor_means(t, k, cols[:, q : q + 1])[0] for q in range(width)]
+    assert stacked.tolist() == single
+
+
+def test_block_products_make_one_call_per_block_size(monkeypatch):
+    calls = count_minor_means(monkeypatch)
+    rng = np.random.default_rng(60)
+    z = cmat(rng, 7)
+    blocks = [(0, 1), (2,), (3, 4), (5, 6)]
+    means = [bounds.f_set(z, w) for w in blocks]
+    for bound, want in (
+        (lambda: bounds.partition_bound_f(z, range(7), blocks), math.prod(means)),
+        (lambda: bounds.permanent_bound_partition(z, blocks),
+         math.factorial(7) * math.prod(map(math.sqrt, means))),
+        (lambda: bounds.pair_bound(z, (0, 1, 3, 4, 5, 6, 2)),
+         math.prod(map(math.sqrt, means))),
+    ):
+        calls.clear()
+        assert bound() == want
+        assert calls == [(2, 3), (1, 1)]
+    calls.clear()
+    bounds.permanent_bound_partition(cube(rng, 4, 3), [(0, 1), (2, 3)])
+    assert calls == [(2, 2)]
+
+
+def test_plan_cache_skips_multi_chunk_shapes(monkeypatch):
+    # one column set of 28 row pairs at 16 minors per chunk: two chunks,
+    # gathered per call; 10 row pairs fit one chunk and stay cached
+    monkeypatch.setattr(exact, "_GLYNN_BATCH_ROWS", 1 << 5)
+    chunks = count_chunks(monkeypatch)
+    exact._cached_plan.cache_clear()
+    rng = np.random.default_rng(63)
+    z = cmat(rng, 8)
+    assert bounds.f_set(z, (2, 5)) == pytest.approx(direct_f(z, (2, 5)), rel=1e-12)
+    assert chunks == [2]
+    assert exact._cached_plan.cache_info().currsize == 0
+    small = z[:5, :5]
+    assert bounds.f_set(small, (2, 4)) == pytest.approx(direct_f(small, (2, 4)), rel=1e-12)
+    assert exact._cached_plan.cache_info().currsize == 1
 
 
 def test_principal_minors_across_chunk_boundaries(monkeypatch):
@@ -739,6 +830,42 @@ def test_report_rows_limits_apply_before_any_minor(monkeypatch, n, options, limi
     mi = from_unit_circle(np.zeros((n, n)), 1.0)
     with pytest.raises(FeasibilityError, match=limit):
         bounds.report_rows(mi, **options)
+
+
+@pytest.mark.parametrize(
+    "mi, options, message",
+    [
+        (from_entries(np.eye(4)), {"theta": True}, "theta needs the unit_circle form"),
+        (from_entries(np.eye(4)), {"s_perm": (1, 0, 3, 2)}, "s_perm needs the unit_circle"),
+        (from_polar(np.ones((4, 4)), np.zeros((4, 4))), {"s_perm": (1, 0, 3, 2)},
+         "s_perm needs the unit_circle form, got polar"),
+        (from_unit_circle(np.zeros((4, 4)), 1.0), {"s_perm": (0, 0, 1, 2)},
+         "not a permutation of range"),
+        (from_unit_circle(np.zeros((4, 4)), 1.0), {"s_perm": (0, 1, 2)},
+         "not a permutation of range"),
+    ],
+)
+def test_report_rows_pair_options_apply_before_any_row(monkeypatch, mi, options, message):
+    # pair options that no row can use are refused before any row is
+    # computed, baselines included
+    def refuse(*args):
+        raise AssertionError("a row was computed")
+
+    for name in ("_minor_means", "_log_opnorm", "_log_singular", "_log_hadamard"):
+        monkeypatch.setattr(bounds, name, refuse)
+    with pytest.raises(DomainError, match=message):
+        bounds.report_rows(mi, **options)
+
+
+def test_table1_report_evaluates_each_level_once(monkeypatch):
+    # pair_cos: one call for its four pairs; avg_cos: level 2 over all 28
+    # pairs; partition 3, 3, 2: one call per block size; composition
+    # 3, 3, 2: level 3 only, since avg_cos already evaluated level 2
+    from permbound import table1
+
+    calls = count_minor_means(monkeypatch)
+    table1.compute_rows(1.0)
+    assert sorted(calls) == sorted([(2, 4), (2, 28), (3, 2), (2, 1), (3, 56)])
 
 
 def test_only_bounds_sets_its_limits():
