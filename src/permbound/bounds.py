@@ -376,7 +376,10 @@ def _exp(x: float) -> float:
 
 def _log_hadamard(z) -> float:
     """log(baseline_hadamard(z) / n!): half-logs of the column mean squares."""
-    means = (np.abs(_as_square(z)) ** 2).mean(axis=0)
+    a = _as_square(z)
+    if len(a) == 0:
+        return 0.0
+    means = (np.abs(a) ** 2).mean(axis=0)
     with np.errstate(divide="ignore"):
         return float(0.5 * np.log(means).sum())
 
@@ -471,11 +474,13 @@ def baseline_krauter(z) -> int | None:
 
 
 def baseline_haf_per(z) -> float:
-    """Bound sqrt(per(|z|)) >= |haf(z)| for a symmetric even-dimension matrix."""
+    """Bound sqrt(per(|z|)) >= |haf(z)| for a symmetric even-dimension matrix;
+    rejects, with DomainError, every input that :func:`hafnian` rejects."""
     a = _as_square(z)
     n = a.shape[0]
     if n % 2:
         raise DomainError(f"hafnian baseline needs an even dimension, got {n}")
+    _check_symmetric(a, SYMMETRY_ATOL)
     value = permanent(np.abs(a)).real
     return math.sqrt(max(value, 0.0))
 

@@ -350,6 +350,8 @@ def cmd_charfn(args) -> int:
             f" got {args.mc} * {model.n}^2"
         )
     s_perm = parse_perm(args.s_perm, model.n) if args.s_perm is not None else None
+    # the pair bounds need a pair of columns; a 1 x 1 model reports them n.a.
+    pairs = model.n >= 2
     rows = []
     for t in ts:
         row: dict = {"t": t}
@@ -359,8 +361,8 @@ def cmd_charfn(args) -> int:
             else None
         )
         phi = model.charfn_matrix(t)
-        row["pair_bound"] = bounds.pair_bound(phi, s_perm)
-        row["avg_bound"] = bounds.avg_pair_bound(phi)
+        row["pair_bound"] = bounds.pair_bound(phi, s_perm) if pairs else None
+        row["avg_bound"] = bounds.avg_pair_bound(phi) if pairs else None
         if args.mc:
             mc = charfn.monte_carlo_charfn(
                 model, t, trials=args.mc, seed=args.seed
@@ -380,9 +382,10 @@ def cmd_charfn(args) -> int:
             text = f"t={row['t']:g}"
             if row["exact_abs"] is not None:
                 text += f" |exact|={row['exact_abs']:.9f}"
-            text += (
-                f" pair={row['pair_bound']:.9f} avg={row['avg_bound']:.9f}"
-            )
+            for label, key in (("pair", "pair_bound"), ("avg", "avg_bound")):
+                text += f" {label}=" + (
+                    "n.a." if row[key] is None else f"{row[key]:.9f}"
+                )
             if "mc_re" in row:
                 text += (
                     f" mc={row['mc_re']:.6f}{row['mc_im']:+.6f}i"

@@ -16,8 +16,10 @@ sets of unused indices it reaches, grouped by the number of blocks they have
 removed, form cached tables of block ranks and child slots per shape, and
 each level is one gather, product and sum over a chunk of principal minors
 at once; a single tensor is the one-minor chunk. :func:`hyperhafnian_work`
-counts the table entries, states times the partner subsets of each. Direct
-enumerations are kept behind a flag as oracles. Expansion identities
+counts the table entries, states times the partner subsets of each.
+:func:`permanent` and :func:`hyperhafnian` also take ``method="direct"``,
+an n!-term enumeration that perfbench's workload tests use as their oracle;
+the tensor permanent's enumeration lives with the tests. Expansion identities
 (developing a permanent or hafnian along a fixed block structure) are
 :func:`convolution.generalized_R` on the full index sets, over stacked
 tables of block values: an independent route that tests cross-check against
@@ -152,41 +154,30 @@ def _permanent_gray(a: np.ndarray) -> complex:
     return complex(total / 2.0 ** (n - 1))
 
 
-def multidim_permanent(t, *, method: str = "glynn") -> complex:
+def multidim_permanent(t) -> complex:
     """Permanent of an order-(l+1) tensor with all axes of equal size k.
 
     Generalizes the matrix permanent: the value is the sum over l-tuples of
     bijections (s1, ..., sl) of range(k) of prod_j t[s1(j), ..., sl(j), j].
     For l = 1 this is the matrix permanent.
 
-    method "glynn" is the one-minor case of the minor engine: it fixes
-    s1, ..., s_{l-1}; each choice leaves the k x k matrix
-    M[i, j] = t[s1(j), ..., s_{l-1}(j), i, j], whose permanent sums over sl,
-    and it adds batched Glynn permanents over that stack of (k!)^(l-1)
-    matrices, (k!)^(l-1) * 2^(k-1) * k products in all (see
-    :func:`multidim_permanent_work`). "direct" enumerates all (k!)^l tuples
-    and serves as an oracle.
+    The one-minor case of the minor engine: it fixes s1, ..., s_{l-1}; each
+    choice leaves the k x k matrix M[i, j] = t[s1(j), ..., s_{l-1}(j), i, j],
+    whose permanent sums over sl, and it adds batched Glynn permanents over
+    that stack of (k!)^(l-1) matrices, (k!)^(l-1) * 2^(k-1) * k products in
+    all (see :func:`multidim_permanent_work`).
     """
     a, order, k = _as_cube(t)
     if order < 2:
         raise DomainError("tensor must have at least 2 axes")
-    if method not in ("glynn", "direct"):
-        raise DomainError(f"unknown multidim permanent method {method!r}")
     if k == 0:
         return 1.0 + 0.0j
-    if method == "glynn":
-        cols = np.arange(k)[:, None]
-        return complex(sum(per.sum() for *_, per in _minor_stack(a, k, cols)))
-    last = np.arange(k)
-    perms = [np.asarray(p) for p in itertools.permutations(range(k))]
-    total = 0.0 + 0.0j
-    for combo in itertools.product(perms, repeat=order - 1):
-        total += a[combo + (last,)].prod()
-    return complex(total)
+    cols = np.arange(k)[:, None]
+    return complex(sum(per.sum() for *_, per in _minor_stack(a, k, cols)))
 
 
 def multidim_permanent_work(k: int, ell: int) -> int:
-    """Products the "glynn" tensor permanent forms for an order-(ell+1)
+    """Products the tensor permanent forms for an order-(ell+1)
     tensor with axes of size k: (k!)^(ell-1) * 2^(k-1) * k."""
     if k == 0:
         return 1
@@ -555,8 +546,6 @@ def multidim_permanent_via_laplace(
     t,
     sizes: Sequence[int],
     column_blocks: Sequence[Sequence[int]] | None = None,
-    *,
-    symmetrized: bool = False,
 ) -> complex:
     """Tensor permanent via expansion along blocks of the last axis.
 
@@ -564,27 +553,23 @@ def multidim_permanent_via_laplace(
     block sizes ``sizes``), sums over all choices of ordered partitions of
     each of the first l axes the products of block tensor permanents.
 
-    With ``symmetrized=True`` the expansion instead averages over every
-    ordered partition W of the last axis with block sizes ``sizes``; the sum
-    acquires the prefactor prod_r sizes[r]! / k!.
+    Without them, the expansion averages over every ordered partition W of
+    the last axis with block sizes ``sizes``; the sum acquires the prefactor
+    prod_r sizes[r]! / k!.
 
     The block permanents come from stacked tables over every l-tuple of row
     subsets, one per column block (one per block size, over every column
-    subset of that size, when symmetrized): the factors of
+    subset of that size, when averaged): the factors of
     :func:`generalized_R` on the full index sets.
     """
     a, order, k = _as_cube(t)
     if order < 2:
         raise DomainError("tensor must have at least 2 axes")
     w = as_composition(sizes, total=k)
-    if symmetrized:
-        if column_blocks is not None:
-            raise DomainError("symmetrized expansion chooses its own column blocks")
+    if column_blocks is None:
         tables = {p: _minor_table(a, p, subset_table(k, p)) for p in w}
         factors = [SetFunction((k,) * order, (p,) * order, tables[p]) for p in w]
         return generalized_R(factors, (range(k),) * order) / multinomial(w)
-    if column_blocks is None:
-        raise DomainError("column_blocks is required unless symmetrized=True")
     blocks = validate_partition(column_blocks, range(k))
     if tuple(len(b) for b in blocks) != w:
         raise DomainError("column block sizes do not match the given sizes")

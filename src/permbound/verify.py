@@ -164,7 +164,7 @@ def _slack_ok(lhs: float, rhs: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def suite_laplace(seed: int = 0, trials: int = 100) -> SuiteResult:
+def suite_laplace(seed: int, trials: int) -> SuiteResult:
     """Expansion identities against the exact kernels."""
     rec = _Recorder()
     for i in range(trials):
@@ -191,7 +191,7 @@ def suite_laplace(seed: int = 0, trials: int = 100) -> SuiteResult:
         blocks = _partition_of(rng, range(k), w)
         direct = multidim_permanent(t)
         fixed = multidim_permanent_via_laplace(t, w, blocks)
-        sym = multidim_permanent_via_laplace(t, w, symmetrized=True)
+        sym = multidim_permanent_via_laplace(t, w)
         ok = _rel_err(direct, fixed) <= REL_TOL and _rel_err(direct, sym) <= REL_TOL
         rec.record(
             ok,
@@ -244,7 +244,7 @@ def _random_column_blocks(rng, cols, max_parts=None):
     return _partition_of(rng, cols, w)
 
 
-def suite_dominance(seed: int = 0, trials: int = 1080) -> SuiteResult:
+def suite_dominance(seed: int, trials: int) -> SuiteResult:
     """Bound dominance plus refinement monotonicity."""
     rec = _Recorder()
     per_family = max(1, trials // 6)
@@ -418,7 +418,7 @@ def suite_dominance(seed: int = 0, trials: int = 1080) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_equality(seed: int = 0, trials: int = 50) -> SuiteResult:
+def suite_equality(seed: int, trials: int) -> SuiteResult:
     """Constructed instances that achieve the bounds exactly."""
     rec = _Recorder()
 
@@ -545,7 +545,7 @@ def suite_equality(seed: int = 0, trials: int = 50) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_convolution(seed: int = 0, trials: int = 200) -> SuiteResult:
+def suite_convolution(seed: int, trials: int) -> SuiteResult:
     """Subset-convolution inequality sweep with the equality biconditional."""
     rec = _Recorder()
     case = 0
@@ -594,7 +594,7 @@ def suite_convolution(seed: int = 0, trials: int = 200) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_master(seed: int = 0, trials: int = 100) -> SuiteResult:
+def suite_master(seed: int, trials: int) -> SuiteResult:
     """Block-product mean-square inequality and its reproductions."""
     rec = _Recorder()
 
@@ -698,7 +698,7 @@ def _random_model(rng: np.random.Generator, n: int) -> charfn.DiagonalSumModel:
     )
 
 
-def suite_charfn(seed: int = 0, trials: int = 10) -> SuiteResult:
+def suite_charfn(seed: int, trials: int) -> SuiteResult:
     """Characteristic-function bounds and the Monte Carlo estimator."""
     rec = _Recorder()
 

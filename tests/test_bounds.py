@@ -16,6 +16,7 @@ from permbound.exact import (
     permanent_D,
 )
 from permbound.matrixio import from_entries, from_polar, from_unit_circle
+from oracles import multidim_permanent_direct
 
 
 def cmat(rng, n, m=None):
@@ -534,6 +535,23 @@ def test_baseline_haf_per():
     assert bounds.baseline_haf_per(z) >= abs(hafnian(z)) * (1 - 1e-12)
     with pytest.raises(DomainError):
         bounds.baseline_haf_per(np.zeros((3, 3)))
+    # it rejects what hafnian rejects: asymmetry and non-finite entries
+    for bad in ([[0.0, 1.0], [2.0, 0.0]], [[0.0, np.nan], [np.nan, 0.0]]):
+        with pytest.raises(DomainError):
+            hafnian(bad)
+        with pytest.raises(DomainError):
+            bounds.baseline_haf_per(bad)
+
+
+def test_report_rows_on_empty_matrix():
+    # every baseline of a 0 x 0 input is the empty product, with no warning
+    rows = bounds.report_rows(from_entries(np.zeros((0, 0))))
+    values = {r.name: r.raw_value for r in rows if r.applicable}
+    assert values == dict.fromkeys(
+        ["opnorm_p1", "opnorm_pinf", "opnorm_p2", "singular_mean_power",
+         "hadamard_column_norm"], 1.0
+    )
+    assert all(r.dominates_exact for r in rows if r.applicable)
 
 
 def test_minor_sum_phi_and_bound():
@@ -589,7 +607,7 @@ def loop_f_set(t, K):
     total = 0.0
     for rows in itertools.product(subsets, repeat=ell):
         minor = t[np.ix_(*rows, K)]
-        total += abs(multidim_permanent(minor, method="direct") / norm) ** 2
+        total += abs(multidim_permanent_direct(minor) / norm) ** 2
     return total / len(subsets) ** ell
 
 
@@ -781,7 +799,7 @@ def test_no_average_calls_a_kernel_per_minor(monkeypatch):
         bounds.subhafnian_sum_psi(s, 2), *bounds.psi_bounds(s, 2),
         exact.permanent_via_laplace(z, blocks),
         exact.multidim_permanent_via_laplace(t, (2, 2), tblocks),
-        exact.multidim_permanent_via_laplace(t, (1, 3), symmetrized=True),
+        exact.multidim_permanent_via_laplace(t, (1, 3)),
         exact.hyperhafnian_via_expansion(s, (1, 2)),
         exact.hyperhafnian_via_expansion(h, (1, 1)),
     ):

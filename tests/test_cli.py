@@ -694,6 +694,23 @@ def test_charfn_empty_s_perm_exit(model_file, capsys):
     assert "expected an integer" in err
 
 
+@pytest.mark.parametrize("s_perm", [(), ("--s-perm", "1")])
+def test_charfn_one_cell_model_reports_pair_bounds_na(tmp_path, capsys, s_perm):
+    # a 1 x 1 model has no column pair: exact value only, pair bounds n.a.
+    path = tmp_path / "one.json"
+    cell = {"family": "normal", "params": {"mean": 0.2, "variance": 0.5}}
+    path.write_text(json.dumps({"cells": [[cell]]}))
+    argv = ["charfn", "--input", str(path), "--t", "0.7", *s_perm]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["exact_abs"] == pytest.approx(math.exp(-0.5 * 0.5 * 0.7**2))
+    assert row["pair_bound"] is None and row["avg_bound"] is None
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2:4] == ["", ""]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.split()[2:] == ["pair=n.a.", "avg=n.a."]
+
+
 def test_charfn_bad_model(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"cells": [[{"params": {"x": 1.0}}]]}))

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -22,6 +23,7 @@ from permbound.exact import (
     permanent_D,
     permanent_via_laplace,
 )
+from oracles import multidim_permanent_direct
 
 seeds = st.integers(0, 2**32 - 1)
 oracle_settings = settings(max_examples=40, deadline=None)
@@ -212,7 +214,7 @@ def test_multidim_permanent_via_laplace_fixed_and_symmetrized():
     t = rng.standard_normal((k, k, k)) + 1j * rng.standard_normal((k, k, k))
     direct = multidim_permanent(t)
     fixed = multidim_permanent_via_laplace(t, (2, 2), ((0, 1), (2, 3)))
-    sym = multidim_permanent_via_laplace(t, (3, 1), symmetrized=True)
+    sym = multidim_permanent_via_laplace(t, (3, 1))
     assert rel(fixed, direct) < 1e-10
     assert rel(sym, direct) < 1e-10
 
@@ -281,7 +283,7 @@ def test_hafnian_of_block_embedding_matches_direct_permanent(n, seed):
 @given(k=st.integers(0, 4), order=st.integers(2, 4), seed=seeds)
 def test_multidim_permanent_glynn_matches_direct(k, order, seed):
     t = crandom(seed, (k,) * order)
-    assert rel(multidim_permanent(t), multidim_permanent(t, method="direct")) < 1e-12
+    assert rel(multidim_permanent(t), multidim_permanent_direct(t)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [11, 12, 13, 16])
@@ -313,9 +315,12 @@ def test_multidim_permanent_chunks_match_rank_one_closed_form(k, order):
     assert rel(multidim_permanent(t), expected) < 1e-12
 
 
-def test_multidim_permanent_rejects_unknown_method():
-    with pytest.raises(DomainError):
-        multidim_permanent(np.ones((2, 2, 2)), method="ryser")
+def test_tensor_permanent_and_expansion_take_no_mode_switch():
+    # the kernel has one code path, and the expansion averages exactly when
+    # it is given no column blocks
+    assert list(inspect.signature(multidim_permanent).parameters) == ["t"]
+    params = inspect.signature(multidim_permanent_via_laplace).parameters
+    assert list(params) == ["t", "sizes", "column_blocks"]
 
 
 def matching_steps(n, ell):
@@ -452,7 +457,7 @@ def loop_multidim_via_laplace(t, sizes, blocks=None):
             prod = 1.0 + 0.0j
             for r, wr in enumerate(blocks):
                 selector = tuple(vs[s][r] for s in range(ell)) + (wr,)
-                prod *= multidim_permanent(t[np.ix_(*selector)], method="direct")
+                prod *= multidim_permanent_direct(t[np.ix_(*selector)])
             total += prod
         return total
 
@@ -496,8 +501,12 @@ def test_permanent_expansions_match_per_block_loops(order, data, seed):
         perm = perm[p:]
     fixed = multidim_permanent_via_laplace(t, sizes, blocks)
     assert rel(fixed, loop_multidim_via_laplace(t, sizes, blocks)) < 1e-12
-    sym = multidim_permanent_via_laplace(t, sizes, symmetrized=True)
+    sym = multidim_permanent_via_laplace(t, sizes)
     assert rel(sym, loop_multidim_via_laplace(t, sizes)) < 1e-12
+    # with and without blocks, the expansion is the tensor permanent
+    direct = multidim_permanent(t)
+    assert rel(fixed, direct) < 1e-10
+    assert rel(sym, direct) < 1e-10
     if order == 2:
         loop = loop_permanent_via_laplace(t, blocks)
         assert rel(permanent_via_laplace(t, blocks), loop) < 1e-12
