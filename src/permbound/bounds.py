@@ -57,7 +57,6 @@ from .exact import (
     permanent_D,
 )
 from .matrixio import BoundRow, MatrixInput
-from .parallel import map_in_order
 
 # Largest n whose report rows carry the exact normalized permanent.
 EXACT_COLUMN_MAX_N = 12
@@ -341,7 +340,9 @@ def unit_circle_theta_bound(x, t: float) -> float:
 
     Uses the majorant cos(v)^2 <= 1 - v^2 + v^2 * min(1, v^2 / 3); theta is
     the resulting average of (t y / 2)^2 * max(0, 1 - (t y)^2 / 12) and lies
-    in [0, 3/4].
+    in [0, 3/4]. The average runs over ordered column pairs u != v; the term
+    reads y only squared and swapping u, v negates y, so each unordered pair
+    is evaluated once and counted twice.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -351,14 +352,12 @@ def unit_circle_theta_bound(x, t: float) -> float:
         raise DomainError("unit-circle bounds need dimension >= 2")
     total = 0.0
     for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
+        for v in range(u + 1, n):
             d = a[:, u] - a[:, v]
             y = d[:, None] - d[None, :]
             term = (t * y / 2.0) ** 2 * np.maximum(0.0, 1.0 - (t * y) ** 2 / 12.0)
             total += float(term.sum())
-    theta = total / (n * (n - 1)) ** 2
+    theta = 2.0 * total / (n * (n - 1)) ** 2
     return (1.0 - theta) ** (0.5 * (n // 2))
 
 
@@ -598,18 +597,13 @@ def report_rows(
         _check_row_work("composition", n, ((k, math.comb(n, k)) for k in set(parts)))
     fact = float(math.factorial(n))
     levels: dict[int, float] = {}
-    tasks = []
-    names: list[tuple[str, dict]] = []
-
-    def add(name, params, fn):
-        names.append((name, params))
-        tasks.append(fn)
-
+    # (name, params, value); value None marks a row that is not applicable
+    values: list[tuple[str, dict, object]] = []
     for p in ("1", "inf", "2"):
         if ps is None or p in ps:
-            add(f"opnorm_p{p}", {"p": p}, lambda p=p: _exp(_log_opnorm(z, p)))
-    add("singular_mean_power", {}, lambda: _exp(_log_singular(z)))
-    add("hadamard_column_norm", {}, lambda: _exp(_log_hadamard(z)))
+            values.append((f"opnorm_p{p}", {"p": p}, _exp(_log_opnorm(z, p))))
+    values.append(("singular_mean_power", {}, _exp(_log_singular(z))))
+    values.append(("hadamard_column_norm", {}, _exp(_log_hadamard(z))))
     if mi.form == "unit_circle":
         t = mi.t
         params = {"t": t}
@@ -618,30 +612,29 @@ def report_rows(
         # z is exp(i t x), so the pair rows read it; only theta needs x. All
         # three need a pair of columns.
         pairs = n >= 2
-        add("pair_cos", params, lambda: pair_bound(z, s_perm) if pairs else None)
-        add("avg_cos", {"t": t},
-            lambda: _composition_root(z, _pair_levels(n), levels) if pairs else None)
+        values.append(("pair_cos", params, pair_bound(z, s_perm) if pairs else None))
+        values.append(("avg_cos", {"t": t},
+                       _composition_root(z, _pair_levels(n), levels) if pairs else None))
         if theta:
-            add("theta_cos", {"t": t},
-                lambda: unit_circle_theta_bound(mi.phases, t) if pairs else None)
-    add("krauter_rank", {}, lambda: baseline_krauter(z))
+            values.append(("theta_cos", {"t": t},
+                           unit_circle_theta_bound(mi.phases, t) if pairs else None))
+    values.append(("krauter_rank", {}, baseline_krauter(z)))
     if all_baselines:
         # full-column minor average; its square root bounds |per| / n!
-        add("ckp_column_mean", {}, lambda: math.sqrt(baseline_ckp_minor(z)))
+        values.append(("ckp_column_mean", {}, math.sqrt(baseline_ckp_minor(z))))
     if blocks is not None:
-        add("partition_subset_avg",
-            {"blocks": [[v + 1 for v in b] for b in blocks]},
-            lambda: _partition_root(z, blocks))
+        values.append(("partition_subset_avg",
+                       {"blocks": [[v + 1 for v in b] for b in blocks]},
+                       _partition_root(z, blocks)))
     if parts is not None:
-        add("composition_level_avg", {"parts": list(parts)},
-            lambda: _composition_root(z, parts, levels))
+        values.append(("composition_level_avg", {"parts": list(parts)},
+                       _composition_root(z, parts, levels)))
 
-    values = map_in_order(tasks)
     exact_norm = None
     if n <= EXACT_COLUMN_MAX_N:
         exact_norm = abs(permanent(z)) / fact
     rows = []
-    for (name, params), value in zip(names, values):
+    for name, params, value in values:
         if value is None:
             rows.append(BoundRow(name=name, params=params, applicable=False))
             continue

@@ -155,8 +155,14 @@ class DiagonalSumModel:
     def from_json(cls, data: dict) -> "DiagonalSumModel":
         if not isinstance(data, dict) or "cells" not in data:
             raise ParseError("model file needs a 'cells' grid")
+        if not isinstance(data["cells"], list):
+            raise ParseError("model grid must be a list of rows", position="cells")
         cells = []
         for j, row in enumerate(data["cells"]):
+            if not isinstance(row, list):
+                raise ParseError(
+                    "model row must be a list of cells", position=f"cells[{j}]"
+                )
             parsed = []
             for r, cell in enumerate(row):
                 where = f"cells[{j}][{r}]"

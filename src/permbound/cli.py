@@ -173,18 +173,20 @@ def cmd_exact(args) -> int:
         work = hyperhafnian_work(n, 2)
         value = hafnian(array)
     elif kind == "per_ell":
-        k = array.shape[0] if array.ndim else 0
+        if array.ndim < 2:
+            # before the size limit, which reads the first axis
+            raise DomainError("tensor must have at least 2 axes")
+        k = array.shape[0]
         if k > PER_ELL_MAX_K:
             raise FeasibilityError(
                 f"tensor permanent limit k <= {PER_ELL_MAX_K}, got {k}"
             )
-        if array.ndim >= 2:
-            work = multidim_permanent_work(k, array.ndim - 1)
-            if work > PER_ELL_MAX_WORK:
-                raise FeasibilityError(
-                    f"tensor permanent work limit {PER_ELL_MAX_WORK} products,"
-                    f" got {work} for k={k} at order {array.ndim}"
-                )
+        work = multidim_permanent_work(k, array.ndim - 1)
+        if work > PER_ELL_MAX_WORK:
+            raise FeasibilityError(
+                f"tensor permanent work limit {PER_ELL_MAX_WORK} products,"
+                f" got {work} for k={k} at order {array.ndim}"
+            )
         value = multidim_permanent(array)
     elif kind == "haf_ell":
         ell = array.ndim

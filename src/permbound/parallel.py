@@ -1,39 +1,1 @@
-"""Thread-count handling for report assembly.
-
-PERMBOUND_THREADS (default 1) sets how many independent report rows may be
-computed concurrently. Results are always assembled in submission order, so
-output is identical for every thread count.
-"""
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Callable, Sequence
-
-from .errors import ParseError
-
-
-def thread_count() -> int:
-    raw = os.environ.get("PERMBOUND_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ParseError(
-            f"PERMBOUND_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ParseError(
-            f"PERMBOUND_THREADS must be a positive integer, got {raw!r}"
-        )
-    return count
-
-
-def map_in_order(tasks: Sequence[Callable[[], object]]) -> list:
-    """Run zero-argument tasks, preserving order in the result list."""
-    workers = thread_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+"""Empty: report rows are computed serially; perfbench's tracer still imports this module by name."""

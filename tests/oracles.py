@@ -25,3 +25,22 @@ def multidim_permanent_direct(t) -> complex:
     for combo in itertools.product(perms, repeat=order - 1):
         total += a[combo + (last,)].prod()
     return complex(total)
+
+
+def unit_circle_theta_bound_ordered(x, t: float) -> float:
+    """The theta refinement of the averaged unit-circle bound, summed over
+    every ordered column pair u != v (the library visits each unordered
+    pair once)."""
+    a = np.asarray(x, dtype=float)
+    n = a.shape[0]
+    total = 0.0
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            d = a[:, u] - a[:, v]
+            y = d[:, None] - d[None, :]
+            term = (t * y / 2.0) ** 2 * np.maximum(0.0, 1.0 - (t * y) ** 2 / 12.0)
+            total += float(term.sum())
+    theta = total / (n * (n - 1)) ** 2
+    return (1.0 - theta) ** (0.5 * (n // 2))

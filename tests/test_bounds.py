@@ -16,7 +16,7 @@ from permbound.exact import (
     permanent_D,
 )
 from permbound.matrixio import from_entries, from_polar, from_unit_circle
-from oracles import multidim_permanent_direct
+from oracles import multidim_permanent_direct, unit_circle_theta_bound_ordered
 
 
 def cmat(rng, n, m=None):
@@ -454,6 +454,16 @@ def test_unit_circle_theta_majorizes_avg():
         assert theta >= avg - 1e-12
         # theta bound never drops below (1/4)^(d/2)
         assert theta >= 0.25 ** (x.shape[0] // 2 / 2) - 1e-12
+
+
+def test_unit_circle_theta_matches_ordered_pair_oracle():
+    rng = np.random.default_rng(48)
+    for n in range(2, 11):
+        x = rng.uniform(-1.0, 1.0, (n, n))
+        for t in (0.3, 0.7, 2.5):
+            assert bounds.unit_circle_theta_bound(x, t) == pytest.approx(
+                unit_circle_theta_bound_ordered(x, t), rel=1e-13
+            )
 
 
 def test_unit_circle_rejects_bad_input():
@@ -903,6 +913,30 @@ def test_only_bounds_sets_its_limits():
                 "BOUNDS_MAX_N", "BOUNDS_MAX_WORK"
             ):
                 offenders.append(f"{path.name}:{node.lineno} {ident}")
+    assert offenders == []
+
+
+def test_library_imports_no_threads_or_environment():
+    # report rows and kernels run serially and read no environment knob
+    import ast
+    import pathlib
+
+    banned = {"os", "threading", "multiprocessing", "concurrent"}
+    src = pathlib.Path(bounds.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in banned
+            ]
     assert offenders == []
 
 

@@ -208,6 +208,11 @@ def test_model_json_roundtrip():
 def test_from_json_errors_carry_positions():
     with pytest.raises(ParseError):
         DiagonalSumModel.from_json({"n": 2})
+    # the grid must be a list of lists
+    for cells, position in ((5, "cells"), ([5], "cells[0]")):
+        with pytest.raises(ParseError) as err:
+            DiagonalSumModel.from_json({"cells": cells})
+        assert err.value.position == position
     with pytest.raises(ParseError) as err:
         DiagonalSumModel.from_json(
             {"cells": [[{"family": "point_mass", "params": {"x": 0.0}},

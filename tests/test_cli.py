@@ -167,6 +167,17 @@ def test_exact_tensor_unequal_axes_exit(tmp_path, kind, shape):
     assert "equal size" in proc.stderr
 
 
+@pytest.mark.parametrize("k", [5, 7])
+def test_exact_per_ell_one_axis_exits_2(tmp_path, k):
+    # the number of axes is checked before the size cap reads the first one
+    path = tmp_path / "vector.json"
+    path.write_text(json.dumps(tensor_to_json(np.ones(k))))
+    proc = run_cli("exact", "per_ell", "--input", str(path))
+    assert proc.returncode == 2
+    assert "tensor must have at least 2 axes" in proc.stderr
+    assert proc.stdout == ""
+
+
 def _exact_value(tmp_path, kind, doc):
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(doc))
@@ -368,16 +379,14 @@ def test_bounds_output_file(phase_matrix, tmp_path):
     assert doc["rows"]
 
 
-def test_bounds_thread_count_stable(phase_matrix):
-    runs = [
-        run_cli(
-            "bounds", "--input", phase_matrix, "--format", "json",
-            env={"PERMBOUND_THREADS": threads},
-        )
-        for threads in ("1", "4")
-    ]
-    assert all(p.returncode == 0 for p in runs)
-    assert runs[0].stdout == runs[1].stdout
+def test_bounds_ignores_thread_variable(phase_matrix, monkeypatch):
+    # rows are computed in one plain loop; no environment variable is read
+    monkeypatch.delenv("PERMBOUND_THREADS", raising=False)
+    argv = ("bounds", "--input", phase_matrix, "--format", "json")
+    plain = run_cli(*argv)
+    garbage = run_cli(*argv, env={"PERMBOUND_THREADS": "zero"})
+    assert plain.returncode == garbage.returncode == 0
+    assert garbage.stdout == plain.stdout
 
 
 def run_main_timed(capsys, *argv):
@@ -666,6 +675,16 @@ def test_charfn_non_finite_params_exit(tmp_path, cell, position):
     proc = run_cli("charfn", "--input", str(path))
     assert proc.returncode == 2
     assert position in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cells, position", [(5, "cells"), ([5], "cells[0]")])
+def test_charfn_grid_not_list_of_lists_exit(tmp_path, cells, position):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"cells": cells}))
+    proc = run_cli("charfn", "--input", str(path))
+    assert proc.returncode == 2
+    assert f"(at {position})" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
