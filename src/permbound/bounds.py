@@ -16,9 +16,10 @@ the normalized permanent or hafnian; ``permanent_bound_*`` and
 ``hafnian_bound`` return the corresponding absolute bounds.
 
 Every average and minor sum reads the minor engine of :mod:`exact` in
-chunks at any order, never one kernel call per minor; a partition's blocks
-take one engine call per distinct block size. ``pair_bound`` and
-``avg_pair_bound`` bound |per| / n! with blocks of two columns (a
+chunks, never one kernel call per minor, but for matrix levels with many
+row minors: they sum elementary symmetric polynomials over the rows. A
+partition's blocks take one call per distinct block size. ``pair_bound``
+and ``avg_pair_bound`` bound |per| / n! with blocks of two columns (a
 partition, a composition of levels 2) for any square matrix, such as
 exp(i t x) for a phase matrix x or a characteristic-function matrix;
 ``unit_circle_theta_bound`` refines the averaged bound from the phases.
@@ -32,6 +33,7 @@ the catalogue of rows that ``permbound bounds`` prints and ``table1`` checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -52,6 +54,7 @@ from .exact import (
     _check_symmetric,
     _minor_stack,
     _principal_stack,
+    _sign_table,
     multidim_permanent_work,
     permanent,
     permanent_D,
@@ -67,6 +70,11 @@ BOUNDS_MAX_N = 170
 # accepted rows finish within 7 s there.
 BOUNDS_MAX_WORK = 200_000_000
 SIGN_ATOL = 1e-12
+# Largest level whose matrix averages may take the row side: one column
+# set's accumulator, (k + 1) 2^(k-2) (2^(k-1) + 1) entries, still fits a chunk.
+ROW_SIDE_MAX_K = 6
+# Entries of a chunk of the row side's accumulator or the theta row's arrays.
+_CHUNK_ENTRIES = 1 << 13
 
 
 def _as_matrix(z) -> np.ndarray:
@@ -87,13 +95,64 @@ def _as_matrix(z) -> np.ndarray:
 def _minor_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
     """For each column set cols[:, q] (k >= 1 columns) of a row tensor with
     l row axes, the mean over l-tuples of row k-subsets J of
-    |per(a[J_1, ..., J_l, cols[:, q]]) / (k!)^l|^2."""
+    |per(a[J_1, ..., J_l, cols[:, q]]) / (k!)^l|^2. A matrix at
+    2 <= k <= ROW_SIDE_MAX_K with C(n, k) > 2n (2^(k-1) + 1) row minors takes
+    the row side, at most a quarter of the engine's products."""
+    n = a.shape[0]
+    if a.ndim == 2 and 2 <= k <= ROW_SIDE_MAX_K and math.comb(n, k) > (n << k) + 2 * n:
+        return _row_side_means(a, k, cols)
     ell = a.ndim - 1
     fact = float(math.factorial(k) ** ell)
     sums = np.zeros(cols.shape[1])
     for q, _, per in _minor_stack(a, k, cols):
         sums[q : q + len(per)] += ((np.abs(per) / fact) ** 2).sum(axis=1)
-    return sums / subset_count(a.shape[0], k) ** ell
+    return sums / subset_count(n, k) ** ell
+
+
+def _elementary_symmetric(rows, k: int, shape: tuple = (), dtype=float) -> np.ndarray:
+    """e_k of the rows v_j (arrays of ``shape``, or scalars) elementwise, by
+    e_i += v_j e_(i-1) over j (e_i for i > j + 1 is still 0)."""
+    e = np.zeros((k + 1,) + shape, dtype=dtype)
+    e[0] = 1.0
+    for j, w in enumerate(rows):
+        top = min(k, j + 1)
+        e[1 : top + 1] += w * e[:top]
+    return e[k]
+
+
+@functools.lru_cache(maxsize=None)
+def _row_side_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signs of columns 1..k-1 in the 2^(k-1) sign vectors of k columns whose
+    column 0 is +1, their pairs s <= t and each pair's weight w_s w_t (w the
+    sign products), doubled off the diagonal."""
+    d, w = _sign_table(k - 1)
+    s, t = np.triu_indices(d.shape[1])
+    weight = w.real[s] * w.real[t] * np.where(s == t, 1.0, 2.0)
+    return d.real, s, t, weight
+
+
+def _row_side_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
+    """:func:`_minor_means` of a matrix, 2 <= k. By Glynn's formula over the
+    columns, per(a[J, K]) = 2^(1-k) sum_s w_s prod_(j in J) u_s[j] for the
+    column sums u_s = a[:, K] delta_s of the sign vectors with first entry +1,
+    so |per|^2 summed over row k-subsets J is 4^(1-k) sum_(s,t) w_s w_t
+    e_k(u_s conj(u_t)), Hermitian in (s, t). Every step is elementwise on
+    C-contiguous arrays and the pairs s <= t reduce in one order, so no value
+    depends on the chunk; a mean that rounds below 0 reads 0."""
+    signs, s, t, weight = _row_side_tables(k)
+    qstep = max(1, _CHUNK_ENTRIES // ((k + 1) * len(weight)))
+    sums = np.empty(cols.shape[1])
+    for q in range(0, cols.shape[1], qstep):
+        block = a[:, cols[:, q : q + qstep]]
+        # u[j, i, s]: row j of u_s for the i-th column set, columns in order
+        u = block[:, 0, :, None] + signs[0] * block[:, 1, :, None]
+        for c in range(2, k):
+            u = u + signs[c - 1] * block[:, c, :, None]
+        rows = (x.take(s, axis=1) * y.take(t, axis=1) for x, y in zip(u, u.conj()))
+        e = _elementary_symmetric(rows, k, (u.shape[1], len(weight)), complex)
+        sums[q : q + qstep] = np.add.accumulate(e.real * weight, axis=1)[:, -1]
+    scale = 4.0 ** (1 - k) / (math.factorial(k) ** 2 * subset_count(a.shape[0], k))
+    return np.maximum(sums, 0.0) * scale
 
 
 def _check_row_work(name: str, n: int, sets) -> None:
@@ -167,13 +226,7 @@ def f_tilde(z, cols: Sequence[int]) -> float:
     if k == 0:
         return 1.0
     row_means = (np.abs(a[:, K]) ** 2).sum(axis=1) / k
-    # e_k(row_means) via the standard DP recurrence
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for w in row_means:
-        top = min(k, n)
-        e[1 : top + 1] = e[1 : top + 1] + w * e[0:top]
-    return float(e[k] / subset_count(n, k))
+    return float(_elementary_symmetric(row_means, k) / subset_count(n, k))
 
 
 def F_level(t, k: int) -> float:
@@ -271,9 +324,7 @@ def G_level(t, k: int) -> float:
     if k == 0:
         return 1.0
     _check_symmetric(a, SYMMETRY_ATOL)
-    scale = (
-        math.factorial(k) * math.factorial(ell) ** k / math.factorial(ell * k)
-    )
+    scale = math.factorial(k) * math.factorial(ell) ** k / math.factorial(ell * k)
     total = sum(
         float((np.abs(scale * h) ** 2).sum()) for h in _principal_stack(a, ell * k)
     )
@@ -350,13 +401,14 @@ def unit_circle_theta_bound(x, t: float) -> float:
     n = a.shape[0]
     if n < 2:
         raise DomainError("unit-circle bounds need dimension >= 2")
+    us, vs = np.triu_indices(n, 1)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
     total = 0.0
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = a[:, u] - a[:, v]
-            y = d[:, None] - d[None, :]
-            term = (t * y / 2.0) ** 2 * np.maximum(0.0, 1.0 - (t * y) ** 2 / 12.0)
-            total += float(term.sum())
+    for p in range(0, len(us), step):
+        d = a[:, us[p : p + step]] - a[:, vs[p : p + step]]
+        # (t y)^2 for y = d_j - d_k of each pair; (t y / 2)^2 is a quarter of it
+        ty2 = np.square(t * (d[:, None] - d[None, :]))
+        total += float(np.vdot(ty2, np.maximum(1.0 - ty2 / 12.0, 0.0))) / 4.0
     theta = 2.0 * total / (n * (n - 1)) ** 2
     return (1.0 - theta) ** (0.5 * (n // 2))
 
@@ -395,11 +447,7 @@ def baseline_ckp_minor(z, cols: Sequence[int] | None = None) -> float:
     selected columns). ``cols`` defaults to all columns.
     """
     a = _as_matrix(z)
-    K = (
-        tuple(range(a.shape[1]))
-        if cols is None
-        else as_index_set(cols, a.shape[1])
-    )
+    K = tuple(range(a.shape[1])) if cols is None else as_index_set(cols, a.shape[1])
     if not K:
         return 1.0
     means = (np.abs(a[:, K]) ** 2).mean(axis=0)
@@ -505,12 +553,8 @@ def phi_bound(z, k: int) -> float:
     n, m = a.shape
     if not 0 <= k <= min(n, m):
         raise DomainError(f"level k={k} outside [0, {min(n, m)}]")
-    return (
-        subset_count(m, k)
-        * subset_count(n, k)
-        * math.factorial(k)
-        * math.sqrt(F_level(a, k))
-    )
+    count = subset_count(m, k) * subset_count(n, k) * math.factorial(k)
+    return count * math.sqrt(F_level(a, k))
 
 
 def subhafnian_sum_psi(z, k: int) -> complex:

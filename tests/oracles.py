@@ -7,6 +7,8 @@ tests also call.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,3 +46,27 @@ def unit_circle_theta_bound_ordered(x, t: float) -> float:
             total += float(term.sum())
     theta = total / (n * (n - 1)) ** 2
     return (1.0 - theta) ** (0.5 * (n // 2))
+
+
+def f_set_fraction(z, cols) -> Fraction:
+    """f_set of a complex matrix in exact rational arithmetic: every double
+    is a dyadic rational, so each minor's permanent, summed over all k!
+    bijections with Fraction real and imaginary parts, is exact, and so is
+    the mean of |per(z[J, K]) / k!|^2 over the row k-subsets J."""
+    a = np.asarray(z, dtype=complex)
+    K = list(cols)
+    k = len(K)
+    entries = [[(Fraction(float(a[j, c].real)), Fraction(float(a[j, c].imag))) for c in K]
+               for j in range(a.shape[0])]
+    total = Fraction(0)
+    for J in itertools.combinations(range(a.shape[0]), k):
+        re, im = Fraction(0), Fraction(0)
+        for s in itertools.permutations(range(k)):
+            pr, pi = Fraction(1), Fraction(0)
+            for j, c in zip(J, s):
+                er, ei = entries[j][c]
+                pr, pi = pr * er - pi * ei, pr * ei + pi * er
+            re += pr
+            im += pi
+        total += re * re + im * im
+    return total / (math.factorial(k) ** 2 * math.comb(a.shape[0], k))

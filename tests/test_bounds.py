@@ -1,12 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permbound import bounds, exact
-from permbound.combinatorics import enumerate_subsets
+from permbound.combinatorics import enumerate_subsets, subset_table
 from permbound.errors import DomainError, FeasibilityError
 from permbound.exact import (
     hafnian,
@@ -16,7 +17,11 @@ from permbound.exact import (
     permanent_D,
 )
 from permbound.matrixio import from_entries, from_polar, from_unit_circle
-from oracles import multidim_permanent_direct, unit_circle_theta_bound_ordered
+from oracles import (
+    f_set_fraction,
+    multidim_permanent_direct,
+    unit_circle_theta_bound_ordered,
+)
 
 
 def cmat(rng, n, m=None):
@@ -187,6 +192,99 @@ def test_F_level_of_rank_one_matches_closed_form(n, m, levels):
             / (math.comb(n, k) * math.comb(m, k))
         )
         assert bounds.F_level(z, k) == pytest.approx(expected, rel=1e-12)
+
+
+ROW_SIDE_KINDS = ("gaussian", "rank_one", "signs", "zero_column", "constant")
+
+
+def row_side_input(kind, rng, n, m):
+    """An n x m matrix of one kind: the row side's sign sums cancel exactly
+    on a zero column, and on +-1 and constant inputs every value is exact."""
+    if kind == "gaussian":
+        return cmat(rng, n, m)
+    if kind == "rank_one":
+        return np.outer(cmat(rng, n, 1), cmat(rng, m, 1))
+    if kind == "signs":
+        return rng.choice([-1.0, 1.0], (n, m)).astype(complex)
+    if kind == "zero_column":
+        z = cmat(rng, n, m)
+        z[:, rng.integers(m)] = 0.0
+        return z
+    return np.full((n, m), complex(*rng.standard_normal(2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(ROW_SIDE_KINDS), n=st.integers(2, 8), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_side_matches_the_engine(kind, n, data, seed):
+    # below n = 10 every level reads the engine, so it is the oracle here
+    m = data.draw(st.integers(2, n))
+    k = data.draw(st.integers(2, min(m, bounds.ROW_SIDE_MAX_K)))
+    z = row_side_input(kind, np.random.default_rng(seed), n, m)
+    cols = subset_table(m, k)
+    engine = bounds._minor_means(z, k, cols)
+    row = bounds._row_side_means(z, k, cols)
+    # f_tilde dominates each mean; it scales the residue of exact zeros
+    scale = np.maximum(engine, [bounds.f_tilde(z, K) for K in cols.T])
+    assert (row >= 0).all()
+    assert (np.abs(row - engine) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("n, k", [(10, 3), (10, 4), (11, 3), (11, 4)])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_row_side_matches_exact_rationals(n, k, scaled):
+    rng = np.random.default_rng(70 + 2 * n + k)
+    z = cmat(rng, n)
+    if scaled:
+        # rows scaled by 1e-3, 1 and 1e3 in turn
+        z *= (10.0 ** (3 * (np.arange(n) % 3 - 1)))[:, None]
+    for K in ((0, 1, 2, 3)[:k], tuple(sorted(rng.choice(n, k, replace=False)))):
+        truth = f_set_fraction(z, K)
+        got = bounds.f_set(z, K)
+        assert abs(Fraction(got) - truth) <= Fraction(1e-13) * truth
+
+
+def test_subset_averages_pick_their_path(monkeypatch):
+    # the row side takes matrix levels 2..6 with C(n, k) > 2n (2^(k-1) + 1);
+    # an engine call shows up as one entry of chunk counts
+    chunks = count_chunks(monkeypatch)
+    rng = np.random.default_rng(71)
+
+    def engine_calls(value):
+        assert np.isfinite(value)
+        calls = len(chunks)
+        chunks.clear()
+        return calls
+
+    for n in range(1, 10):
+        z = cmat(rng, n)
+        assert [engine_calls(bounds.F_level(z, k)) for k in range(1, n + 1)] == [1] * n
+    z10 = cmat(rng, 10)
+    assert [engine_calls(bounds.F_level(z10, k)) for k in range(1, 11)] == [
+        1, 1, 0, 0, 1, 1, 1, 1, 1, 1
+    ]
+    assert engine_calls(bounds.f_set(z10, (1, 4, 7))) == 0
+    assert engine_calls(bounds.F_level(cmat(rng, 13), 2)) == 1
+    assert engine_calls(bounds.F_level(cmat(rng, 14), 2)) == 0
+    z16 = cmat(rng, 16)
+    assert engine_calls(bounds.f_set(z16, range(6))) == 0
+    assert engine_calls(bounds.f_set(z16, range(7))) == 1
+    assert engine_calls(bounds.f_set(cube(rng, 10, 3)[:, :, :3], (0, 1, 2))) == 1
+
+
+def test_row_side_values_do_not_depend_on_the_chunk(monkeypatch):
+    rng = np.random.default_rng(72)
+    z = cmat(rng, 12, 9)
+    z14 = cmat(rng, 14)
+    calls = [
+        lambda: [bounds.F_level(z, k) for k in range(2, 7)],
+        lambda: [bounds.f_set(z, K) for K in ((0, 5), (1, 2, 8), (0, 3, 4, 6, 7))],
+        lambda: bounds.F_level(z14, 2),
+    ]
+    want = [call() for call in calls]
+    for entries in (1, 60, 500):
+        monkeypatch.setattr(bounds, "_CHUNK_ENTRIES", entries)
+        assert [call() for call in calls] == want
 
 
 def test_partition_bound_dominates_and_refines():
@@ -460,7 +558,7 @@ def test_unit_circle_theta_matches_ordered_pair_oracle():
     rng = np.random.default_rng(48)
     for n in range(2, 11):
         x = rng.uniform(-1.0, 1.0, (n, n))
-        for t in (0.3, 0.7, 2.5):
+        for t in (0.3, 0.7, 2.5, math.pi):
             assert bounds.unit_circle_theta_bound(x, t) == pytest.approx(
                 unit_circle_theta_bound_ordered(x, t), rel=1e-13
             )
