@@ -136,10 +136,19 @@ def _row_side_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
     columns, per(a[J, K]) = 2^(1-k) sum_s w_s prod_(j in J) u_s[j] for the
     column sums u_s = a[:, K] delta_s of the sign vectors with first entry +1,
     so |per|^2 summed over row k-subsets J is 4^(1-k) sum_(s,t) w_s w_t
-    e_k(u_s conj(u_t)), Hermitian in (s, t). Every step is elementwise on
-    C-contiguous arrays and the pairs s <= t reduce in one order, so no value
-    depends on the chunk; a mean that rounds below 0 reads 0."""
+    e_k(u_s conj(u_t)), Hermitian in (s, t). Each column is first scaled by
+    the power of two 2^-e_c that brings its largest |entry| into [1/2, 1),
+    and the sum is multiplied back by prod_c 4^e_c: exact, so a column's
+    scale factors out as it does from |per|^2, and the widest column cannot
+    swamp the signed sum. A set with a zero column reads 0 exactly. Every
+    step is elementwise on C-contiguous arrays and the pairs s <= t reduce
+    in one order, so no value depends on the chunk; a mean that rounds
+    below 0 reads 0."""
     signs, s, t, weight = _row_side_tables(k)
+    widest = np.abs(a).max(axis=0)
+    _, shift = np.frexp(widest)
+    a = np.ldexp(a.real, -shift) + 1j * np.ldexp(a.imag, -shift)
+    live = (widest > 0)[cols].all(axis=0)
     qstep = max(1, _CHUNK_ENTRIES // ((k + 1) * len(weight)))
     sums = np.empty(cols.shape[1])
     for q in range(0, cols.shape[1], qstep):
@@ -152,7 +161,8 @@ def _row_side_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
         e = _elementary_symmetric(rows, k, (u.shape[1], len(weight)), complex)
         sums[q : q + qstep] = np.add.accumulate(e.real * weight, axis=1)[:, -1]
     scale = 4.0 ** (1 - k) / (math.factorial(k) ** 2 * subset_count(a.shape[0], k))
-    return np.maximum(sums, 0.0) * scale
+    means = np.where(live, np.maximum(sums, 0.0) * scale, 0.0)
+    return np.ldexp(means, 2 * shift[cols].sum(axis=0))
 
 
 def _check_row_work(name: str, n: int, sets) -> None:
@@ -324,7 +334,9 @@ def G_level(t, k: int) -> float:
     if k == 0:
         return 1.0
     _check_symmetric(a, SYMMETRY_ATOL)
-    scale = math.factorial(k) * math.factorial(ell) ** k / math.factorial(ell * k)
+    scale = (
+        math.factorial(k) * math.factorial(ell) ** k / math.factorial(ell * k)
+    )
     total = sum(
         float((np.abs(scale * h) ** 2).sum()) for h in _principal_stack(a, ell * k)
     )
@@ -447,7 +459,11 @@ def baseline_ckp_minor(z, cols: Sequence[int] | None = None) -> float:
     selected columns). ``cols`` defaults to all columns.
     """
     a = _as_matrix(z)
-    K = tuple(range(a.shape[1])) if cols is None else as_index_set(cols, a.shape[1])
+    K = (
+        tuple(range(a.shape[1]))
+        if cols is None
+        else as_index_set(cols, a.shape[1])
+    )
     if not K:
         return 1.0
     means = (np.abs(a[:, K]) ** 2).mean(axis=0)
@@ -553,8 +569,12 @@ def phi_bound(z, k: int) -> float:
     n, m = a.shape
     if not 0 <= k <= min(n, m):
         raise DomainError(f"level k={k} outside [0, {min(n, m)}]")
-    count = subset_count(m, k) * subset_count(n, k) * math.factorial(k)
-    return count * math.sqrt(F_level(a, k))
+    return (
+        subset_count(m, k)
+        * subset_count(n, k)
+        * math.factorial(k)
+        * math.sqrt(F_level(a, k))
+    )
 
 
 def subhafnian_sum_psi(z, k: int) -> complex:

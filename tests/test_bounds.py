@@ -217,31 +217,61 @@ def row_side_input(kind, rng, n, m):
 @given(kind=st.sampled_from(ROW_SIDE_KINDS), n=st.integers(2, 8), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 def test_row_side_matches_the_engine(kind, n, data, seed):
-    # below n = 10 every level reads the engine, so it is the oracle here
+    # below n = 10 every level reads the engine, so it is the oracle here; a
+    # column scale factors out of the engine exactly, so columns are scaled,
+    # by powers of two that keep +-1 and constant inputs exact
     m = data.draw(st.integers(2, n))
     k = data.draw(st.integers(2, min(m, bounds.ROW_SIDE_MAX_K)))
-    z = row_side_input(kind, np.random.default_rng(seed), n, m)
+    scales = data.draw(st.lists(st.sampled_from([-27, -10, 0, 10, 27]),
+                                min_size=m, max_size=m))
+    z = row_side_input(kind, np.random.default_rng(seed), n, m) * np.exp2(scales)
     cols = subset_table(m, k)
     engine = bounds._minor_means(z, k, cols)
     row = bounds._row_side_means(z, k, cols)
-    # f_tilde dominates each mean; it scales the residue of exact zeros
-    scale = np.maximum(engine, [bounds.f_tilde(z, K) for K in cols.T])
-    assert (row >= 0).all()
-    assert (np.abs(row - engine) <= 1e-12 * scale).all()
+    # relative to the engine: where it reads exactly 0 (a zero column, or
+    # +-1 entries whose every minor has permanent 0), the row side must too
+    assert (np.abs(row - engine) <= 1e-12 * engine).all()
 
 
 @pytest.mark.parametrize("n, k", [(10, 3), (10, 4), (11, 3), (11, 4)])
-@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("scaled", [None, "rows", "columns"])
 def test_row_side_matches_exact_rationals(n, k, scaled):
     rng = np.random.default_rng(70 + 2 * n + k)
     z = cmat(rng, n)
-    if scaled:
-        # rows scaled by 1e-3, 1 and 1e3 in turn
-        z *= (10.0 ** (3 * (np.arange(n) % 3 - 1)))[:, None]
+    # rows or columns scaled by 1e-3, 1 and 1e3 in turn
+    steps = 10.0 ** (3 * (np.arange(n) % 3 - 1))
+    if scaled == "rows":
+        z *= steps[:, None]
+    elif scaled == "columns":
+        z *= steps
     for K in ((0, 1, 2, 3)[:k], tuple(sorted(rng.choice(n, k, replace=False)))):
         truth = f_set_fraction(z, K)
         got = bounds.f_set(z, K)
         assert abs(Fraction(got) - truth) <= Fraction(1e-13) * truth
+
+
+def test_row_side_reads_zero_on_a_zero_column():
+    # each minor with a zero column has permanent 0; the signed sums alone
+    # would leave rounding residue
+    rng = np.random.default_rng(75)
+    z = cmat(rng, 9, 7) * np.exp2(rng.integers(-20, 20, 7))
+    z[:, 3] = 0.0
+    for k in range(2, 7):
+        cols = subset_table(7, k)
+        means = bounds._row_side_means(z, k, cols)
+        assert ((means == 0) == (cols == 3).any(axis=0)).all()
+
+
+def test_row_side_level_two_with_a_narrow_column_matches_exact_rationals():
+    # level 2 takes the row side from n = 14; column 1 is 1e8 times smaller
+    # than the others, so its pairs' signed column sums are those of the
+    # wide column alone unless each column is brought to one scale first
+    rng = np.random.default_rng(73)
+    z = cmat(rng, 14)
+    z[:, 1] *= 1e-8
+    for K in ((0, 1), (1, 9), (3, 4)):
+        truth = f_set_fraction(z, K)
+        assert abs(Fraction(bounds.f_set(z, K)) - truth) <= Fraction(1e-13) * truth
 
 
 def test_subset_averages_pick_their_path(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from permbound import bounds, cli, exact, table1
 from permbound.matrixio import from_entries, matrix_to_json, tensor_to_json
+from oracles import f_set_fraction
 
 
 def run_cli(*argv, env=None):
@@ -512,6 +514,33 @@ def test_bounds_partition_rows_beyond_double_factorials(tmp_path, capsys, option
     name = "partition_subset_avg" if option == "--partition" else "composition_level_avg"
     (row,) = [r for r in rows if r["name"] == name]
     assert row["raw_value"] == pytest.approx(426.0**100, rel=1e-12)
+
+
+def test_bounds_partition_dominates_with_columns_of_unequal_scale(tmp_path, capsys):
+    # n = 14 has no exact column, so the exact value is computed here; blocks
+    # of two columns read the row side, and the block (1, 2) pairs a column
+    # with one 1e8 times smaller
+    rng = np.random.default_rng(74)
+    z = rng.standard_normal((14, 14)) + 1j * rng.standard_normal((14, 14))
+    z[:, 1] *= 1e-8
+    z[:, 4:7] *= [1e-3, 1.0, 1e3]
+    path = entries_file(tmp_path, z)
+    spec = "|".join(f"{2 * i + 1},{2 * i + 2}" for i in range(7))
+    code = cli.main(["bounds", "--input", path, "--partition", spec,
+                     "--composition", ",".join(["2"] * 7), "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    exact_norm = abs(exact.permanent(z)) / math.factorial(14)
+    blocks = [f_set_fraction(z, (2 * i, 2 * i + 1)) for i in range(7)]
+    level = sum(f_set_fraction(z, K) for K in itertools.combinations(range(14), 2)) / 91
+    truths = {
+        "partition_subset_avg": math.prod(math.sqrt(b) for b in blocks),
+        "composition_level_avg": math.sqrt(level) ** 7,
+    }
+    for name, truth in truths.items():
+        (row,) = [r for r in rows if r["name"] == name]
+        assert row["raw_value"] == pytest.approx(truth, rel=1e-12)
+        assert row["raw_value"] >= exact_norm > 0
 
 
 def test_bounds_s_perm_pairs_the_fixture_columns(phase_matrix, capsys):
