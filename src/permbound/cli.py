@@ -22,16 +22,8 @@ import math
 import sys
 import time
 
-from . import bounds, charfn, table1, verify
+from . import bounds, charfn, exact, table1, verify
 from .errors import DomainError, FeasibilityError, ParseError
-from .exact import (
-    hafnian,
-    hyperhafnian,
-    hyperhafnian_work,
-    multidim_permanent,
-    multidim_permanent_work,
-    permanent,
-)
 from .matrixio import (
     BoundRow,
     MatrixInput,
@@ -43,18 +35,8 @@ from .matrixio import (
     tensor_from_json,
 )
 
-PER_MAX_N = 24
-HAF_MAX_N = 20
-PER_ELL_MAX_K = 6
-HAF_ELL_MAX_M = 6
-# Work limits of the tensor kernels, in the units of multidim_permanent_work
-# (products, 13-37 ns each) and hyperhafnian_work (level-table entries, about
-# 0.2 us each in a fresh process, building the tables included) as measured
-# on a 2-core x86 box with Python 3.11 and numpy 2.4: an accepted input
-# finishes within about 5 s there.
-PER_ELL_MAX_WORK = 200_000_000
-HAF_ELL_MAX_WORK = 2_000_000
-# Entries sampled by charfn --mc: 10^7 took about 0.5 s and 130-250 MB there.
+# Entries sampled by charfn --mc: 10^7 took about 0.5 s and 130-250 MB on a
+# 2-core x86 box with Python 3.11 and numpy 2.4.
 MC_MAX_DRAWS = 10_000_000
 
 
@@ -151,63 +133,11 @@ def _emit(args, payload: str) -> None:
 def cmd_exact(args) -> int:
     loaded = _load_input(args, tensors=True)
     array = loaded.z if isinstance(loaded, MatrixInput) else loaded
-    kind = args.kind
-    if kind in ("per_ell", "haf_ell") and len(set(array.shape)) > 1:
-        # before the size and work limits, which read only the first axis
-        raise DomainError(f"all axes must have equal size, got shape {array.shape}")
     start = time.perf_counter()
-    if kind == "per":
-        if array.ndim != 2:
-            raise DomainError("kind 'per' needs a matrix input")
-        n = array.shape[0]
-        if n > PER_MAX_N:
-            raise FeasibilityError(f"permanent kernel limit n <= {PER_MAX_N}, got {n}")
-        work = multidim_permanent_work(n, 1)
-        value = permanent(array)
-    elif kind == "haf":
-        if array.ndim != 2:
-            raise DomainError("kind 'haf' needs a matrix input")
-        n = array.shape[0]
-        if n > HAF_MAX_N:
-            raise FeasibilityError(f"hafnian kernel limit n <= {HAF_MAX_N}, got {n}")
-        work = hyperhafnian_work(n, 2)
-        value = hafnian(array)
-    elif kind == "per_ell":
-        if array.ndim < 2:
-            # before the size limit, which reads the first axis
-            raise DomainError("tensor must have at least 2 axes")
-        k = array.shape[0]
-        if k > PER_ELL_MAX_K:
-            raise FeasibilityError(
-                f"tensor permanent limit k <= {PER_ELL_MAX_K}, got {k}"
-            )
-        work = multidim_permanent_work(k, array.ndim - 1)
-        if work > PER_ELL_MAX_WORK:
-            raise FeasibilityError(
-                f"tensor permanent work limit {PER_ELL_MAX_WORK} products,"
-                f" got {work} for k={k} at order {array.ndim}"
-            )
-        value = multidim_permanent(array)
-    elif kind == "haf_ell":
-        ell = array.ndim
-        n = array.shape[0] if ell else 0
-        if ell and n % ell == 0:
-            if n // ell > HAF_ELL_MAX_M:
-                raise FeasibilityError(
-                    f"tensor hafnian limit m <= {HAF_ELL_MAX_M}, got {n // ell}"
-                )
-            work = hyperhafnian_work(n, ell)
-            if work > HAF_ELL_MAX_WORK:
-                raise FeasibilityError(
-                    f"tensor hafnian work limit {HAF_ELL_MAX_WORK} steps,"
-                    f" got {work} for m={n // ell} at order {ell}"
-                )
-        value = hyperhafnian(array)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown kind {kind!r}")
+    value, work = exact.evaluate(args.kind, array)
     elapsed = time.perf_counter() - start
     doc = {
-        "kind": kind,
+        "kind": args.kind,
         "shape": list(array.shape),
         "value": cells_to_json(value),
         "elapsed_seconds": elapsed,
@@ -216,7 +146,7 @@ def cmd_exact(args) -> int:
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2))
     else:
-        print(f"{kind} = {value!r}  ({elapsed:.3f} s)")
+        print(f"{args.kind} = {value!r}  ({elapsed:.3f} s)")
         _emit(args, json.dumps(doc))
     return 0
 

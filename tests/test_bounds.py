@@ -1029,21 +1029,23 @@ def test_table1_report_evaluates_each_level_once(monkeypatch):
 
 
 def test_only_bounds_sets_its_limits():
-    # the row limits live next to the code whose cost they bound
+    # each limit lives next to the code whose cost it bounds
     import ast
     import pathlib
 
+    owners = {
+        "bounds.py": ("BOUNDS_MAX_N", "BOUNDS_MAX_WORK"),
+        "exact.py": ("PER_MAX_WORK", "HAF_MAX_WORK"),
+    }
     src = pathlib.Path(bounds.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "bounds.py":
-            continue
+        foreign = {name for owner, names in owners.items() if owner != path.name
+                   for name in names}
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             # a name or attribute in Store context is an assignment target
             ident = getattr(node, "id", getattr(node, "attr", None))
-            if isinstance(getattr(node, "ctx", None), ast.Store) and ident in (
-                "BOUNDS_MAX_N", "BOUNDS_MAX_WORK"
-            ):
+            if isinstance(getattr(node, "ctx", None), ast.Store) and ident in foreign:
                 offenders.append(f"{path.name}:{node.lineno} {ident}")
     assert offenders == []
 

@@ -115,7 +115,7 @@ def test_exact_json_reports_the_gated_work(tmp_path, kind, shape, work):
     proc = run_cli("exact", kind, "--input", str(path), "--format", "json")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["work"] == work
+    assert doc["work"] == work == exact.evaluate(kind, np.ones(shape))[1]
     assert set(doc) == {"kind", "shape", "value", "elapsed_seconds", "work"}
     text = run_cli("exact", kind, "--input", str(path))
     assert text.stdout.splitlines()[0].startswith(f"{kind} = ")
@@ -130,54 +130,67 @@ def test_exact_t_override(phase_matrix):
     assert doc["value"]["re"] == pytest.approx(math.factorial(8))
 
 
-def test_exact_feasibility_exit(tmp_path):
-    path = tmp_path / "big.json"
-    doc = {"unit_circle": {"x": np.zeros((25, 25)).tolist(), "t": 1.0}}
-    path.write_text(json.dumps(doc))
-    proc = run_cli("exact", "per", "--input", str(path))
-    assert proc.returncode == 3
-    assert "24" in proc.stderr
-
-
 @pytest.mark.parametrize(
-    "kind, shape, limit",
+    "kind, shape",
     [
+        # the first refused shape of each kind
+        ("per", (25, 25)),
+        ("haf", (26, 26)),
+        ("per_ell", (9, 9, 9)),
+        ("haf_ell", (21, 21, 21)),
         # 7,776 entries, but (6!)^3 * 2^5 * 6 products
-        ("per_ell", (6,) * 5, "tensor permanent work limit"),
-        # m = 5 passes the m <= 6 cap; 4,357,594 recursion steps do not
-        ("haf_ell", (20,) * 4, "tensor hafnian work limit"),
+        ("per_ell", (6,) * 5),
+        # m = 5, 4,357,594 table entries
+        ("haf_ell", (20,) * 4),
     ],
 )
-def test_exact_tensor_work_limit_exit(tmp_path, kind, shape, limit):
+def test_exact_work_limit_exit(tmp_path, kind, shape):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(tensor_to_json(np.zeros(shape))))
     proc = run_cli("exact", kind, "--input", str(path))
+    if kind.startswith("per"):
+        limit = exact.PER_MAX_WORK
+        work = exact.multidim_permanent_work(shape[0], len(shape) - 1)
+    else:
+        limit = exact.HAF_MAX_WORK
+        work = exact.hyperhafnian_work(shape[0], len(shape))
     assert proc.returncode == 3
-    assert limit in proc.stderr
+    assert f"{kind} work limit {limit} " in proc.stderr
+    assert f"got {work} " in proc.stderr
     assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
-    "kind, shape", [("per_ell", (7, 2, 2)), ("haf_ell", (28, 2, 2, 2))]
+    "kind, shape",
+    [
+        ("per_ell", (7, 2, 2)),
+        ("haf_ell", (28, 2, 2, 2)),
+        ("per", (25, 26)),
+        ("haf", (21, 22)),
+        ("haf", (21, 21)),
+    ],
 )
 def test_exact_tensor_unequal_axes_exit(tmp_path, kind, shape):
-    # a first axis beyond the caps must not turn malformed input into exit 3
+    # a shape error exits 2 before the work limit reads the first axis
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(tensor_to_json(np.zeros(shape))))
     proc = run_cli("exact", kind, "--input", str(path))
     assert proc.returncode == 2
-    assert "equal size" in proc.stderr
+    unequal = len(set(shape)) > 1
+    assert ("equal size" if unequal else "not a multiple of the order") in proc.stderr
 
 
 @pytest.mark.parametrize("k", [5, 7])
 def test_exact_per_ell_one_axis_exits_2(tmp_path, k):
-    # the number of axes is checked before the size cap reads the first one
+    # both tensor kinds need two axes: an order-1 hyperhafnian counts n
+    # table entries but builds n levels of n-wide rows
     path = tmp_path / "vector.json"
     path.write_text(json.dumps(tensor_to_json(np.ones(k))))
-    proc = run_cli("exact", "per_ell", "--input", str(path))
-    assert proc.returncode == 2
-    assert "tensor must have at least 2 axes" in proc.stderr
-    assert proc.stdout == ""
+    for kind in ("per_ell", "haf_ell"):
+        proc = run_cli("exact", kind, "--input", str(path))
+        assert proc.returncode == 2
+        assert "tensor must have at least 2 axes" in proc.stderr
+        assert proc.stdout == ""
 
 
 def _exact_value(tmp_path, kind, doc):
@@ -191,10 +204,10 @@ def _exact_value(tmp_path, kind, doc):
 
 def test_exact_caps_are_reachable(tmp_path):
     rng = np.random.default_rng(7)
-    # haf(d d^T) = (n-1)!! prod(d) at the hafnian cap n = 20
-    d = rng.uniform(0.5, 1.5, 20) * rng.choice([-1.0, 1.0], 20)
+    # haf(d d^T) = (n-1)!! prod(d) at the largest accepted n = 24
+    d = rng.uniform(0.5, 1.5, 24) * rng.choice([-1.0, 1.0], 24)
     value = _exact_value(tmp_path, "haf", matrix_to_json(from_entries(np.outer(d, d))))
-    expected = math.prod(range(19, 0, -2)) * d.prod()
+    expected = math.prod(range(23, 0, -2)) * d.prod()
     assert abs(value - expected) <= 1e-9 * abs(expected)
 
     # order 3, m = 6: the 18!/(6! 3!^6) block partitions of d x d x d
@@ -204,11 +217,11 @@ def test_exact_caps_are_reachable(tmp_path):
     expected = math.factorial(18) / (math.factorial(6) * 6**6) * d.prod()
     assert abs(value - expected) <= 1e-9 * abs(expected)
 
-    # k = 6 at order 3: (6!)^2 equal terms of u x v x w
-    u, v, w = (rng.uniform(0.5, 1.5, 6) for _ in range(3))
+    # k = 8 at order 3: (8!)^2 equal terms of u x v x w
+    u, v, w = (rng.uniform(0.5, 1.5, 8) for _ in range(3))
     t = np.multiply.outer(np.multiply.outer(u, v), w)
     value = _exact_value(tmp_path, "per_ell", tensor_to_json(t))
-    expected = math.factorial(6) ** 2 * u.prod() * v.prod() * w.prod()
+    expected = math.factorial(8) ** 2 * u.prod() * v.prod() * w.prod()
     assert abs(value - expected) <= 1e-9 * abs(expected)
 
 

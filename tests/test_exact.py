@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from permbound import exact
 from permbound.combinatorics import enumerate_partitions
-from permbound.errors import DomainError
+from permbound.errors import DomainError, FeasibilityError
 from permbound.exact import (
     block_embed_per_as_haf,
     hafnian,
@@ -400,6 +400,34 @@ def test_multidim_permanent_work():
     assert multidim_permanent_work(6, 2) == 720 * 32 * 6
     assert multidim_permanent_work(6, 1) == 32 * 6
     assert multidim_permanent_work(0, 3) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, accepted, refused",
+    [
+        ("per", (24, 24), (25, 25)),
+        ("haf", (24, 24), (26, 26)),
+        ("per_ell", (8, 8, 8), (9, 9, 9)),
+        ("haf_ell", (18, 18, 18), (21, 21, 21)),
+    ],
+)
+def test_evaluate_checks_the_work_before_the_kernel(monkeypatch, kind, accepted, refused):
+    # the largest accepted and the first refused shape of each kind: the
+    # work returned is the one compared, and a refusal runs no kernel
+    calls = []
+    for name in ("permanent", "hafnian", "multidim_permanent", "hyperhafnian"):
+        monkeypatch.setattr(exact, name, lambda a: calls.append(a.shape) or 0j)
+    if kind.startswith("per"):
+        limit = exact.PER_MAX_WORK
+        work = [multidim_permanent_work(s[0], len(s) - 1) for s in (accepted, refused)]
+    else:
+        limit = exact.HAF_MAX_WORK
+        work = [hyperhafnian_work(s[0], len(s)) for s in (accepted, refused)]
+    assert work[0] <= limit < work[1]
+    assert exact.evaluate(kind, np.zeros(accepted)) == (0j, work[0])
+    with pytest.raises(FeasibilityError, match=f"limit {limit} .* got {work[1]} "):
+        exact.evaluate(kind, np.zeros(refused))
+    assert calls == [accepted]
 
 
 @pytest.mark.parametrize(
