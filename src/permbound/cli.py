@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -332,7 +333,9 @@ def cmd_charfn(args) -> int:
 # parser wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared per process: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="permbound",
         description="Exact permanents/hafnians and subset-average upper bounds.",
@@ -346,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="argument override for unit_circle inputs")
     p_exact.add_argument("--format", choices=["text", "json"], default="text")
     p_exact.add_argument("--output", default=None)
-    p_exact.set_defaults(func=cmd_exact)
 
     p_bounds = sub.add_parser("bounds", help="bound comparison report")
     p_bounds.add_argument("--input", required=True)
@@ -366,13 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--format", choices=["text", "json", "csv"],
                           default="text")
     p_bounds.add_argument("--output", default=None)
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_table = sub.add_parser("table1", help="embedded benchmark reproduction")
     p_table.add_argument("--format", choices=["text", "json", "csv"],
                          default="text")
     p_table.add_argument("--output", default=None)
-    p_table.set_defaults(func=cmd_table1)
 
     p_verify = sub.add_parser("verify", help="randomized property suites")
     p_verify.add_argument("--suite", default="all",
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_charfn = sub.add_parser("charfn", help="characteristic-function report")
     p_charfn.add_argument("--input", required=True, help="model JSON file")
@@ -393,16 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_charfn.add_argument("--format", choices=["text", "json", "csv"],
                           default="text")
     p_charfn.add_argument("--output", default=None)
-    p_charfn.set_defaults(func=cmd_charfn)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; an argparse error raises
+    ``SystemExit(2)``. Each call looks up the handler ``cmd_<command>`` by
+    name, so a patched one takes effect; the parser stores no handler."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

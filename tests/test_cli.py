@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -778,3 +779,57 @@ def test_charfn_bad_model(tmp_path):
     proc = run_cli("charfn", "--input", str(path))
     assert proc.returncode == 2
     assert "cells[0][0]" in proc.stderr
+
+
+def _bounds_json(capsys, argv):
+    """The JSON document of one in-process ``bounds`` run, timings dropped."""
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc.pop("elapsed_seconds", None)
+    return doc
+
+
+def test_main_reuses_one_parser_across_calls(phase_matrix, model_file, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["bounds", "--input", phase_matrix, "--partition", "1,2,3|4,5,6|7,8",
+            "--format", "json"]
+    first = _bounds_json(capsys, argv)
+    assert _bounds_json(capsys, argv) == first
+
+    # an append option given once does not carry over to the next call
+    only_p1 = _bounds_json(capsys, ["bounds", "--input", phase_matrix, "--p", "1",
+                                    "--format", "json"])
+    opnorms = [r["name"] for r in only_p1["rows"] if r["name"].startswith("opnorm_")]
+    assert opnorms == ["opnorm_p1"]
+    every_p = _bounds_json(capsys, ["bounds", "--input", phase_matrix, "--format", "json"])
+    opnorms = [r["name"] for r in every_p["rows"] if r["name"].startswith("opnorm_")]
+    assert opnorms == ["opnorm_p1", "opnorm_pinf", "opnorm_p2"]
+
+    assert cli.main(["charfn", "--input", model_file, "--t", "0.7", "--t", "1.4",
+                     "--format", "json"]) == 0
+    assert [r["t"] for r in json.loads(capsys.readouterr().out)["rows"]] == [0.7, 1.4]
+    assert cli.main(["charfn", "--input", model_file, "--format", "json"]) == 0
+    assert [r["t"] for r in json.loads(capsys.readouterr().out)["rows"]] == [0.0]
+
+    # an argparse failure between two good calls leaves the second unchanged
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--input", phase_matrix, "--p", "2", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert _bounds_json(capsys, argv) == first
+
+
+def test_main_looks_up_each_handler_by_name(monkeypatch, capsys):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["bounds", "charfn", "exact", "table1", "verify"]
+    for name in sub.choices:
+        assert callable(getattr(cli, f"cmd_{name}"))
+
+    assert cli.main(["table1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    seen = []
+    monkeypatch.setattr(cli, "cmd_table1", lambda args: seen.append(args.format) or 7)
+    assert cli.main(["table1", "--format", "json"]) == 7
+    assert seen == ["json"]
+    assert capsys.readouterr().out == ""
