@@ -10,10 +10,10 @@ matrix: they use only second moments of products of two entrywise
 characteristic functions, and for odd n both carry an extra single-column
 factor.
 
-The Monte Carlo check samples every grid entry independently (independent
-rows would suffice for the theory; the simulator uses the stricter fully
-independent grid) with a counter-based generator, and shuffles via
-Fisher-Yates. Seeds and standard errors are recorded in the result.
+The Monte Carlo check draws each trial's permutation, then samples only the
+n entries it picks (unpicked entries never enter S, so S has the law of the
+fully independent grid) with a counter-based generator. Seeds and standard
+errors are recorded in the result.
 """
 
 from __future__ import annotations
@@ -232,8 +232,9 @@ def monte_carlo_charfn(
 ) -> MonteCarloResult:
     """Estimate E exp(itS) by simulation.
 
-    Samples the full grid independently (row-major cell order), draws the
-    permutation by Fisher-Yates shuffling, and averages exp(itS). The
+    Draws every trial's permutation first, then, for each cell (j, r) in
+    row-major order, samples one value for each trial whose permutation
+    sends row j to column r, in trial order: n draws per trial. The
     generator is counter-based (Philox) so runs are reproducible from the
     recorded seed.
     """
@@ -241,17 +242,15 @@ def monte_carlo_charfn(
         raise DomainError("need at least 2 trials")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
-    n = model.n
     rng = np.random.Generator(np.random.Philox(seed))
-    draws = np.empty((trials, n, n))
+    perms = np.tile(np.arange(model.n), (trials, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    total = np.zeros(trials)
     for j, row in enumerate(model.cells):
         for r, cell in enumerate(row):
-            draws[:, j, r] = cell.sample(rng, trials)
-    perms = rng.permuted(
-        np.broadcast_to(np.arange(n), (trials, n)).copy(), axis=1
-    )
-    picked = np.take_along_axis(draws, perms[:, :, None], axis=2)[:, :, 0]
-    values = np.exp(1j * t * picked.sum(axis=1))
+            hit = np.flatnonzero(perms[:, j] == r)
+            total[hit] += cell.sample(rng, hit.size)
+    values = np.exp(1j * t * total)
     estimate = complex(values.mean())
     return MonteCarloResult(
         estimate=estimate,

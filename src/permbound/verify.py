@@ -1,10 +1,10 @@
 """Randomized verification suites.
 
-Each suite draws reproducible random instances from seeds derived from one
-base seed (per instance; the convolution suite draws one generator per
-(n, k, j) case and checks its trials as one stacked batch), checks an
-identity or inequality, and returns a :class:`SuiteResult` whose failures
-carry the serialized offending instance for replay. Suites:
+Each suite checks an identity or inequality on random instances and returns
+a :class:`SuiteResult` whose failures carry the serialized offending instance
+for replay. Each family of checks draws its trials in order from one
+generator keyed by the seed and the family, so fewer trials check a prefix;
+the convolution sweep draws each (n, k, j) case's trials as one batch. Suites:
 
 * laplace: block expansions reproduce the exact kernels,
 * dominance: subset-average products dominate exact normalized values, and
@@ -115,8 +115,8 @@ def _jsonable(value):
     return value
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+def _rng(seed: int, family: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(family,)))
 
 
 def _cmatrix(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
@@ -167,8 +167,8 @@ def _slack_ok(lhs: float, rhs: float) -> bool:
 def suite_laplace(seed: int, trials: int) -> SuiteResult:
     """Expansion identities against the exact kernels."""
     rec = _Recorder()
+    rng = _rng(seed, 0)
     for i in range(trials):
-        rng = _rng(seed, 0, i)
         n = int(rng.integers(2, 8))
         z = _cmatrix(rng, n)
         d = int(rng.integers(1, min(3, n) + 1))
@@ -182,8 +182,8 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
             i,
             {"n": n, "blocks": blocks, "z": z, "direct": direct, "via": via},
         )
+    rng = _rng(seed, 1)
     for i in range(trials):
-        rng = _rng(seed, 1, i)
         k = int(rng.integers(2, 5))
         t = rng.standard_normal((k, k, k)) + 1j * rng.standard_normal((k, k, k))
         d = int(rng.integers(1, min(3, k) + 1))
@@ -200,8 +200,8 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
             {"k": k, "sizes": w, "blocks": blocks, "t": t, "direct": direct,
              "fixed": fixed, "symmetrized": sym},
         )
+    rng = _rng(seed, 2)
     for i in range(trials):
-        rng = _rng(seed, 2, i)
         n = int(rng.choice([4, 6, 8]))
         z = _sym_matrix(rng, n)
         m = n // 2
@@ -218,8 +218,8 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
             i,
             {"n": n, "sizes": w, "z": z, "direct": direct, "via": via},
         )
+    rng = _rng(seed, 3)
     for i in range(trials):
-        rng = _rng(seed, 3, i)
         t = _sym_tensor3(rng, 6)
         w = (1, 1) if i % 2 else (2,)
         direct = hyperhafnian(t)
@@ -249,8 +249,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
     rec = _Recorder()
     per_family = max(1, trials // 6)
 
+    rng = _rng(seed, 10)
     for i in range(per_family):
-        rng = _rng(seed, 10, i)
         n = int(rng.integers(3, 7))
         z = _cmatrix(rng, n)
         k = int(rng.integers(1, min(4, n) + 1))
@@ -273,8 +273,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             "normalized_permanent": norm_per, "full_bound": bound_full,
         })
 
+    rng = _rng(seed, 11)
     for i in range(per_family):
-        rng = _rng(seed, 11, i)
         n = int(rng.integers(3, 6))
         z = _cmatrix(rng, n)
         k = int(rng.integers(1, n + 1))
@@ -291,8 +291,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             "normalized_permanent": norm_per, "full_bound": bound_full,
         })
 
+    rng = _rng(seed, 12)
     for i in range(per_family):
-        rng = _rng(seed, 12, i)
         n = int(rng.integers(3, 5))
         t = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
         k = int(rng.integers(1, min(3, n) + 1))
@@ -310,8 +310,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             "f": lhs, "product": rhs, "normalized": norm, "full_bound": bound_full,
         })
 
+    rng = _rng(seed, 13)
     for i in range(per_family):
-        rng = _rng(seed, 13, i)
         n = 3
         t = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
         k = int(rng.integers(1, n + 1))
@@ -329,8 +329,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             "normalized": norm, "full_bound": bound_full,
         })
 
+    rng = _rng(seed, 14)
     for i in range(per_family):
-        rng = _rng(seed, 14, i)
         n = int(rng.integers(4, 8))
         z = _sym_matrix(rng, n)
         k = int(rng.integers(1, n // 2 + 1))
@@ -354,8 +354,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             )
         rec.record(ok, "subhafnian_dominance", i, detail)
 
+    rng = _rng(seed, 15)
     for i in range(per_family):
-        rng = _rng(seed, 15, i)
         t = _sym_tensor3(rng, 6)
         lhs = bounds.G_level(t, 2)
         rhs = bounds.G_level(t, 1) ** 2
@@ -370,8 +370,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
         })
 
     pairs = max(200, trials // 5)
+    rng = _rng(seed, 16)
     for i in range(pairs):
-        rng = _rng(seed, 16, i)
         if i % 2 == 0:
             n = int(rng.integers(4, 7))
             z = _cmatrix(rng, n)
@@ -422,8 +422,8 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
     """Constructed instances that achieve the bounds exactly."""
     rec = _Recorder()
 
+    rng = _rng(seed, 20)
     for i in range(trials):
-        rng = _rng(seed, 20, i)
         n = int(rng.integers(3, 7))
         c = complex(rng.standard_normal(), rng.standard_normal())
         z = np.full((n, n), c)
@@ -443,8 +443,8 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
             "bound": bound_full, "exact": exact,
         })
 
+    rng = _rng(seed, 21)
     for i in range(trials):
-        rng = _rng(seed, 21, i)
         n = int(rng.integers(3, 7))
         cvals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z = np.tile(cvals, (n, 1))
@@ -465,8 +465,8 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
             "f": lhs, "product": rhs, "bound": bound_full, "exact": exact,
         })
 
+    rng = _rng(seed, 22)
     for i in range(trials):
-        rng = _rng(seed, 22, i)
         n = int(rng.integers(3, 6))
         z = _cmatrix(rng, n)
         k = int(rng.integers(1, n + 1))
@@ -482,8 +482,8 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
             "z": z, "f": lhs, "product": rhs,
         })
 
+    rng = _rng(seed, 23)
     for i in range(trials):
-        rng = _rng(seed, 23, i)
         n = int(rng.choice([4, 6, 8]))
         m = n // 2
         y = complex(rng.standard_normal(), rng.standard_normal())
@@ -511,8 +511,8 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
             "bound": bound_full, "exact": exact, "closed_form": closed,
         })
 
+    rng = _rng(seed, 24)
     for i in range(trials):
-        rng = _rng(seed, 24, i)
         n, ell = 6, 3
         m = n // ell
         y = complex(rng.standard_normal(), rng.standard_normal())
@@ -548,12 +548,12 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
 def suite_convolution(seed: int, trials: int) -> SuiteResult:
     """Subset-convolution inequality sweep with the equality biconditional."""
     rec = _Recorder()
+    rng, eq_rng = _rng(seed, 30), _rng(seed, 31)
     case = 0
     for n in range(1, 6):
         for k in range(0, n + 1):
             for j in range(0, k + 1):
                 cg, ch = math.comb(n, j), math.comb(n, k - j)
-                rng = _rng(seed, 30, case)
                 g = SetFunction(n, j, rng.random((trials, cg)))
                 h = SetFunction(n, k - j, rng.random((trials, ch)))
                 check = verify_convolution_inequality(g, h)
@@ -565,18 +565,17 @@ def suite_convolution(seed: int, trials: int) -> SuiteResult:
                     "holds": check.holds[i], "equal": check.equal[i],
                     "conditions": [c for c, hit in zip(EQUALITY_CONDITIONS, flags[i]) if hit],
                 })
-                rng = _rng(seed, 31, case)
                 constructed = [
-                    ("g_zero", np.zeros(cg), rng.random(ch)),
-                    ("h_zero", rng.random(cg), np.zeros(ch)),
-                    ("both_constant", np.full(cg, rng.random() + 0.5),
-                     np.full(ch, rng.random() + 0.5)),
+                    ("g_zero", np.zeros(cg), eq_rng.random(ch)),
+                    ("h_zero", eq_rng.random(cg), np.zeros(ch)),
+                    ("both_constant", np.full(cg, eq_rng.random() + 0.5),
+                     np.full(ch, eq_rng.random() + 0.5)),
                 ]
                 if k == n:
-                    hvals = rng.random(ch)
+                    hvals = eq_rng.random(ch)
                     # g(I) = x * h(complement of I): complements in reverse order
                     constructed.append(
-                        ("complement_proportional", (rng.random() + 0.5) * hvals[::-1], hvals)
+                        ("complement_proportional", (eq_rng.random() + 0.5) * hvals[::-1], hvals)
                     )
                 for label, gvals, hvals in constructed:
                     g, h = SetFunction(n, j, gvals), SetFunction(n, k - j, hvals)
@@ -598,8 +597,8 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
     """Block-product mean-square inequality and its reproductions."""
     rec = _Recorder()
 
+    rng = _rng(seed, 40)
     for i in range(trials):
-        rng = _rng(seed, 40, i)
         ell = int(rng.integers(1, 3))
         d = int(rng.integers(1, 4))
         sizes = tuple(int(rng.integers(2, 5)) for _ in range(ell))
@@ -629,8 +628,8 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
             "lhs": multi.lhs, "rhs": multi.rhs,
         })
 
+    rng = _rng(seed, 41)
     for i in range(trials):
-        rng = _rng(seed, 41, i)
         n = int(rng.integers(2, 6))
         z = _cmatrix(rng, n)
         d = int(rng.integers(1, min(3, n) + 1))
@@ -657,8 +656,8 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
             "constant_R": r_ones, "partition_count": counts,
         })
 
+    rng = _rng(seed, 42)
     for i in range(max(1, trials // 2)):
-        rng = _rng(seed, 42, i)
         k = int(rng.integers(2, 4))
         t = rng.standard_normal((k, k, k)) + 1j * rng.standard_normal((k, k, k))
         d = int(rng.integers(1, 3))
@@ -702,8 +701,8 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
     """Characteristic-function bounds and the Monte Carlo estimator."""
     rec = _Recorder()
 
+    rng = _rng(seed, 50)
     for i in range(trials):
-        rng = _rng(seed, 50, i)
         n = int(rng.integers(2, 7))
         model = _random_model(rng, n)
         ts = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, 20)])
@@ -733,8 +732,8 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
                 )
         rec.record(ok, "charfn_dominance", i, detail)
 
+    rng = _rng(seed, 51)
     for i in range(3):
-        rng = _rng(seed, 51, i)
         n = int(rng.integers(2, 6))
         x = rng.standard_normal((n, n))
         model = charfn.DiagonalSumModel(
@@ -751,8 +750,8 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
             "avg_model": avg_a, "avg_phases": avg_b,
         })
 
+    rng = _rng(seed, 52)
     for i in range(2):
-        rng = _rng(seed, 52, i)
         n = int(rng.integers(3, 5))
         model = _random_model(rng, n)
         t = float(rng.uniform(0.3, 2.0))

@@ -288,6 +288,36 @@ def test_monte_carlo_at_zero():
     assert res.stderr_im == 0.0
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_monte_carlo_takes_one_cell_per_row(n):
+    # rows of constant point masses: a trial that drew a row's cells zero or
+    # twice would move S off sum(c), so every value equals exp(it sum(c));
+    # two trials per seed keep the mean of equal values exact
+    c = np.random.default_rng(n).standard_normal(n)
+    model = grid([[point_mass(float(v))] * n for v in c])
+    t = 1.3
+    expected = cmath.exp(1j * t * sum(float(v) for v in c))
+    for seed in range(100):
+        res = monte_carlo_charfn(model, t, trials=2, seed=seed)
+        assert res.estimate == expected
+        assert res.stderr_re == 0.0
+        assert res.stderr_im == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_monte_carlo_picks_each_cell_with_probability_one_over_n(n):
+    # one random cell in a grid of zeros: E exp(itS) = 1 - 1/n + phi(t) / n
+    t = 1.1
+    for seed in range(10):
+        cells = [[point_mass(0.0)] * n for _ in range(n)]
+        cells[seed % n][seed // n % n] = normal(1.0, 0.5)
+        model = grid(cells)
+        exact = exact_charfn(model, t)
+        res = monte_carlo_charfn(model, t, trials=20_000, seed=seed)
+        assert abs(res.estimate.real - exact.real) <= 4 * res.stderr_re
+        assert abs(res.estimate.imag - exact.imag) <= 4 * res.stderr_im
+
+
 def test_monte_carlo_needs_trials():
     model = mixed_model(2, 14)
     with pytest.raises(DomainError):

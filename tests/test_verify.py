@@ -76,11 +76,39 @@ def test_unknown_suite_rejected():
         run_suite("nonesuch")
 
 
-def test_convolution_default_trials_count():
-    result = run_suite("convolution", seed=0)
-    assert result.trials == 200
-    assert result.checks == 11_185
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suites_pass_at_default_trials(name, seed):
+    # each trial records a fixed number of checks, so the counts do not
+    # depend on the seed
+    pinned = {
+        "charfn": 15, "convolution": 11_185, "dominance": 1_296,
+        "equality": 250, "laplace": 400, "master": 350,
+    }
+    result = run_suite(name, seed=seed)
+    assert result.trials == SUITES[name][1]
+    assert result.checks == pinned[name]
     assert result.ok
+
+
+def test_trials_prefix_stable_within_each_family(monkeypatch):
+    def drawn(trials):
+        by_family = {}
+
+        def keep(self, ok, family, index, detail):
+            by_family.setdefault(family, []).append(
+                (index, json.dumps(verify._jsonable(detail)))
+            )
+
+        monkeypatch.setattr(verify._Recorder, "record", keep)
+        run_suite("dominance", seed=5, trials=trials)
+        return by_family
+
+    short, long = drawn(12), drawn(24)
+    assert set(short) == set(long)
+    assert sum(len(v) for v in short.values()) < sum(len(v) for v in long.values())
+    for family, instances in short.items():
+        assert instances == long[family][: len(instances)]
 
 
 def test_convolution_failures_are_capped_and_replay(monkeypatch):
