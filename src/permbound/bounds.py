@@ -684,8 +684,8 @@ def report_rows(
                            unit_circle_theta_bound(mi.phases, t) if pairs else None))
     values.append(("krauter_rank", {}, baseline_krauter(z)))
     if all_baselines:
-        # full-column minor average; its square root bounds |per| / n!
-        values.append(("ckp_column_mean", {}, math.sqrt(baseline_ckp_minor(z))))
+        # sqrt of the full-column minor average is the column-norm bound, in logs
+        values.append(("ckp_column_mean", {}, _exp(_log_hadamard(z))))
     if blocks is not None:
         values.append(("partition_subset_avg",
                        {"blocks": [[v + 1 for v in b] for b in blocks]},

@@ -243,17 +243,19 @@ def monte_carlo_charfn(
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
-    perms = np.tile(np.arange(model.n), (trials, 1))
+    perms = np.tile(np.arange(model.n, dtype=np.min_scalar_type(model.n - 1)), (trials, 1))
     rng.permuted(perms, axis=1, out=perms)
     total = np.zeros(trials)
     for j, row in enumerate(model.cells):
         for r, cell in enumerate(row):
             hit = np.flatnonzero(perms[:, j] == r)
             total[hit] += cell.sample(rng, hit.size)
-    values = np.exp(1j * t * total)
-    estimate = complex(values.mean())
+    del perms, hit
+    values = 1j * t * total
+    del total
+    np.exp(values, out=values)
     return MonteCarloResult(
-        estimate=estimate,
+        estimate=complex(values.mean()),
         stderr_re=float(values.real.std(ddof=1) / math.sqrt(trials)),
         stderr_im=float(values.imag.std(ddof=1) / math.sqrt(trials)),
         trials=trials,

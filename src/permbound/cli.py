@@ -36,8 +36,8 @@ from .matrixio import (
     tensor_from_json,
 )
 
-# trials * n^2 limit of charfn --mc; at it a fresh process took 0.75 s / 207 MB
-# (n = 2) and 0.45 s / 63 MB max RSS (n = 6): 2-core x86, Python 3.11, numpy 2.4.
+# trials * n^2 limit of charfn --mc; at it a fresh process took 0.64-0.85 s / 94 MB
+# (n = 2) and 0.34-0.47 s / 44 MB max RSS (n = 6): 2-core x86, Python 3.11, numpy 2.4.
 MC_MAX_DRAWS = 10_000_000
 
 

@@ -4,7 +4,8 @@ Each suite checks an identity or inequality on random instances and returns
 a :class:`SuiteResult` whose failures carry the serialized offending instance
 for replay. Each family of checks draws its trials in order from one
 generator keyed by the seed and the family, so fewer trials check a prefix;
-the convolution sweep draws each (n, k, j) case's trials as one batch. Suites:
+the convolution sweep draws each (n, k, j) case's trials as one batch. A check
+that holds at every tensor order runs one body over its families' rows. Suites:
 
 * laplace: block expansions reproduce the exact kernels,
 * dominance: subset-average products dominate exact normalized values, and
@@ -119,22 +120,15 @@ def _rng(seed: int, family: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(family,)))
 
 
-def _cmatrix(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def _ctensor(rng: np.random.Generator, n: int, order: int) -> np.ndarray:
+    shape = (n,) * order
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _sym_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = _cmatrix(rng, n)
-    return a + a.T
-
-
-def _sym_tensor3(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-    out = np.zeros_like(a)
-    for axes in itertools.permutations(range(3)):
-        out += a.transpose(axes)
-    return out / 6.0
+def _sym_tensor(rng: np.random.Generator, n: int, order: int) -> np.ndarray:
+    a = _ctensor(rng, n, order)
+    axes = itertools.permutations(range(order))
+    return sum(a.transpose(p) for p in axes) / math.factorial(order)
 
 
 def _composition(rng: np.random.Generator, total: int, parts: int) -> tuple[int, ...]:
@@ -170,7 +164,7 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
     rng = _rng(seed, 0)
     for i in range(trials):
         n = int(rng.integers(2, 8))
-        z = _cmatrix(rng, n)
+        z = _ctensor(rng, n, 2)
         d = int(rng.integers(1, min(3, n) + 1))
         w = _composition(rng, n, d)
         blocks = _partition_of(rng, range(n), w)
@@ -185,7 +179,7 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
     rng = _rng(seed, 1)
     for i in range(trials):
         k = int(rng.integers(2, 5))
-        t = rng.standard_normal((k, k, k)) + 1j * rng.standard_normal((k, k, k))
+        t = _ctensor(rng, k, 3)
         d = int(rng.integers(1, min(3, k) + 1))
         w = _composition(rng, k, d)
         blocks = _partition_of(rng, range(k), w)
@@ -200,46 +194,34 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
             {"k": k, "sizes": w, "blocks": blocks, "t": t, "direct": direct,
              "fixed": fixed, "symmetrized": sym},
         )
-    rng = _rng(seed, 2)
-    for i in range(trials):
-        n = int(rng.choice([4, 6, 8]))
-        z = _sym_matrix(rng, n)
-        m = n // 2
-        if i % 3 == 0 and m >= 2:
-            w: tuple[int, ...] = (1, m - 1)
-        else:
-            d = int(rng.integers(1, min(3, m) + 1))
-            w = _composition(rng, m, d)
-        direct = hafnian(z)
-        via = hyperhafnian_via_expansion(z, w)
-        rec.record(
-            _rel_err(direct, via) <= REL_TOL,
-            "hafnian_expansion",
-            i,
-            {"n": n, "sizes": w, "z": z, "direct": direct, "via": via},
-        )
-    rng = _rng(seed, 3)
-    for i in range(trials):
-        t = _sym_tensor3(rng, 6)
-        w = (1, 1) if i % 2 else (2,)
-        direct = hyperhafnian(t)
-        via = hyperhafnian_via_expansion(t, w)
-        rec.record(
-            _rel_err(direct, via) <= REL_TOL,
-            "tensor_hafnian_expansion",
-            i,
-            {"n": 6, "sizes": w, "t": t, "direct": direct, "via": via},
-        )
+    for key, family, order, sizes, kernel in (
+        (2, "hafnian_expansion", 2, [4, 6, 8], hafnian),
+        (3, "tensor_hafnian_expansion", 3, [6], hyperhafnian),
+    ):
+        rng = _rng(seed, key)
+        for i in range(trials):
+            n = int(rng.choice(sizes))
+            t = _sym_tensor(rng, n, order)
+            m = n // order
+            if i % 3 == 0 and m >= 2:
+                w: tuple[int, ...] = (1, m - 1)
+            else:
+                d = int(rng.integers(1, min(3, m) + 1))
+                w = _composition(rng, m, d)
+            direct = kernel(t)
+            via = hyperhafnian_via_expansion(t, w)
+            rec.record(_rel_err(direct, via) <= REL_TOL, family, i, {
+                "n": n, "sizes": w, "t": t, "direct": direct, "via": via,
+            })
     return SuiteResult("laplace", seed, trials, rec.checks, rec.failures)
 
 
 # ---------------------------------------------------------------------------
 
 
-def _random_column_blocks(rng, cols, max_parts=None):
+def _random_column_blocks(rng, cols):
     k = len(cols)
-    top = k if max_parts is None else min(max_parts, k)
-    d = int(rng.integers(1, top + 1))
+    d = int(rng.integers(1, k + 1))
     w = _composition(rng, k, d)
     return _partition_of(rng, cols, w)
 
@@ -249,132 +231,87 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
     rec = _Recorder()
     per_family = max(1, trials // 6)
 
-    rng = _rng(seed, 10)
-    for i in range(per_family):
-        n = int(rng.integers(3, 7))
-        z = _cmatrix(rng, n)
-        k = int(rng.integers(1, min(4, n) + 1))
-        cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        blocks = _random_column_blocks(rng, cols)
-        lhs = bounds.f_set(z, cols)
-        rhs = bounds.partition_bound_f(z, cols, blocks)
-        relaxed = bounds.f_tilde(z, cols)
-        full_blocks = _random_column_blocks(rng, range(n))
-        norm_per = abs(permanent(z)) / math.factorial(n)
-        bound_full = bounds.permanent_bound_partition(z, full_blocks) / math.factorial(n)
-        ok = (
-            _slack_ok(lhs, rhs)
-            and _slack_ok(lhs, relaxed)
-            and _slack_ok(norm_per, bound_full)
-        )
-        rec.record(ok, "partition_dominance", i, {
-            "n": n, "cols": cols, "blocks": blocks, "z": z,
-            "f": lhs, "product": rhs, "relaxed": relaxed,
-            "normalized_permanent": norm_per, "full_bound": bound_full,
-        })
+    for key, family, order, n_max, k_max, kernel in (
+        (10, "partition_dominance", 2, 6, 4, permanent),
+        (12, "tensor_partition_dominance", 3, 4, 3, multidim_permanent),
+    ):
+        rng = _rng(seed, key)
+        for i in range(per_family):
+            n = int(rng.integers(3, n_max + 1))
+            t = _ctensor(rng, n, order)
+            k = int(rng.integers(1, min(k_max, n) + 1))
+            cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            blocks = _random_column_blocks(rng, cols)
+            lhs = bounds.f_set(t, cols)
+            rhs = bounds.partition_bound_f(t, cols, blocks)
+            full_blocks = _random_column_blocks(rng, range(n))
+            scale = float(math.factorial(n)) ** (order - 1)
+            norm = abs(kernel(t)) / scale
+            bound_full = bounds.permanent_bound_partition(t, full_blocks) / scale
+            ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
+            detail = {
+                "n": n, "cols": cols, "blocks": blocks, "t": t,
+                "f": lhs, "product": rhs, "normalized": norm, "full_bound": bound_full,
+            }
+            if order == 2:  # f_tilde is defined for matrices only
+                detail["relaxed"] = bounds.f_tilde(t, cols)
+                ok = ok and _slack_ok(lhs, detail["relaxed"])
+            rec.record(ok, family, i, detail)
 
-    rng = _rng(seed, 11)
-    for i in range(per_family):
-        n = int(rng.integers(3, 6))
-        z = _cmatrix(rng, n)
-        k = int(rng.integers(1, n + 1))
-        d = int(rng.integers(1, 4))
-        w = _composition(rng, k, d)
-        lhs = bounds.F_level(z, k)
-        rhs = bounds.composition_bound_F(z, k, w)
-        wn = _composition(rng, n, int(rng.integers(1, 4)))
-        norm_per = abs(permanent(z)) / math.factorial(n)
-        bound_full = bounds.permanent_bound_composition(z, wn) / math.factorial(n)
-        ok = _slack_ok(lhs, rhs) and _slack_ok(norm_per, bound_full)
-        rec.record(ok, "composition_dominance", i, {
-            "n": n, "k": k, "parts": w, "z": z, "F": lhs, "product": rhs,
-            "normalized_permanent": norm_per, "full_bound": bound_full,
-        })
+    for key, family, order, n_max, d_max, kernel in (
+        (11, "composition_dominance", 2, 5, 3, permanent),
+        (13, "tensor_composition_dominance", 3, 3, 2, multidim_permanent),
+    ):
+        rng = _rng(seed, key)
+        for i in range(per_family):
+            n = int(rng.integers(3, n_max + 1))
+            t = _ctensor(rng, n, order)
+            k = int(rng.integers(1, n + 1))
+            d = int(rng.integers(1, d_max + 1))
+            w = _composition(rng, k, d)
+            lhs = bounds.F_level(t, k)
+            rhs = bounds.composition_bound_F(t, k, w)
+            wn = _composition(rng, n, int(rng.integers(1, d_max + 1)))
+            scale = float(math.factorial(n)) ** (order - 1)
+            norm = abs(kernel(t)) / scale
+            bound_full = bounds.permanent_bound_composition(t, wn) / scale
+            ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
+            rec.record(ok, family, i, {
+                "n": n, "k": k, "parts": w, "t": t, "F": lhs, "product": rhs,
+                "normalized": norm, "full_bound": bound_full,
+            })
 
-    rng = _rng(seed, 12)
-    for i in range(per_family):
-        n = int(rng.integers(3, 5))
-        t = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        k = int(rng.integers(1, min(3, n) + 1))
-        cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        blocks = _random_column_blocks(rng, cols)
-        lhs = bounds.f_set(t, cols)
-        rhs = bounds.partition_bound_f(t, cols, blocks)
-        full_blocks = _random_column_blocks(rng, range(n))
-        scale = float(math.factorial(n)) ** 2
-        norm = abs(multidim_permanent(t)) / scale
-        bound_full = bounds.permanent_bound_partition(t, full_blocks) / scale
-        ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
-        rec.record(ok, "tensor_partition_dominance", i, {
-            "n": n, "cols": cols, "blocks": blocks, "t": t,
-            "f": lhs, "product": rhs, "normalized": norm, "full_bound": bound_full,
-        })
-
-    rng = _rng(seed, 13)
-    for i in range(per_family):
-        n = 3
-        t = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        k = int(rng.integers(1, n + 1))
-        d = int(rng.integers(1, 3))
-        w = _composition(rng, k, d)
-        lhs = bounds.F_level(t, k)
-        rhs = bounds.composition_bound_F(t, k, w)
-        wn = _composition(rng, n, int(rng.integers(1, 3)))
-        scale = float(math.factorial(n)) ** 2
-        norm = abs(multidim_permanent(t)) / scale
-        bound_full = bounds.permanent_bound_composition(t, wn) / scale
-        ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
-        rec.record(ok, "tensor_composition_dominance", i, {
-            "n": n, "k": k, "parts": w, "t": t, "F": lhs, "product": rhs,
-            "normalized": norm, "full_bound": bound_full,
-        })
-
-    rng = _rng(seed, 14)
-    for i in range(per_family):
-        n = int(rng.integers(4, 8))
-        z = _sym_matrix(rng, n)
-        k = int(rng.integers(1, n // 2 + 1))
-        d = int(rng.integers(1, k + 1))
-        w = _composition(rng, k, d)
-        lhs = bounds.G_level(z, k)
-        rhs = 1.0
-        for p in w:
-            rhs *= bounds.G_level(z, p)
-        ok = _slack_ok(lhs, rhs)
-        detail = {"n": n, "k": k, "parts": w, "z": z, "G": lhs, "product": rhs}
-        if n % 2 == 0:
-            m = n // 2
-            wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
-            scale = math.factorial(n) / (math.factorial(m) * 2**m)
-            norm = abs(hafnian(z)) / scale
-            bound_full = bounds.hafnian_bound(z, wm) / scale
-            ok = ok and _slack_ok(norm, bound_full)
-            detail.update(
-                {"normalized_hafnian": norm, "full_bound": bound_full, "m_parts": wm}
-            )
-        rec.record(ok, "subhafnian_dominance", i, detail)
-
-    rng = _rng(seed, 15)
-    for i in range(per_family):
-        t = _sym_tensor3(rng, 6)
-        lhs = bounds.G_level(t, 2)
-        rhs = bounds.G_level(t, 1) ** 2
-        w = (1, 1) if i % 2 else (2,)
-        scale = math.factorial(6) / (math.factorial(2) * math.factorial(3) ** 2)
-        norm = abs(hyperhafnian(t)) / scale
-        bound_full = bounds.hafnian_bound(t, w) / scale
-        ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
-        rec.record(ok, "tensor_subhafnian_dominance", i, {
-            "parts": w, "t": t, "G2": lhs, "G1_squared": rhs,
-            "normalized": norm, "full_bound": bound_full,
-        })
+    for key, family, order, n_min, n_max, kernel in (
+        (14, "subhafnian_dominance", 2, 4, 7, hafnian),
+        (15, "tensor_subhafnian_dominance", 3, 6, 6, hyperhafnian),
+    ):
+        rng = _rng(seed, key)
+        for i in range(per_family):
+            n = int(rng.integers(n_min, n_max + 1))
+            t = _sym_tensor(rng, n, order)
+            k = int(rng.integers(2, n // order + 1))
+            d = int(rng.integers(2, k + 1))
+            w = [v + 1 for v in _composition(rng, k - d, d)]  # d >= 2 positive parts
+            lhs = bounds.G_level(t, k)
+            rhs = math.prod(bounds.G_level(t, p) ** w.count(p) for p in set(w))
+            ok = _slack_ok(lhs, rhs)
+            detail = {"n": n, "k": k, "parts": w, "t": t, "G": lhs, "product": rhs}
+            if n % order == 0:
+                m = n // order
+                wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
+                scale = math.factorial(n) / (math.factorial(m) * math.factorial(order) ** m)
+                norm = abs(kernel(t)) / scale
+                bound_full = bounds.hafnian_bound(t, wm) / scale
+                ok = ok and _slack_ok(norm, bound_full)
+                detail.update({"normalized": norm, "full_bound": bound_full, "m_parts": wm})
+            rec.record(ok, family, i, detail)
 
     pairs = max(200, trials // 5)
     rng = _rng(seed, 16)
     for i in range(pairs):
         if i % 2 == 0:
             n = int(rng.integers(4, 7))
-            z = _cmatrix(rng, n)
+            z = _ctensor(rng, n, 2)
             k = int(rng.integers(2, min(4, n) + 1))
             cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
             d = int(rng.integers(1, k))
@@ -397,7 +334,7 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             })
         else:
             n = int(rng.integers(3, 6))
-            z = _cmatrix(rng, n)
+            z = _ctensor(rng, n, 2)
             k = int(rng.integers(2, n + 1))
             d = int(rng.integers(1, k))
             w = [v + 1 for v in _composition(rng, k - d, d)]
@@ -468,7 +405,7 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
     rng = _rng(seed, 22)
     for i in range(trials):
         n = int(rng.integers(3, 6))
-        z = _cmatrix(rng, n)
+        z = _ctensor(rng, n, 2)
         k = int(rng.integers(1, n + 1))
         cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         dead = int(rng.choice(cols))
@@ -482,62 +419,37 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
             "z": z, "f": lhs, "product": rhs,
         })
 
-    rng = _rng(seed, 23)
-    for i in range(trials):
-        n = int(rng.choice([4, 6, 8]))
-        m = n // 2
-        y = complex(rng.standard_normal(), rng.standard_normal())
-        z = np.full((n, n), y, dtype=complex)
-        np.fill_diagonal(z, rng.standard_normal(n))
-        k = int(rng.integers(1, m + 1))
-        w = _composition(rng, k, int(rng.integers(1, k + 1)))
-        lhs = bounds.G_level(z, k)
-        rhs = 1.0
-        for p in w:
-            rhs *= bounds.G_level(z, p)
-        wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
-        bound_full = bounds.hafnian_bound(z, wm)
-        exact = hafnian(z)
-        closed = (
-            math.factorial(n) / (math.factorial(m) * 2**m) * y**m
-        )
-        ok = (
-            _rel_err(lhs, rhs) <= EQ_RTOL
-            and _rel_err(bound_full, abs(exact)) <= EQ_RTOL
-            and _rel_err(exact, closed) <= EQ_RTOL
-        )
-        rec.record(ok, "constant_offdiagonal_hafnian", i, {
-            "n": n, "k": k, "parts": w, "y": y, "G": lhs, "product": rhs,
-            "bound": bound_full, "exact": exact, "closed_form": closed,
-        })
-
-    rng = _rng(seed, 24)
-    for i in range(trials):
-        n, ell = 6, 3
-        m = n // ell
-        y = complex(rng.standard_normal(), rng.standard_normal())
-        t = np.zeros((n, n, n), dtype=complex)
-        for idx in itertools.permutations(range(n), 3):
-            t[idx] = y
-        w = (1, 1) if i % 2 else (2,)
-        lhs = bounds.G_level(t, 2)
-        rhs = bounds.G_level(t, 1) ** 2
-        bound_full = bounds.hafnian_bound(t, w)
-        exact = hyperhafnian(t)
-        closed = (
-            math.factorial(n)
-            / (math.factorial(m) * math.factorial(ell) ** m)
-            * y**m
-        )
-        ok = (
-            _rel_err(lhs, rhs) <= EQ_RTOL
-            and _rel_err(bound_full, abs(exact)) <= EQ_RTOL
-            and _rel_err(exact, closed) <= EQ_RTOL
-        )
-        rec.record(ok, "constant_offdiagonal_tensor_hafnian", i, {
-            "parts": w, "y": y, "G2": lhs, "G1_squared": rhs,
-            "bound": bound_full, "exact": exact, "closed_form": closed,
-        })
+    for key, family, order, sizes, kernel in (
+        (23, "constant_offdiagonal_hafnian", 2, [4, 6, 8], hafnian),
+        (24, "constant_offdiagonal_tensor_hafnian", 3, [6], hyperhafnian),
+    ):
+        rng = _rng(seed, key)
+        for i in range(trials):
+            n = int(rng.choice(sizes))
+            m = n // order
+            y = complex(rng.standard_normal(), rng.standard_normal())
+            t = _sym_tensor(rng, n, order)  # no value reads a repeated-index entry
+            for idx in itertools.permutations(range(n), order):
+                t[idx] = y
+            k = int(rng.integers(2, m + 1))
+            d = int(rng.integers(2, k + 1))
+            w = [v + 1 for v in _composition(rng, k - d, d)]  # d >= 2 positive parts
+            lhs = bounds.G_level(t, k)
+            rhs = math.prod(bounds.G_level(t, p) ** w.count(p) for p in set(w))
+            wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
+            bound_full = bounds.hafnian_bound(t, wm)
+            exact = kernel(t)
+            scale = math.factorial(n) / (math.factorial(m) * math.factorial(order) ** m)
+            closed = scale * y**m
+            ok = (
+                _rel_err(lhs, rhs) <= EQ_RTOL
+                and _rel_err(bound_full, abs(exact)) <= EQ_RTOL
+                and _rel_err(exact, closed) <= EQ_RTOL
+            )
+            rec.record(ok, family, i, {
+                "n": n, "k": k, "parts": w, "y": y, "t": t, "G": lhs, "product": rhs,
+                "m_parts": wm, "bound": bound_full, "exact": exact, "closed_form": closed,
+            })
 
     return SuiteResult("equality", seed, trials, rec.checks, rec.failures)
 
@@ -631,7 +543,7 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
     rng = _rng(seed, 41)
     for i in range(trials):
         n = int(rng.integers(2, 6))
-        z = _cmatrix(rng, n)
+        z = _ctensor(rng, n, 2)
         d = int(rng.integers(1, min(3, n) + 1))
         w = _composition(rng, n, d)
         blocks = _partition_of(rng, range(n), w)
@@ -659,7 +571,7 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
     rng = _rng(seed, 42)
     for i in range(max(1, trials // 2)):
         k = int(rng.integers(2, 4))
-        t = rng.standard_normal((k, k, k)) + 1j * rng.standard_normal((k, k, k))
+        t = _ctensor(rng, k, 3)
         d = int(rng.integers(1, 3))
         w = _composition(rng, k, d)
         blocks = _partition_of(rng, range(k), w)
@@ -707,7 +619,6 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
         model = _random_model(rng, n)
         ts = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, 20)])
         perm = tuple(int(v) for v in rng.permutation(n))
-        ok = True
         detail: dict = {"n": n, "model": model.to_json(), "violations": []}
         for t in ts:
             value = abs(charfn.exact_charfn(model, float(t)))
@@ -725,12 +636,11 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
             if t == 0.0:
                 good = good and abs(value - 1.0) <= 1e-12
             if not good:
-                ok = False
                 detail["violations"].append(
                     {"t": float(t), "exact": value, "pair": pair,
                      "pair_permuted": pair_s, "avg": avg}
                 )
-        rec.record(ok, "charfn_dominance", i, detail)
+        rec.record(not detail["violations"], "charfn_dominance", i, detail)
 
     rng = _rng(seed, 51)
     for i in range(3):

@@ -1074,6 +1074,16 @@ def test_library_imports_no_threads_or_environment():
     assert offenders == []
 
 
+def test_library_stays_within_its_line_target():
+    # ROADMAP's line target: a change that would take src past 4,000 lines
+    # deletes first, or raises this bound and says why in CHANGES.md
+    import pathlib
+
+    src = pathlib.Path(bounds.__file__).parent
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py"))
+    assert lines <= 4_000
+
+
 def test_only_bounds_reads_its_private_names():
     # the report catalogue lives in bounds.report_rows; no other module
     # rebuilds rows from bounds' private helpers

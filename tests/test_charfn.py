@@ -280,6 +280,26 @@ def test_monte_carlo_deterministic():
     assert c.estimate != a.estimate
 
 
+def test_monte_carlo_at_the_cap_pins_its_estimate_and_memory():
+    # the largest n = 2 run that --mc accepts (trials * n^2 = 1e7): with
+    # small-int permutations freed before an in-place exponential, the
+    # traced peak is the 20 MB sums plus one 40 MB complex array
+    import tracemalloc
+
+    model = grid([[normal(0.5, 1.0), normal(-1.0, 0.25)],
+                  [normal(0.0, 2.0), normal(1.5, 0.5)]])
+    tracemalloc.start()
+    try:
+        res = monte_carlo_charfn(model, 0.7, trials=2_500_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.estimate == pytest.approx(0.278744729775934 + 0.15597539062436086j, rel=1e-12)
+    assert res.stderr_re == pytest.approx(0.0003860889699242489, rel=1e-12)
+    assert res.stderr_im == pytest.approx(0.0004583935778730611, rel=1e-12)
+    assert peak < 80 * 2**20
+
+
 def test_monte_carlo_at_zero():
     model = mixed_model(2, 13)
     res = monte_carlo_charfn(model, 0.0, trials=100, seed=0)

@@ -335,6 +335,19 @@ def test_bounds_near_tied_spectrum(tmp_path, seed):
     )
 
 
+def test_ckp_row_is_the_column_norm_row_at_the_size_limit(tmp_path):
+    # a plain product of 170 column mean squares of 100 overflows a double;
+    # the row is prod_r sqrt(mean_j |z_jr|^2) = 1e170, the column-norm bound
+    path = tmp_path / "tens.json"
+    path.write_text(json.dumps(matrix_to_json(from_entries(np.full((170, 170), 10.0)))))
+    proc = run_cli("bounds", "--input", str(path), "--all-baselines", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rows = {row["name"]: row["raw_value"] for row in json.loads(proc.stdout)["rows"]}
+    assert rows["ckp_column_mean"] == rows["hadamard_column_norm"]
+    assert rows["ckp_column_mean"] == pytest.approx(1e170, rel=1e-12)
+
+
 def test_bad_partition_spec(phase_matrix):
     proc = run_cli("bounds", "--input", phase_matrix, "--partition", "1,2|x")
     assert proc.returncode == 2

@@ -111,6 +111,49 @@ def test_trials_prefix_stable_within_each_family(monkeypatch):
         assert instances == long[family][: len(instances)]
 
 
+def test_merged_families_keep_their_order(monkeypatch):
+    # one body runs the matrix and the tensor family of each check; a row
+    # with the wrong order would keep every count
+    orders = {}
+
+    def keep(self, ok, family, index, detail):
+        orders.setdefault(family, set()).add(detail["t"].ndim if "t" in detail else None)
+
+    monkeypatch.setattr(verify._Recorder, "record", keep)
+    for name in ("dominance", "equality", "laplace"):
+        run_suite(name, seed=2, trials=12)
+    expected = {
+        "partition_dominance": 2, "tensor_partition_dominance": 3,
+        "composition_dominance": 2, "tensor_composition_dominance": 3,
+        "subhafnian_dominance": 2, "tensor_subhafnian_dominance": 3,
+        "constant_offdiagonal_hafnian": 2, "constant_offdiagonal_tensor_hafnian": 3,
+        "hafnian_expansion": 2, "tensor_hafnian_expansion": 3,
+    }
+    assert {family: orders[family] for family in expected} == {
+        family: {order} for family, order in expected.items()
+    }
+
+
+def test_hafnian_level_checks_split_into_positive_parts(monkeypatch):
+    # a composition with one nonzero part would compare G_k with itself
+    parts = {}
+
+    def keep(self, ok, family, index, detail):
+        if "G" in detail:
+            parts.setdefault(family, []).append(detail["parts"])
+
+    monkeypatch.setattr(verify._Recorder, "record", keep)
+    for name in ("dominance", "equality"):
+        run_suite(name, seed=4)
+    assert set(parts) == {
+        "subhafnian_dominance", "tensor_subhafnian_dominance",
+        "constant_offdiagonal_hafnian", "constant_offdiagonal_tensor_hafnian",
+    }
+    for family, drawn in parts.items():
+        assert all(len(w) >= 2 and min(w) >= 1 for w in drawn), family
+    assert {tuple(w) for w in parts["tensor_subhafnian_dominance"]} == {(1, 1)}
+
+
 def test_convolution_failures_are_capped_and_replay(monkeypatch):
     real = verify.verify_convolution_inequality
 
