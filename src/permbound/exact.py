@@ -3,7 +3,7 @@
 The permanent kernel is Glynn's formula, 2^(n-1) signed products of column
 sums (Glynn, Eur. J. Combin. 2010). The sign vectors of the first rows form
 one dense cached table, so a single matrix product covers 2^10 of them, and
-a Gray-code walk over the remaining rows moves that block; the cost is
+a Gray-code walk over the remaining rows shifts it in place; the cost is
 O(2^n * n) multiplications, n <= 11 takes one matrix product. One minor
 engine serves every order: it gathers the minors t[J_1, ..., J_l, K] of an
 order-(l+1) tensor in chunks, fixing the bijections on their first l-1 axes
@@ -56,9 +56,19 @@ from .errors import DomainError, FeasibilityError
 
 SYMMETRY_ATOL = 1e-12
 
-# Rows whose sign vectors form the dense block of the Glynn kernel: a
-# 2^10 x n block keeps each Gray step one vectorized update.
+# Rows whose sign vectors form the dense block of the Glynn kernel: the
+# column sums of 2^10 sign vectors, an n x 2^10 array x that each step of
+# the Gray walk over the remaining rows updates in place, with no n x 2^10
+# temporary.
 _GLYNN_BLOCK_ROWS = 10
+# Walked rows from which the widened step of walked row 0 (one more
+# n x 2^10 array per call) repays its copy: four rows, fifteen steps.
+_GLYNN_WIDE_STEP_ROWS = 4
+# A step that flips walked row 4 or later rebuilds x as the block plus the
+# signed sum of the walked rows, so each entry of x carries at most
+# 2^4 - 1 signed row additions since it was last rebuilt (at most
+# 2^(n-1-b) - 1 when n - 1 - b < 4), the rounding term of the walk.
+_GLYNN_REBUILD_ROWS = 4
 # Rows of sign-vector products per chunk of a stack of k x k matrices:
 # chunks of at most 2^13 >> (k - 1) matrices bound their memory.
 _GLYNN_BATCH_ROWS = 1 << 13
@@ -135,27 +145,40 @@ def _permanent_gray(a: np.ndarray) -> complex:
     # d[0] = +1 of (prod_i d[i]) * prod_j (sum_i d[i] a[i, j]). The signs of
     # rows 1..b are one dense table, so one matrix product gives the column
     # sums of all 2^b of them (block[j, s] for sign vector s; products run
-    # along contiguous rows). The rows after b are walked in Gray-code order,
-    # each step moving the whole block by one row.
+    # along contiguous rows). The r = n-1-b rows after b are walked in
+    # Gray-code order: each step flips one walked row, which moves every
+    # column sum by the same +-2 * that row, added to x in place; a flip of
+    # walked row _GLYNN_REBUILD_ROWS or later rebuilds x from the block.
     n = a.shape[0]
     if n <= 1:
         return complex(a[0, 0]) if n else 1.0 + 0.0j
     b = min(n - 1, _GLYNN_BLOCK_ROWS)
     d, w = _sign_table(b)
     block = a[0][:, None] + a[1 : b + 1].T @ d
-    rest = a[b + 1 :, :, None]
-    if not len(rest):
+    rows = a[b + 1 :]
+    if not len(rows):
         return complex(block.prod(axis=0) @ w) / 2.0 ** (n - 1)
-    col = rest.sum(axis=0)
-    total = (block + col).prod(axis=0) @ w
-    delta = np.ones(len(rest))
+    x = block + rows.sum(axis=0)[:, None]
+    total = x.prod(axis=0) @ w
+    step = list(2.0 * rows[:, :, None])
+    if len(rows) >= _GLYNN_WIDE_STEP_ROWS:
+        # walked row 0 flips on every other step: widened to x's shape, its
+        # step is a contiguous add rather than a broadcast one
+        step[0] = np.broadcast_to(step[0], x.shape).copy()
+    walked = np.arange(len(rows))
     sign = 1.0
-    for counter in range(1, 1 << len(rest)):
+    for counter in range(1, 1 << len(rows)):
         i = (counter & -counter).bit_length() - 1
-        delta[i] = -delta[i]
-        col = col + (2.0 * delta[i]) * rest[i]
+        gray = counter ^ (counter >> 1)  # bit i set: walked row i reads -1
+        if i >= _GLYNN_REBUILD_ROWS:
+            signs = 1.0 - 2.0 * (gray >> walked & 1)
+            np.add(block, (signs @ rows)[:, None], out=x)
+        elif gray >> i & 1:
+            x -= step[i]
+        else:
+            x += step[i]
         sign = -sign
-        total += sign * ((block + col).prod(axis=0) @ w)
+        total += sign * (x.prod(axis=0) @ w)
     return complex(total / 2.0 ** (n - 1))
 
 

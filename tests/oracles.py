@@ -3,7 +3,8 @@
 They sum every term of a definition, so they are slow and only run at
 small sizes. The matrix permanent and the hyperhafnian keep theirs in
 ``permbound.exact`` as ``method="direct"``, which perfbench's workload
-tests also call.
+tests also call. The ``*_fraction`` oracles are exact: every double is a
+dyadic rational, so they sum in rational or integer arithmetic.
 """
 
 import itertools
@@ -27,6 +28,37 @@ def multidim_permanent_direct(t) -> complex:
     for combo in itertools.product(perms, repeat=order - 1):
         total += a[combo + (last,)].prod()
     return complex(total)
+
+
+def permanent_fraction(z) -> tuple[Fraction, Fraction]:
+    """Real and imaginary part of the permanent of a complex matrix, exact.
+
+    Ryser's formula, (-1)^n times the sum over column sets S of
+    (-1)^|S| prod_i sum_(j in S) z[i, j], with S walked in Gray-code order.
+    Every entry's parts are dyadic, so times their largest denominator D
+    they are integers: the sum runs over (re, im) pairs of ints, exactly,
+    and is divided by D^n."""
+    a = np.asarray(z, dtype=complex)
+    n = a.shape[0]
+    parts = [[(Fraction(float(v.real)), Fraction(float(v.imag))) for v in row]
+             for row in a]
+    scale = max((f.denominator for row in parts for v in row for f in v), default=1)
+    cols = list(zip(*([(int(re * scale), int(im * scale)) for re, im in row]
+                      for row in parts)))
+    sums = [(0, 0)] * n
+    total_re, total_im = int(n == 0), 0  # the empty set's term
+    for counter in range(1, 1 << n):
+        j = (counter & -counter).bit_length() - 1
+        gray = counter ^ (counter >> 1)  # bit j set: column j joins S
+        s = 1 if gray >> j & 1 else -1
+        sums = [(sr + s * er, si + s * ei) for (sr, si), (er, ei) in zip(sums, cols[j])]
+        pr, pi = 1, 0
+        for sr, si in sums:
+            pr, pi = pr * sr - pi * si, pr * si + pi * sr
+        s = (-1) ** (n + bin(gray).count("1"))
+        total_re += s * pr
+        total_im += s * pi
+    return Fraction(total_re, scale**n), Fraction(total_im, scale**n)
 
 
 def unit_circle_theta_bound_ordered(x, t: float) -> float:

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from permbound.exact import (
     permanent_D,
     permanent_via_laplace,
 )
-from oracles import multidim_permanent_direct
+from oracles import multidim_permanent_direct, permanent_fraction
 
 seeds = st.integers(0, 2**32 - 1)
 oracle_settings = settings(max_examples=40, deadline=None)
@@ -286,11 +287,13 @@ def test_multidim_permanent_glynn_matches_direct(k, order, seed):
     assert rel(multidim_permanent(t), multidim_permanent_direct(t)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [11, 12, 13, 16])
+@pytest.mark.parametrize("n", [11, 12, 13, 16, 20, 24])
 def test_permanent_at_block_boundary_matches_closed_form(n):
     # rows 1..10 form the dense sign block; n = 11 needs no Gray walk,
-    # 12 and 13 walk one and two rows, 16 walks five. per(diag(r) D diag(c))
-    # is prod(r) prod(c) permanent_D(n, neg).
+    # 12 and 13 walk one and two rows, 16 walks five (the first walked row's
+    # step widened to the block's shape, the sums rebuilt every 16 steps),
+    # 20 and 24 walk nine and thirteen. per(diag(r) D diag(c)) is
+    # prod(r) prod(c) permanent_D(n, neg).
     rng = np.random.default_rng(30 + n)
     for neg in (0, 3, n):
         d = np.ones((n, n))
@@ -298,7 +301,26 @@ def test_permanent_at_block_boundary_matches_closed_form(n):
         r = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         c = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         expected = np.prod(r) * np.prod(c) * permanent_D(n, neg)
-        assert rel(permanent(r[:, None] * d * c), expected) < 1e-12
+        assert rel(permanent(r[:, None] * d * c), expected) < 1e-13
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_rational_permanent_oracle_matches_direct(n):
+    z = crandom(40 + n, (n, n))
+    re, im = permanent_fraction(z)
+    assert rel(complex(re, im), permanent(z, method="direct")) < 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_gray_walk_matches_rational_permanent(n):
+    # generic complex Gaussian inputs one and two Gray rows past the dense
+    # block, against Ryser's formula summed exactly
+    for seed in range(3):
+        z = crandom(50 + 3 * n + seed, (n, n))
+        re, im = permanent_fraction(z)
+        p = permanent(z)
+        err = (Fraction(p.real) - re) ** 2 + (Fraction(p.imag) - im) ** 2
+        assert float(err / (re * re + im * im)) < 1e-13**2
 
 
 @pytest.mark.parametrize("k, order", [(3, 8), (7, 3)])
