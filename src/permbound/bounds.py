@@ -187,12 +187,23 @@ def _block_means(a: np.ndarray, blocks) -> list[float]:
     return means
 
 
-def _level_product(mean, a, parts, power: float = 1.0, levels=None) -> float:
-    """Product of mean(a, p) ** power over the parts, each distinct p
-    evaluated once; ``levels`` keeps mean(a, p) across calls on one a."""
-    levels = {} if levels is None else levels
-    levels.update({p: mean(a, p) for p in dict.fromkeys(parts) if p not in levels})
-    return math.prod(levels[p] ** power for p in parts)
+class Levels:
+    """F_level and G_level values of one tensor t, each (mean, k) evaluated
+    once: value(mean, k) is mean(t, k), product(mean, parts, power) the
+    product of value(mean, p) ** power over the parts. The composition and
+    hafnian bounds take a Levels for t; Levels(levels) shares its values."""
+
+    def __init__(self, t):
+        self.t = t.t if isinstance(t, Levels) else np.asarray(t, dtype=complex)
+        self._values: dict = t._values if isinstance(t, Levels) else {}
+
+    def value(self, mean, k: int) -> float:
+        if (mean, k) not in self._values:
+            self._values[mean, k] = mean(self.t, k)
+        return self._values[mean, k]
+
+    def product(self, mean, parts, power: float = 1.0) -> float:
+        return math.prod(self.value(mean, p) ** power for p in parts)
 
 
 def _as_row_tensor(t) -> tuple[np.ndarray, int, int, int]:
@@ -264,9 +275,9 @@ def partition_bound_f(t, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -
 def composition_bound_F(t, k: int, parts: Sequence[int]) -> float:
     """Product of F_level over a weak composition of the level k.
 
-    Dominates F_level(t, k); zero parts contribute the factor F(t, 0) = 1.
+    t may be a :class:`Levels`. Dominates F_level(t, k); zero parts give 1.
     """
-    return _level_product(F_level, t, as_composition(parts, total=k))
+    return Levels(t).product(F_level, as_composition(parts, total=k))
 
 
 def _partition_root(a: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
@@ -274,14 +285,6 @@ def _partition_root(a: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
     columns: the partition bound on |per(a)| / (n!)^l for square a."""
     parts = validate_partition(blocks, range(a.shape[-1]))
     return math.prod(math.sqrt(v) for v in _block_means(a, parts))
-
-
-def _composition_root(a: np.ndarray, parts: Sequence[int], levels=None) -> float:
-    """prod_r sqrt(F_level(a, w_r)) over a weak composition of n for
-    square a: the composition bound on |per(a)| / (n!)^l. ``levels``
-    shares the F_level values between calls on the same a."""
-    w = as_composition(parts, total=a.shape[0])
-    return _level_product(F_level, a, w, 0.5, levels)
 
 
 def _as_square_rows(t) -> tuple[np.ndarray, int, int]:
@@ -307,11 +310,13 @@ def permanent_bound_partition(t, blocks: Sequence[Sequence[int]]) -> float:
 def permanent_bound_composition(t, parts: Sequence[int]) -> float:
     """Absolute bound (n!)^l * prod_r sqrt(F_level(t, w_r)) >= |per_l(t)|.
 
-    t is as for :func:`permanent_bound_partition`; ``parts`` must be a
-    weak composition of n.
+    t is as for :func:`permanent_bound_partition`, or a :class:`Levels` of
+    one; ``parts`` must be a weak composition of n.
     """
-    a, ell, n = _as_square_rows(t)
-    return float(math.factorial(n)) ** ell * _composition_root(a, parts)
+    levels = Levels(t)
+    _, ell, n = _as_square_rows(levels.t)
+    w = as_composition(parts, total=n)
+    return float(math.factorial(n)) ** ell * levels.product(F_level, w, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +351,18 @@ def G_level(t, k: int) -> float:
 def hafnian_bound(t, parts: Sequence[int]) -> float:
     """Absolute bound (n!/(m! (l!)^m)) * prod_r sqrt(G_level(t, w_r)).
 
-    For a symmetric order-l tensor over n = l*m indices and a weak
-    composition ``parts`` of m; dominates |hyperhafnian(t)|, which for a
-    symmetric matrix is |haf(t)| with prefactor n!/(m! 2^m).
+    For a symmetric order-l tensor over n = l*m indices, or a :class:`Levels`
+    of one, and a weak composition ``parts`` of m; dominates |hyperhafnian(t)|,
+    which for a symmetric matrix is |haf(t)| with prefactor n!/(m! 2^m).
     """
-    a, ell, n = _as_cube(t)
+    levels = Levels(t)
+    _, ell, n = _as_cube(levels.t)
     if n % ell:
         raise DomainError(f"axis size {n} is not a multiple of the order {ell}")
     m = n // ell
     w = as_composition(parts, total=m)
     prefactor = math.factorial(n) / (math.factorial(m) * math.factorial(ell) ** m)
-    return prefactor * _level_product(G_level, a, w, 0.5)
+    return prefactor * levels.product(G_level, w, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +396,7 @@ def avg_pair_bound(z) -> float:
     n = a.shape[0]
     if n < 2:
         raise DomainError("averaged bound needs n >= 2")
-    return _composition_root(a, _pair_levels(n))
+    return Levels(a).product(F_level, _pair_levels(n), 0.5)
 
 
 def _pair_levels(n: int) -> tuple[int, ...]:
@@ -603,9 +609,10 @@ def psi_bounds(z, k: int) -> tuple[float, float]:
     count = subset_count(n, 2 * k) * math.factorial(2 * k) / (
         math.factorial(k) * 2**k
     )
-    g1 = G_level(a, 1) if n >= 2 else 0.0
+    levels = Levels(a)
+    g1 = levels.value(G_level, 1) if n >= 2 else 0.0
     return (
-        float(count * math.sqrt(G_level(a, k))),
+        float(count * math.sqrt(levels.value(G_level, k))),
         float(count * g1 ** (k / 2.0)),
     )
 
@@ -634,7 +641,7 @@ def report_rows(
     and the composition row for ``parts`` when given. The rank row off
     sign matrices or below n = 5, and the unit-circle rows below n = 2, are
     not applicable. For n <= 12 every applicable row carries the exact
-    value and whether it dominates it. Rows share their F_level values.
+    value and whether it dominates it. Rows share one :class:`Levels`.
 
     Before any row is computed: n > BOUNDS_MAX_N raises FeasibilityError,
     ``s_perm`` or ``theta`` off a unit_circle input, an ``s_perm`` that is
@@ -660,7 +667,7 @@ def report_rows(
         # one F_level per distinct level, over all its column sets
         _check_row_work("composition", n, ((k, math.comb(n, k)) for k in set(parts)))
     fact = float(math.factorial(n))
-    levels: dict[int, float] = {}
+    levels = Levels(z)
     # (name, params, value); value None marks a row that is not applicable
     values: list[tuple[str, dict, object]] = []
     for p in ("1", "inf", "2"):
@@ -678,7 +685,7 @@ def report_rows(
         pairs = n >= 2
         values.append(("pair_cos", params, pair_bound(z, s_perm) if pairs else None))
         values.append(("avg_cos", {"t": t},
-                       _composition_root(z, _pair_levels(n), levels) if pairs else None))
+                       levels.product(F_level, _pair_levels(n), 0.5) if pairs else None))
         if theta:
             values.append(("theta_cos", {"t": t},
                            unit_circle_theta_bound(mi.phases, t) if pairs else None))
@@ -692,7 +699,7 @@ def report_rows(
                        _partition_root(z, blocks)))
     if parts is not None:
         values.append(("composition_level_avg", {"parts": list(parts)},
-                       _composition_root(z, parts, levels)))
+                       levels.product(F_level, parts, 0.5)))
 
     exact_norm = None
     if n <= EXACT_COLUMN_MAX_N:

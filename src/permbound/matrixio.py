@@ -217,10 +217,6 @@ def load_json(path):
             raise ParseError(f"invalid JSON: {exc}", position=str(path)) from None
 
 
-def load_matrix(path) -> MatrixInput:
-    return matrix_from_json(load_json(path))
-
-
 def tensor_from_json(data: dict) -> np.ndarray:
     if not isinstance(data, dict) or "shape" not in data or "entries" not in data:
         raise ParseError("tensor file needs 'shape' and 'entries'")
@@ -235,10 +231,6 @@ def tensor_from_json(data: dict) -> np.ndarray:
 def tensor_to_json(t) -> dict:
     a = np.asarray(t, dtype=complex)
     return {"shape": list(a.shape), "entries": cells_to_json(a)}
-
-
-def load_tensor(path) -> np.ndarray:
-    return tensor_from_json(load_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -269,12 +269,13 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             k = int(rng.integers(1, n + 1))
             d = int(rng.integers(1, d_max + 1))
             w = _composition(rng, k, d)
-            lhs = bounds.F_level(t, k)
-            rhs = bounds.composition_bound_F(t, k, w)
+            levels = bounds.Levels(t)
+            lhs = levels.value(bounds.F_level, k)
+            rhs = bounds.composition_bound_F(levels, k, w)
             wn = _composition(rng, n, int(rng.integers(1, d_max + 1)))
             scale = float(math.factorial(n)) ** (order - 1)
             norm = abs(kernel(t)) / scale
-            bound_full = bounds.permanent_bound_composition(t, wn) / scale
+            bound_full = bounds.permanent_bound_composition(levels, wn) / scale
             ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
             rec.record(ok, family, i, {
                 "n": n, "k": k, "parts": w, "t": t, "F": lhs, "product": rhs,
@@ -292,8 +293,9 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             k = int(rng.integers(2, n // order + 1))
             d = int(rng.integers(2, k + 1))
             w = [v + 1 for v in _composition(rng, k - d, d)]  # d >= 2 positive parts
-            lhs = bounds.G_level(t, k)
-            rhs = math.prod(bounds.G_level(t, p) ** w.count(p) for p in set(w))
+            levels = bounds.Levels(t)
+            lhs = levels.value(bounds.G_level, k)
+            rhs = levels.product(bounds.G_level, w)
             ok = _slack_ok(lhs, rhs)
             detail = {"n": n, "k": k, "parts": w, "t": t, "G": lhs, "product": rhs}
             if n % order == 0:
@@ -301,7 +303,7 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
                 wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
                 scale = math.factorial(n) / (math.factorial(m) * math.factorial(order) ** m)
                 norm = abs(kernel(t)) / scale
-                bound_full = bounds.hafnian_bound(t, wm) / scale
+                bound_full = bounds.hafnian_bound(levels, wm) / scale
                 ok = ok and _slack_ok(norm, bound_full)
                 detail.update({"normalized": norm, "full_bound": bound_full, "m_parts": wm})
             rec.record(ok, family, i, detail)
@@ -341,8 +343,9 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             big = max(range(len(w)), key=lambda r: w[r])
             cut = int(rng.integers(1, w[big]))
             fine = w[:big] + [cut, w[big] - cut] + w[big + 1 :]
-            coarse_val = bounds.composition_bound_F(z, k, w)
-            fine_val = bounds.composition_bound_F(z, k, fine)
+            levels = bounds.Levels(z)
+            coarse_val = bounds.composition_bound_F(levels, k, w)
+            fine_val = bounds.composition_bound_F(levels, k, fine)
             ok = _slack_ok(coarse_val, fine_val)
             rec.record(ok, "composition_refinement", i, {
                 "n": n, "k": k, "coarse": w, "fine": fine, "z": z,
@@ -366,10 +369,11 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
         z = np.full((n, n), c)
         k = int(rng.integers(1, n + 1))
         w = _composition(rng, k, int(rng.integers(1, 4)))
-        lhs = bounds.F_level(z, k)
-        rhs = bounds.composition_bound_F(z, k, w)
+        levels = bounds.Levels(z)
+        lhs = levels.value(bounds.F_level, k)
+        rhs = bounds.composition_bound_F(levels, k, w)
         wn = _composition(rng, n, int(rng.integers(1, 4)))
-        bound_full = bounds.permanent_bound_composition(z, wn)
+        bound_full = bounds.permanent_bound_composition(levels, wn)
         exact = abs(permanent(z))
         ok = (
             _rel_err(lhs, rhs) <= EQ_RTOL
@@ -434,10 +438,11 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
             k = int(rng.integers(2, m + 1))
             d = int(rng.integers(2, k + 1))
             w = [v + 1 for v in _composition(rng, k - d, d)]  # d >= 2 positive parts
-            lhs = bounds.G_level(t, k)
-            rhs = math.prod(bounds.G_level(t, p) ** w.count(p) for p in set(w))
+            levels = bounds.Levels(t)
+            lhs = levels.value(bounds.G_level, k)
+            rhs = levels.product(bounds.G_level, w)
             wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
-            bound_full = bounds.hafnian_bound(t, wm)
+            bound_full = bounds.hafnian_bound(levels, wm)
             exact = kernel(t)
             scale = math.factorial(n) / (math.factorial(m) * math.factorial(order) ** m)
             closed = scale * y**m

@@ -723,6 +723,62 @@ def test_subhafnian_sum_psi_and_bounds():
         assert abs(psi) <= entry * (1 + 1e-12)
 
 
+def count_levels(monkeypatch) -> list[tuple[str, int]]:
+    """Record (name, k) of every F_level and G_level call."""
+    calls = []
+    for name in ("F_level", "G_level"):
+        mean = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda t, k, name=name, mean=mean: (
+            calls.append((name, k)) or mean(t, k)))
+    return calls
+
+
+def test_psi_bounds_evaluates_each_level_once(monkeypatch):
+    # at k = 1 both bounds read G_level(z, 1): one call, the same values
+    z = csym(np.random.default_rng(58), 6)
+    want = {}
+    for k in (1, 2):
+        count = math.comb(6, 2 * k) * math.factorial(2 * k) / (math.factorial(k) * 2**k)
+        g1, gk = bounds.G_level(z, 1), bounds.G_level(z, k)
+        want[k] = (float(count * math.sqrt(gk)), float(count * g1 ** (k / 2.0)))
+    calls = count_levels(monkeypatch)
+    assert bounds.psi_bounds(z, 1) == want[1]
+    assert calls == [("G_level", 1)]
+    calls.clear()
+    assert bounds.psi_bounds(z, 2) == want[2]
+    assert calls == [("G_level", 1), ("G_level", 2)]
+
+
+def test_levels_in_place_of_t_change_nothing(monkeypatch):
+    # the three level-product bounds give bit-identical values on a Levels,
+    # zero and repeated parts included, and one Levels evaluates each
+    # (kind, level) once across all of them
+    rng = np.random.default_rng(59)
+    a = cmat(rng, 36, 6).reshape(6, 6, 6)
+    cases = [  # t, then parts of 4, of n and of m, then the F levels read
+        (csym(rng, 6), (2, 0, 2), (2, 0, 2, 2), (1, 0, 1, 1), [0, 2]),
+        (sum(a.transpose(p) for p in itertools.permutations(range(3))),
+         (2, 0, 2), (3, 0, 3), (1, 0, 1), [0, 2, 3]),
+    ]
+    bound_calls = [
+        [(bounds.composition_bound_F, (4, k_parts)),
+         (bounds.permanent_bound_composition, (n_parts,)),
+         (bounds.hafnian_bound, (m_parts,))]
+        for _, k_parts, n_parts, m_parts, _ in cases
+    ]
+    want = [[fn(t, *args) for fn, args in calls]
+            for (t, *_), calls in zip(cases, bound_calls)]
+    levels = count_levels(monkeypatch)
+    for (t, *_, f_levels), calls, values in zip(cases, bound_calls, want):
+        levels.clear()
+        memo = bounds.Levels(t)
+        for _ in range(2):
+            assert [fn(memo, *args) for fn, args in calls] == values
+            assert [fn(bounds.Levels(memo), *args) for fn, args in calls] == values
+        assert sorted(levels) == [("F_level", k) for k in f_levels] + [
+            ("G_level", 0), ("G_level", 1)]
+
+
 # ---------------------------------------------------------------------------
 # the per-minor loops the stacked engine replaced, kept as oracles
 

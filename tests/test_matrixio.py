@@ -18,8 +18,7 @@ from permbound.matrixio import (
     from_entries,
     from_polar,
     from_unit_circle,
-    load_matrix,
-    load_tensor,
+    load_json,
     matrix_from_json,
     matrix_to_json,
     report_to_csv,
@@ -130,12 +129,13 @@ def test_matrix_file_io(tmp_path):
     path = tmp_path / "m.json"
     mi = from_entries(np.array([[1 + 2j, 0], [3, 4 - 1j]]))
     path.write_text(json.dumps(matrix_to_json(mi)))
-    back = load_matrix(path)
+    back = matrix_from_json(load_json(path))
     assert np.array_equal(back.z, mi.z)
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
-    with pytest.raises(ParseError):
-        load_matrix(bad)
+    with pytest.raises(ParseError) as err:
+        matrix_from_json(load_json(bad))
+    assert err.value.position == str(bad)
 
 
 def test_tensor_roundtrip():
@@ -272,7 +272,7 @@ def test_load_tensor(tmp_path):
     path = tmp_path / "t.json"
     t = np.arange(8, dtype=float).reshape(2, 2, 2)
     path.write_text(json.dumps(tensor_to_json(t)))
-    assert np.array_equal(load_tensor(path), t)
+    assert np.array_equal(tensor_from_json(load_json(path)), t)
 
 
 def test_round_up_6dp_never_below():

@@ -1,10 +1,11 @@
+import collections
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from permbound import verify
+from permbound import bounds, verify
 from permbound.convolution import SetFunction, classify_equality
 from permbound.errors import DomainError
 from permbound.matrixio import matrix_from_json
@@ -152,6 +153,28 @@ def test_hafnian_level_checks_split_into_positive_parts(monkeypatch):
     for family, drawn in parts.items():
         assert all(len(w) >= 2 and min(w) >= 1 for w in drawn), family
     assert {tuple(w) for w in parts["tensor_subhafnian_dominance"]} == {(1, 1)}
+
+
+def test_level_families_evaluate_each_level_once(monkeypatch):
+    # each trial tensor's F_level and G_level values are shared by its level
+    # check and its bounds (evaluated per call, the two seeds took 4,040 and
+    # 2,930 calls); sharing them changes no check count
+    calls = collections.Counter()
+    for name in ("F_level", "G_level"):
+        mean = getattr(bounds, name)
+
+        def counted(t, k, name=name, mean=mean):
+            a = np.asarray(t, dtype=complex)
+            calls[name, a.shape, a.tobytes(), k] += 1
+            return mean(t, k)
+
+        monkeypatch.setattr(bounds, name, counted)
+    for seed in (0, 1):
+        assert run_suite("dominance", seed).checks == 1296
+        assert run_suite("equality", seed).checks == 250
+    assert max(calls.values()) == 1
+    kinds = collections.Counter(key[0] for key in calls)
+    assert kinds == {"F_level": 2830, "G_level": 2159}
 
 
 def test_convolution_failures_are_capped_and_replay(monkeypatch):
