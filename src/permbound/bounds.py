@@ -24,11 +24,11 @@ partition, a composition of levels 2) for any square matrix, such as
 exp(i t x) for a phase matrix x or a characteristic-function matrix;
 ``unit_circle_theta_bound`` refines the averaged bound from the phases.
 
-Baselines (operator-norm powers, singular-value means, column-norm
-products, the rank bound for sign matrices) are included for comparison
-tables. Spectral quantities (the 2-norm, singular values, the rank) come
-from numpy.linalg. :func:`report_rows` is that comparison, limits included:
-the catalogue of rows that ``permbound bounds`` prints and ``table1`` checks.
+The classical baselines (operator-norm powers, the singular-value mean,
+the column-norm product, the rank bound for sign matrices) exist only as
+rows of :func:`report_rows`, normalized by n!: the catalogue, limits
+included, that ``permbound bounds`` prints and ``table1`` checks. Spectral
+quantities (the 2-norm, singular values, the rank) come from numpy.linalg.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .combinatorics import (
 )
 from .errors import DomainError, FeasibilityError
 from .exact import (
+    EXACT_COLUMN_MAX_N,
     SYMMETRY_ATOL,
     _as_cube,
     _as_square,
@@ -61,8 +62,6 @@ from .exact import (
 )
 from .matrixio import BoundRow, MatrixInput
 
-# Largest n whose report rows carry the exact normalized permanent.
-EXACT_COLUMN_MAX_N = 12
 # Report rows are normalized by n!, which a double holds up to n = 170.
 BOUNDS_MAX_N = 170
 # Glynn products over the minors of a partition or composition row (4-36 ns
@@ -444,7 +443,8 @@ def _exp(x: float) -> float:
 
 
 def _log_hadamard(z) -> float:
-    """log(baseline_hadamard(z) / n!): half-logs of the column mean squares."""
+    """log of the column-norm bound prod_r sqrt((1/n) sum_j |z[j,r]|^2) on
+    |per(z)| / n!: half-logs of the column mean squares."""
     a = _as_square(z)
     if len(a) == 0:
         return 0.0
@@ -453,58 +453,26 @@ def _log_hadamard(z) -> float:
         return float(0.5 * np.log(means).sum())
 
 
-def baseline_hadamard(z) -> float:
-    """Column-norm bound n! * prod_r sqrt((1/n) sum_j |z[j,r]|^2) >= |per(z)|."""
-    return _exp(_log_hadamard(z) + math.lgamma(len(z) + 1))
-
-
-def baseline_ckp_minor(z, cols: Sequence[int] | None = None) -> float:
-    """Product of column mean squares prod_{r in cols} ((1/n) sum_j |z[j,r]|^2).
-
-    Dominates f_set(z, cols) (the averaged squared normalized minors of the
-    selected columns). ``cols`` defaults to all columns.
-    """
-    a = _as_matrix(z)
-    K = (
-        tuple(range(a.shape[1]))
-        if cols is None
-        else as_index_set(cols, a.shape[1])
-    )
-    if not K:
-        return 1.0
-    means = (np.abs(a[:, K]) ** 2).mean(axis=0)
-    return float(means.prod())
-
-
 def _log_opnorm(z, p) -> float:
-    """log(baseline_opnorm(z, p) / n!) = n log ||z||_p - log n!."""
+    """log of the operator-norm bound ||z||_p ** n / n! on |per(z)| / n!, for
+    p "1" (the largest column absolute sum), "inf" (the largest row absolute
+    sum) or "2" (the largest singular value)."""
     a = _as_square(z)
     n = a.shape[0]
     if n == 0:
         return 0.0
-    key = str(p).lower()
-    if key == "1":
+    if p == "1":
         norm = float(np.abs(a).sum(axis=0).max())
-    elif key in ("inf", "infinity"):
+    elif p == "inf":
         norm = float(np.abs(a).sum(axis=1).max())
-    elif key == "2":
-        norm = float(np.linalg.norm(a, 2))
     else:
-        raise DomainError(f"unsupported operator norm p={p!r}")
+        norm = float(np.linalg.norm(a, 2))
     return n * math.log(norm) - math.lgamma(n + 1) if norm else -math.inf
 
 
-def baseline_opnorm(z, p) -> float:
-    """Operator-norm bound ||z||_p ** n >= |per(z)| for p in {1, 2, inf}.
-
-    p = 1 is the maximum column absolute sum, p = inf the maximum row
-    absolute sum, p = 2 the largest singular value.
-    """
-    return _exp(_log_opnorm(z, p) + math.lgamma(len(z) + 1))
-
-
 def _log_singular(z) -> float:
-    """log(baseline_singular(z) / n!), a logsumexp over 2n log alpha_j."""
+    """log of the singular-value bound sqrt((1/n) sum_j alpha_j^(2n)) / n! on
+    |per(z)| / n!, a logsumexp over 2n log alpha_j."""
     a = _as_square(z)
     n = a.shape[0]
     if n == 0:
@@ -514,11 +482,6 @@ def _log_singular(z) -> float:
         return -math.inf
     log_sum = math.log(float(((sv / sv[0]) ** (2 * n)).sum()))
     return n * math.log(sv[0]) + 0.5 * (log_sum - math.log(n)) - math.lgamma(n + 1)
-
-
-def baseline_singular(z) -> float:
-    """Singular-value bound sqrt((1/n) sum_j alpha_j^(2n)) >= |per(z)|."""
-    return _exp(_log_singular(z) + math.lgamma(len(z) + 1))
 
 
 def baseline_krauter(z) -> int | None:
@@ -540,18 +503,6 @@ def baseline_krauter(z) -> int | None:
     signs = np.where(a.real > 0, 1.0, -1.0)
     rank = int(np.linalg.matrix_rank(signs))
     return permanent_D(n, rank - 1)
-
-
-def baseline_haf_per(z) -> float:
-    """Bound sqrt(per(|z|)) >= |haf(z)| for a symmetric even-dimension matrix;
-    rejects, with DomainError, every input that :func:`hafnian` rejects."""
-    a = _as_square(z)
-    n = a.shape[0]
-    if n % 2:
-        raise DomainError(f"hafnian baseline needs an even dimension, got {n}")
-    _check_symmetric(a, SYMMETRY_ATOL)
-    value = permanent(np.abs(a)).real
-    return math.sqrt(max(value, 0.0))
 
 
 # ---------------------------------------------------------------------------

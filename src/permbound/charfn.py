@@ -26,10 +26,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, ParseError
-from .exact import permanent
+from .exact import EXACT_COLUMN_MAX_N, permanent
 from .matrixio import load_json
-
-EXACT_MAX_N = 12
 
 # The distribution families and their parameter names, in draw order.
 _PARAM_NAMES = {
@@ -206,11 +204,11 @@ def load_model(path) -> DiagonalSumModel:
 def exact_charfn(model: DiagonalSumModel, t: float) -> complex:
     """E exp(itS) = per(entrywise characteristic matrix) / n!.
 
-    Exponential in n; refuses n > EXACT_MAX_N.
+    Exponential in n; refuses n > EXACT_COLUMN_MAX_N.
     """
-    if model.n > EXACT_MAX_N:
+    if model.n > EXACT_COLUMN_MAX_N:
         raise FeasibilityError(
-            f"exact evaluation needs n <= {EXACT_MAX_N}, got {model.n}"
+            f"exact evaluation needs n <= {EXACT_COLUMN_MAX_N}, got {model.n}"
         )
     phi = model.charfn_matrix(t)
     return permanent(phi) / math.factorial(model.n)

@@ -290,7 +290,7 @@ def cmd_charfn(args) -> int:
         row: dict = {"t": t}
         row["exact_abs"] = (
             abs(charfn.exact_charfn(model, t))
-            if model.n <= charfn.EXACT_MAX_N
+            if model.n <= exact.EXACT_COLUMN_MAX_N
             else None
         )
         phi = model.charfn_matrix(t)

@@ -563,6 +563,9 @@ def hyperhafnian_work(n: int, ell: int) -> int:
 # largest accepted shapes of each kind took at most 1.0 s and 74 MB.
 PER_MAX_WORK = multidim_permanent_work(24, 1)
 HAF_MAX_WORK = 2_000_000
+# Largest n whose exact normalized permanent sits beside a bound: the exact
+# column of ``permbound bounds`` and the exact value of ``permbound charfn``.
+EXACT_COLUMN_MAX_N = 12
 
 
 def evaluate(kind: str, array) -> tuple[complex, int]:
@@ -689,17 +692,3 @@ def permanent_D(n: int, neg: int) -> int:
     return sum(
         (-2) ** j * math.comb(neg, j) * math.factorial(n - j) for j in range(neg + 1)
     )
-
-
-def block_embed_per_as_haf(z) -> np.ndarray:
-    """Symmetric 2n x 2n block matrix [[0, z], [z^T, 0]].
-
-    Its hafnian equals the permanent of z, turning the hafnian kernel into
-    an independent oracle for the permanent.
-    """
-    a = _as_square(z)
-    n = a.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, n:] = a
-    out[n:, :n] = a.T
-    return out

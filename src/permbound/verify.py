@@ -8,8 +8,9 @@ the convolution sweep draws each (n, k, j) case's trials as one batch. A check
 that holds at every tensor order runs one body over its families' rows. Suites:
 
 * laplace: block expansions reproduce the exact kernels,
-* dominance: subset-average products dominate exact normalized values, and
-  refining a partition or composition never improves the bound,
+* dominance: subset-average products dominate exact normalized values,
+  refining a partition or composition never improves the bound, and the
+  minor sums Phi_k and Psi_k stay within their bounds,
 * equality: constructed instances achieve the bounds exactly,
 * convolution: the subset-convolution mean-square inequality plus the
   equality classifier biconditional on a full small sweep,
@@ -351,6 +352,34 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
                 "n": n, "k": k, "coarse": w, "fine": fine, "z": z,
                 "coarse_value": coarse_val, "fine_value": fine_val,
             })
+
+    # minor sums; a full-size draw (k = m = n, or 2k = n) meets its bound
+    # with equality
+    per_sum = max(1, trials // 20)
+    rng = _rng(seed, 17)
+    for i in range(per_sum):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n + 1))
+        k = int(rng.integers(1, m + 1))
+        z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        phi = bounds.minor_sum_phi(z, k)
+        bound = bounds.phi_bound(z, k)
+        rec.record(_slack_ok(abs(phi), bound), "minor_sum_dominance", i, {
+            "n": n, "m": m, "k": k, "z": z, "phi": phi, "bound": bound,
+        })
+
+    rng = _rng(seed, 18)
+    for i in range(per_sum):
+        n = int(rng.integers(2, 9))
+        z = _sym_tensor(rng, n, 2)
+        k = int(rng.integers(1, n // 2 + 1))
+        psi = bounds.subhafnian_sum_psi(z, k)
+        level, entry = bounds.psi_bounds(z, k)
+        ok = _slack_ok(abs(psi), level) and _slack_ok(abs(psi), entry)
+        rec.record(ok, "subhafnian_sum_dominance", i, {
+            "n": n, "k": k, "z": z, "psi": psi,
+            "level_bound": level, "entry_bound": entry,
+        })
 
     return SuiteResult("dominance", seed, trials, rec.checks, rec.failures)
 

@@ -102,3 +102,14 @@ def f_set_fraction(z, cols) -> Fraction:
             im += pi
         total += re * re + im * im
     return total / (math.factorial(k) ** 2 * math.comb(a.shape[0], k))
+
+
+def block_embed_per_as_haf(z) -> np.ndarray:
+    """Symmetric 2n x 2n block matrix [[0, z], [z^T, 0]]; its hafnian is
+    per(z), which makes the hafnian kernel an oracle for the permanent."""
+    a = np.asarray(z, dtype=complex)
+    n = a.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, n:] = a
+    out[n:, :n] = a.T
+    return out

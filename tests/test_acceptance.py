@@ -19,7 +19,6 @@ import pytest
 
 from permbound import bounds, table1, verify
 from permbound.exact import (
-    block_embed_per_as_haf,
     hafnian,
     hyperhafnian,
     multidim_permanent,
@@ -27,6 +26,7 @@ from permbound.exact import (
     permanent_D,
 )
 from permbound.matrixio import round_up_6dp
+from oracles import block_embed_per_as_haf
 
 
 def report(label, failures):
@@ -232,11 +232,12 @@ def test_criterion_4_expansion_identities():
 def test_criterion_5_dominance_and_refinement():
     result = verify.run_suite("dominance", seed=0, trials=1080)
     failures = list(result.failures)
-    if result.checks != 1080 + 216:  # 6 families x 180, then nested pairs
+    # 6 families x 180, then nested pairs, then 2 minor-sum families x 54
+    if result.checks != 1080 + 216 + 108:
         failures.append(f"checks {result.checks}")
     report(
-        "criterion 5 (1080 dominance instances + 216 refinement pairs,"
-        " slack >= -1e-12 x bound)",
+        "criterion 5 (1080 dominance instances + 216 refinement pairs"
+        " + 108 minor sums, slack >= -1e-12 x bound)",
         failures,
     )
 

@@ -6,7 +6,6 @@ import pytest
 
 from permbound import bounds
 from permbound.charfn import (
-    EXACT_MAX_N,
     DiagonalSumModel,
     Distribution,
     bernoulli,
@@ -18,6 +17,7 @@ from permbound.charfn import (
     uniform,
 )
 from permbound.errors import DomainError, FeasibilityError, ParseError
+from permbound.exact import EXACT_COLUMN_MAX_N
 
 
 def grid(dists):
@@ -119,7 +119,7 @@ def test_iid_grid_gives_power():
 
 
 def test_exact_refuses_large_n():
-    n = EXACT_MAX_N + 1
+    n = EXACT_COLUMN_MAX_N + 1
     model = grid([[point_mass(0.0)] * n for _ in range(n)])
     with pytest.raises(FeasibilityError):
         exact_charfn(model, 1.0)

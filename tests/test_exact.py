@@ -12,7 +12,6 @@ from permbound import exact
 from permbound.combinatorics import enumerate_partitions
 from permbound.errors import DomainError, FeasibilityError
 from permbound.exact import (
-    block_embed_per_as_haf,
     hafnian,
     hyperhafnian,
     hyperhafnian_via_expansion,
@@ -24,7 +23,7 @@ from permbound.exact import (
     permanent_D,
     permanent_via_laplace,
 )
-from oracles import multidim_permanent_direct, permanent_fraction
+from oracles import block_embed_per_as_haf, multidim_permanent_direct, permanent_fraction
 
 seeds = st.integers(0, 2**32 - 1)
 oracle_settings = settings(max_examples=40, deadline=None)

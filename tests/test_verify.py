@@ -53,7 +53,7 @@ def test_suites_pass_at_reduced_trials(name, trials):
     # a gather that drops an (n, k, j) case, or a minor engine that skips
     # an instance, changes these counts
     pinned = {
-        "laplace": 24, "dominance": 212, "equality": 20,
+        "laplace": 24, "dominance": 214, "equality": 20,
         "convolution": 460, "master": 28, "charfn": 8,
     }
     assert result.checks == pinned[name]
@@ -83,7 +83,7 @@ def test_suites_pass_at_default_trials(name, seed):
     # each trial records a fixed number of checks, so the counts do not
     # depend on the seed
     pinned = {
-        "charfn": 15, "convolution": 11_185, "dominance": 1_296,
+        "charfn": 15, "convolution": 11_185, "dominance": 1_404,
         "equality": 250, "laplace": 400, "master": 350,
     }
     result = run_suite(name, seed=seed)
@@ -170,11 +170,11 @@ def test_level_families_evaluate_each_level_once(monkeypatch):
 
         monkeypatch.setattr(bounds, name, counted)
     for seed in (0, 1):
-        assert run_suite("dominance", seed).checks == 1296
+        assert run_suite("dominance", seed).checks == 1404
         assert run_suite("equality", seed).checks == 250
     assert max(calls.values()) == 1
     kinds = collections.Counter(key[0] for key in calls)
-    assert kinds == {"F_level": 2830, "G_level": 2159}
+    assert kinds == {"F_level": 2938, "G_level": 2313}
 
 
 def test_convolution_failures_are_capped_and_replay(monkeypatch):
