@@ -157,18 +157,15 @@ def cmd_exact(args) -> int:
 
 
 def _bounds_rows(mi: MatrixInput, args) -> list[BoundRow]:
-    """Parse the row options (``--s-perm``, then the unit_circle form that
-    it and ``--theta`` need, then ``--partition`` and ``--composition``)
-    and build the catalogue of :func:`bounds.report_rows`, which checks n,
-    the partition, the composition and the row work limits before it
-    computes any row."""
+    """Parse the row options (``--s-perm`` first, then ``--partition`` and
+    ``--composition``) and build the catalogue of
+    :func:`bounds.report_rows`, which checks n, the unit_circle form that
+    ``s_perm`` and ``theta`` need, the partition, the composition and the
+    row work limits before it computes any row."""
     n = mi.n
     s_perm = blocks = parts = None
     if args.s_perm is not None:
         s_perm = parse_perm(args.s_perm, n)
-    for option, given in (("--s-perm", s_perm is not None), ("--theta", args.theta)):
-        if given and mi.form != "unit_circle":
-            raise ParseError(f"{option} requires the unit_circle form")
     if args.partition:
         blocks = parse_partition(args.partition, n)
     if args.composition:

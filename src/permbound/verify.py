@@ -5,10 +5,18 @@ a :class:`SuiteResult` whose failures carry the serialized offending instance
 for replay. Each family of checks draws its trials in order from one
 generator keyed by the seed and the family, so fewer trials check a prefix;
 the convolution sweep draws each (n, k, j) case's trials as one batch. A check
-that holds at every tensor order runs one body over its families' rows. Suites:
+that holds at every tensor order runs one body over its families' rows.
+
+A check of a value against a bound or a reference names its (value, bound)
+pairs, and one comparator judges them all: ``value <= bound`` within
+SLACK_RTOL for dominance, agreement within EQ_RTOL for equality and within
+REL_TOL for the expansions. A failure carries each pair as [value, bound].
+Dominance and equality share one body per bound family (partition,
+composition, hafnian): it draws everything after the input, so the two
+suites differ only in the input and the comparator. Suites:
 
 * laplace: block expansions reproduce the exact kernels,
-* dominance: subset-average products dominate exact normalized values,
+* dominance: subset-average products dominate exact values,
   refining a partition or composition never improves the bound, and the
   minor sums Phi_k and Psi_k stay within their bounds,
 * equality: constructed instances achieve the bounds exactly,
@@ -94,6 +102,16 @@ class _Recorder:
     def record(self, ok: bool, family: str, index: int, detail: dict) -> None:
         self.record_rows([ok], family, index, lambda _: detail)
 
+    def judge(self, family: str, index: int, instance: dict, *checks) -> None:
+        """Record one check that ``agree(value, bound)`` holds for every named
+        (value, bound) pair of each ``(agree, pairs)`` in ``checks``; a failure
+        carries the instance and each pair as [value, bound]."""
+        detail = dict(instance)
+        for _, pairs in checks:
+            detail.update((name, list(pair)) for name, pair in pairs.items())
+        ok = all(agree(*pair) for agree, pairs in checks for pair in pairs.values())
+        self.record(ok, family, index, detail)
+
     def record_rows(self, ok, family: str, first: int, detail) -> None:
         """Count one check per entry of the boolean sequence ``ok``, entry i
         having index first + i; ``detail(i)`` serializes a failing entry."""
@@ -156,6 +174,14 @@ def _slack_ok(lhs: float, rhs: float) -> bool:
     return rhs - lhs >= -SLACK_RTOL * abs(rhs)
 
 
+def _equal(a: complex, b: complex) -> bool:
+    return _rel_err(a, b) <= EQ_RTOL
+
+
+def _close(a: complex, b: complex) -> bool:
+    return _rel_err(a, b) <= REL_TOL
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -169,14 +195,8 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
         d = int(rng.integers(1, min(3, n) + 1))
         w = _composition(rng, n, d)
         blocks = _partition_of(rng, range(n), w)
-        direct = permanent(z)
-        via = permanent_via_laplace(z, blocks)
-        rec.record(
-            _rel_err(direct, via) <= REL_TOL,
-            "permanent_expansion",
-            i,
-            {"n": n, "blocks": blocks, "z": z, "direct": direct, "via": via},
-        )
+        pairs = {"expansion": (permanent_via_laplace(z, blocks), permanent(z))}
+        rec.judge("permanent_expansion", i, {"n": n, "blocks": blocks, "z": z}, (_close, pairs))
     rng = _rng(seed, 1)
     for i in range(trials):
         k = int(rng.integers(2, 5))
@@ -185,16 +205,13 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
         w = _composition(rng, k, d)
         blocks = _partition_of(rng, range(k), w)
         direct = multidim_permanent(t)
-        fixed = multidim_permanent_via_laplace(t, w, blocks)
-        sym = multidim_permanent_via_laplace(t, w)
-        ok = _rel_err(direct, fixed) <= REL_TOL and _rel_err(direct, sym) <= REL_TOL
-        rec.record(
-            ok,
-            "tensor_permanent_expansion",
-            i,
-            {"k": k, "sizes": w, "blocks": blocks, "t": t, "direct": direct,
-             "fixed": fixed, "symmetrized": sym},
-        )
+        pairs = {
+            "fixed": (multidim_permanent_via_laplace(t, w, blocks), direct),
+            "symmetrized": (multidim_permanent_via_laplace(t, w), direct),
+        }
+        rec.judge("tensor_permanent_expansion", i, {
+            "k": k, "sizes": w, "blocks": blocks, "t": t,
+        }, (_close, pairs))
     for key, family, order, sizes, kernel in (
         (2, "hafnian_expansion", 2, [4, 6, 8], hafnian),
         (3, "tensor_hafnian_expansion", 3, [6], hyperhafnian),
@@ -209,15 +226,15 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
             else:
                 d = int(rng.integers(1, min(3, m) + 1))
                 w = _composition(rng, m, d)
-            direct = kernel(t)
-            via = hyperhafnian_via_expansion(t, w)
-            rec.record(_rel_err(direct, via) <= REL_TOL, family, i, {
-                "n": n, "sizes": w, "t": t, "direct": direct, "via": via,
-            })
+            pairs = {"expansion": (hyperhafnian_via_expansion(t, w), kernel(t))}
+            rec.judge(family, i, {"n": n, "sizes": w, "t": t}, (_close, pairs))
     return SuiteResult("laplace", seed, trials, rec.checks, rec.failures)
 
 
 # ---------------------------------------------------------------------------
+# One body per bound family: each draws everything after the input t and
+# returns the drawn instance with its named (value, bound) pairs, so the
+# dominance and the equality suite judge the same pairs.
 
 
 def _random_column_blocks(rng, cols):
@@ -227,87 +244,85 @@ def _random_column_blocks(rng, cols):
     return _partition_of(rng, cols, w)
 
 
+def _partition_pairs(rng, t, kernel, k_max: int) -> tuple[dict, dict]:
+    """A column set of at most k_max columns and an ordered partition of it,
+    then one of all n columns: f_set against the product over the blocks,
+    and |kernel(t)| against ``permanent_bound_partition``."""
+    n = len(t)
+    k = int(rng.integers(1, min(k_max, n) + 1))
+    cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    blocks = _random_column_blocks(rng, cols)
+    full_blocks = _random_column_blocks(rng, range(n))
+    pairs = {
+        "f_set": (bounds.f_set(t, cols), bounds.partition_bound_f(t, cols, blocks)),
+        "permanent": (abs(kernel(t)), bounds.permanent_bound_partition(t, full_blocks)),
+    }
+    return {"cols": cols, "blocks": blocks, "full_blocks": full_blocks}, pairs
+
+
+def _composition_pairs(rng, t, kernel, d_max: int) -> tuple[dict, dict]:
+    """A level k and a composition of k, then one of n, each into at most
+    d_max parts: F_k against the level product, and |kernel(t)| against
+    ``permanent_bound_composition``."""
+    n = len(t)
+    k = int(rng.integers(1, n + 1))
+    parts = _composition(rng, k, int(rng.integers(1, d_max + 1)))
+    n_parts = _composition(rng, n, int(rng.integers(1, d_max + 1)))
+    levels = bounds.Levels(t)
+    pairs = {
+        "F_level": (
+            levels.value(bounds.F_level, k), bounds.composition_bound_F(levels, k, parts)
+        ),
+        "permanent": (abs(kernel(t)), bounds.permanent_bound_composition(levels, n_parts)),
+    }
+    return {"k": k, "parts": parts, "n_parts": n_parts}, pairs
+
+
+def _hafnian_pairs(rng, t, kernel) -> tuple[dict, dict]:
+    """A level k >= 2 split into d >= 2 positive parts: G_k against the level
+    product; where the order l divides n, also a composition of m = n / l
+    into at most three parts: |kernel(t)| against ``hafnian_bound``."""
+    n, order = len(t), t.ndim
+    k = int(rng.integers(2, n // order + 1))
+    d = int(rng.integers(2, k + 1))
+    parts = [v + 1 for v in _composition(rng, k - d, d)]
+    levels = bounds.Levels(t)
+    drawn = {"k": k, "parts": parts}
+    pairs = {
+        "G_level": (levels.value(bounds.G_level, k), levels.product(bounds.G_level, parts))
+    }
+    if n % order == 0:
+        m = n // order
+        drawn["m_parts"] = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
+        pairs["hafnian"] = (abs(kernel(t)), bounds.hafnian_bound(levels, drawn["m_parts"]))
+    return drawn, pairs
+
+
 def suite_dominance(seed: int, trials: int) -> SuiteResult:
     """Bound dominance plus refinement monotonicity."""
     rec = _Recorder()
     per_family = max(1, trials // 6)
 
-    for key, family, order, n_max, k_max, kernel in (
-        (10, "partition_dominance", 2, 6, 4, permanent),
-        (12, "tensor_partition_dominance", 3, 4, 3, multidim_permanent),
-    ):
-        rng = _rng(seed, key)
-        for i in range(per_family):
-            n = int(rng.integers(3, n_max + 1))
-            t = _ctensor(rng, n, order)
-            k = int(rng.integers(1, min(k_max, n) + 1))
-            cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            blocks = _random_column_blocks(rng, cols)
-            lhs = bounds.f_set(t, cols)
-            rhs = bounds.partition_bound_f(t, cols, blocks)
-            full_blocks = _random_column_blocks(rng, range(n))
-            scale = float(math.factorial(n)) ** (order - 1)
-            norm = abs(kernel(t)) / scale
-            bound_full = bounds.permanent_bound_partition(t, full_blocks) / scale
-            ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
-            detail = {
-                "n": n, "cols": cols, "blocks": blocks, "t": t,
-                "f": lhs, "product": rhs, "normalized": norm, "full_bound": bound_full,
-            }
-            if order == 2:  # f_tilde is defined for matrices only
-                detail["relaxed"] = bounds.f_tilde(t, cols)
-                ok = ok and _slack_ok(lhs, detail["relaxed"])
-            rec.record(ok, family, i, detail)
-
-    for key, family, order, n_max, d_max, kernel in (
-        (11, "composition_dominance", 2, 5, 3, permanent),
-        (13, "tensor_composition_dominance", 3, 3, 2, multidim_permanent),
-    ):
-        rng = _rng(seed, key)
-        for i in range(per_family):
-            n = int(rng.integers(3, n_max + 1))
-            t = _ctensor(rng, n, order)
-            k = int(rng.integers(1, n + 1))
-            d = int(rng.integers(1, d_max + 1))
-            w = _composition(rng, k, d)
-            levels = bounds.Levels(t)
-            lhs = levels.value(bounds.F_level, k)
-            rhs = bounds.composition_bound_F(levels, k, w)
-            wn = _composition(rng, n, int(rng.integers(1, d_max + 1)))
-            scale = float(math.factorial(n)) ** (order - 1)
-            norm = abs(kernel(t)) / scale
-            bound_full = bounds.permanent_bound_composition(levels, wn) / scale
-            ok = _slack_ok(lhs, rhs) and _slack_ok(norm, bound_full)
-            rec.record(ok, family, i, {
-                "n": n, "k": k, "parts": w, "t": t, "F": lhs, "product": rhs,
-                "normalized": norm, "full_bound": bound_full,
-            })
-
-    for key, family, order, n_min, n_max, kernel in (
-        (14, "subhafnian_dominance", 2, 4, 7, hafnian),
-        (15, "tensor_subhafnian_dominance", 3, 6, 6, hyperhafnian),
+    # (key, family, input, order, n range, bound family, kernel, its limit)
+    for key, family, tensor, order, n_min, n_max, draw, kernel, *limit in (
+        (10, "partition_dominance", _ctensor, 2, 3, 6, _partition_pairs, permanent, 4),
+        (12, "tensor_partition_dominance", _ctensor, 3, 3, 4, _partition_pairs,
+         multidim_permanent, 3),
+        (11, "composition_dominance", _ctensor, 2, 3, 5, _composition_pairs, permanent, 3),
+        (13, "tensor_composition_dominance", _ctensor, 3, 3, 3, _composition_pairs,
+         multidim_permanent, 2),
+        (14, "subhafnian_dominance", _sym_tensor, 2, 4, 7, _hafnian_pairs, hafnian),
+        (15, "tensor_subhafnian_dominance", _sym_tensor, 3, 6, 6, _hafnian_pairs,
+         hyperhafnian),
     ):
         rng = _rng(seed, key)
         for i in range(per_family):
             n = int(rng.integers(n_min, n_max + 1))
-            t = _sym_tensor(rng, n, order)
-            k = int(rng.integers(2, n // order + 1))
-            d = int(rng.integers(2, k + 1))
-            w = [v + 1 for v in _composition(rng, k - d, d)]  # d >= 2 positive parts
-            levels = bounds.Levels(t)
-            lhs = levels.value(bounds.G_level, k)
-            rhs = levels.product(bounds.G_level, w)
-            ok = _slack_ok(lhs, rhs)
-            detail = {"n": n, "k": k, "parts": w, "t": t, "G": lhs, "product": rhs}
-            if n % order == 0:
-                m = n // order
-                wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
-                scale = math.factorial(n) / (math.factorial(m) * math.factorial(order) ** m)
-                norm = abs(kernel(t)) / scale
-                bound_full = bounds.hafnian_bound(levels, wm) / scale
-                ok = ok and _slack_ok(norm, bound_full)
-                detail.update({"normalized": norm, "full_bound": bound_full, "m_parts": wm})
-            rec.record(ok, family, i, detail)
+            t = tensor(rng, n, order)
+            drawn, pairs = draw(rng, t, kernel, *limit)
+            if draw is _partition_pairs and order == 2:  # f_tilde: matrices only
+                pairs["f_tilde"] = (pairs["f_set"][0], bounds.f_tilde(t, drawn["cols"]))
+            rec.judge(family, i, {"n": n, "t": t, **drawn}, (_slack_ok, pairs))
 
     pairs = max(200, trials // 5)
     rng = _rng(seed, 16)
@@ -328,13 +343,13 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
                 + (coarse[big][:cut], coarse[big][cut:])
                 + coarse[big + 1 :]
             )
-            coarse_val = bounds.partition_bound_f(z, cols, coarse)
-            fine_val = bounds.partition_bound_f(z, cols, fine)
-            ok = _slack_ok(coarse_val, fine_val)
-            rec.record(ok, "partition_refinement", i, {
+            refined = (
+                bounds.partition_bound_f(z, cols, coarse),
+                bounds.partition_bound_f(z, cols, fine),
+            )
+            rec.judge("partition_refinement", i, {
                 "n": n, "cols": cols, "coarse": coarse, "fine": fine, "z": z,
-                "coarse_value": coarse_val, "fine_value": fine_val,
-            })
+            }, (_slack_ok, {"refinement": refined}))
         else:
             n = int(rng.integers(3, 6))
             z = _ctensor(rng, n, 2)
@@ -345,13 +360,13 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
             cut = int(rng.integers(1, w[big]))
             fine = w[:big] + [cut, w[big] - cut] + w[big + 1 :]
             levels = bounds.Levels(z)
-            coarse_val = bounds.composition_bound_F(levels, k, w)
-            fine_val = bounds.composition_bound_F(levels, k, fine)
-            ok = _slack_ok(coarse_val, fine_val)
-            rec.record(ok, "composition_refinement", i, {
+            refined = (
+                bounds.composition_bound_F(levels, k, w),
+                bounds.composition_bound_F(levels, k, fine),
+            )
+            rec.judge("composition_refinement", i, {
                 "n": n, "k": k, "coarse": w, "fine": fine, "z": z,
-                "coarse_value": coarse_val, "fine_value": fine_val,
-            })
+            }, (_slack_ok, {"refinement": refined}))
 
     # minor sums; a full-size draw (k = m = n, or 2k = n) meets its bound
     # with equality
@@ -362,24 +377,19 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
         m = int(rng.integers(1, n + 1))
         k = int(rng.integers(1, m + 1))
         z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        phi = bounds.minor_sum_phi(z, k)
-        bound = bounds.phi_bound(z, k)
-        rec.record(_slack_ok(abs(phi), bound), "minor_sum_dominance", i, {
-            "n": n, "m": m, "k": k, "z": z, "phi": phi, "bound": bound,
-        })
+        pairs = {"phi": (abs(bounds.minor_sum_phi(z, k)), bounds.phi_bound(z, k))}
+        rec.judge("minor_sum_dominance", i, {"n": n, "m": m, "k": k, "z": z},
+                  (_slack_ok, pairs))
 
     rng = _rng(seed, 18)
     for i in range(per_sum):
         n = int(rng.integers(2, 9))
         z = _sym_tensor(rng, n, 2)
         k = int(rng.integers(1, n // 2 + 1))
-        psi = bounds.subhafnian_sum_psi(z, k)
+        psi = abs(bounds.subhafnian_sum_psi(z, k))
         level, entry = bounds.psi_bounds(z, k)
-        ok = _slack_ok(abs(psi), level) and _slack_ok(abs(psi), entry)
-        rec.record(ok, "subhafnian_sum_dominance", i, {
-            "n": n, "k": k, "z": z, "psi": psi,
-            "level_bound": level, "entry_bound": entry,
-        })
+        pairs = {"psi_level": (psi, level), "psi_entry": (psi, entry)}
+        rec.judge("subhafnian_sum_dominance", i, {"n": n, "k": k, "z": z}, (_slack_ok, pairs))
 
     return SuiteResult("dominance", seed, trials, rec.checks, rec.failures)
 
@@ -395,45 +405,17 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
     for i in range(trials):
         n = int(rng.integers(3, 7))
         c = complex(rng.standard_normal(), rng.standard_normal())
-        z = np.full((n, n), c)
-        k = int(rng.integers(1, n + 1))
-        w = _composition(rng, k, int(rng.integers(1, 4)))
-        levels = bounds.Levels(z)
-        lhs = levels.value(bounds.F_level, k)
-        rhs = bounds.composition_bound_F(levels, k, w)
-        wn = _composition(rng, n, int(rng.integers(1, 4)))
-        bound_full = bounds.permanent_bound_composition(levels, wn)
-        exact = abs(permanent(z))
-        ok = (
-            _rel_err(lhs, rhs) <= EQ_RTOL
-            and _rel_err(bound_full, exact) <= EQ_RTOL
-        )
-        rec.record(ok, "constant_matrix_composition", i, {
-            "n": n, "k": k, "parts": w, "c": c, "F": lhs, "product": rhs,
-            "bound": bound_full, "exact": exact,
-        })
+        drawn, pairs = _composition_pairs(rng, np.full((n, n), c), permanent, 3)
+        rec.judge("constant_matrix_composition", i, {"n": n, "c": c, **drawn}, (_equal, pairs))
 
     rng = _rng(seed, 21)
     for i in range(trials):
         n = int(rng.integers(3, 7))
         cvals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        z = np.tile(cvals, (n, 1))
-        k = int(rng.integers(1, n + 1))
-        cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        blocks = _random_column_blocks(rng, cols)
-        lhs = bounds.f_set(z, cols)
-        rhs = bounds.partition_bound_f(z, cols, blocks)
-        full_blocks = _random_column_blocks(rng, range(n))
-        bound_full = bounds.permanent_bound_partition(z, full_blocks)
-        exact = abs(permanent(z))
-        ok = (
-            _rel_err(lhs, rhs) <= EQ_RTOL
-            and _rel_err(bound_full, exact) <= EQ_RTOL
-        )
-        rec.record(ok, "constant_columns_partition", i, {
-            "n": n, "cols": cols, "blocks": blocks, "column_values": cvals,
-            "f": lhs, "product": rhs, "bound": bound_full, "exact": exact,
-        })
+        drawn, pairs = _partition_pairs(rng, np.tile(cvals, (n, 1)), permanent, n)
+        rec.judge("constant_columns_partition", i, {
+            "n": n, "column_values": cvals, **drawn,
+        }, (_equal, pairs))
 
     rng = _rng(seed, 22)
     for i in range(trials):
@@ -464,26 +446,11 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
             t = _sym_tensor(rng, n, order)  # no value reads a repeated-index entry
             for idx in itertools.permutations(range(n), order):
                 t[idx] = y
-            k = int(rng.integers(2, m + 1))
-            d = int(rng.integers(2, k + 1))
-            w = [v + 1 for v in _composition(rng, k - d, d)]  # d >= 2 positive parts
-            levels = bounds.Levels(t)
-            lhs = levels.value(bounds.G_level, k)
-            rhs = levels.product(bounds.G_level, w)
-            wm = _composition(rng, m, int(rng.integers(1, min(3, m) + 1)))
-            bound_full = bounds.hafnian_bound(levels, wm)
             exact = kernel(t)
+            drawn, pairs = _hafnian_pairs(rng, t, lambda _: exact)
             scale = math.factorial(n) / (math.factorial(m) * math.factorial(order) ** m)
-            closed = scale * y**m
-            ok = (
-                _rel_err(lhs, rhs) <= EQ_RTOL
-                and _rel_err(bound_full, abs(exact)) <= EQ_RTOL
-                and _rel_err(exact, closed) <= EQ_RTOL
-            )
-            rec.record(ok, family, i, {
-                "n": n, "k": k, "parts": w, "y": y, "t": t, "G": lhs, "product": rhs,
-                "m_parts": wm, "bound": bound_full, "exact": exact, "closed_form": closed,
-            })
+            pairs["closed_form"] = (exact, scale * y**m)
+            rec.judge(family, i, {"n": n, "y": y, "t": t, **drawn}, (_equal, pairs))
 
     return SuiteResult("equality", seed, trials, rec.checks, rec.failures)
 
@@ -591,16 +558,11 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
             for wr in blocks
         ]
         r_ones = generalized_R(ones, tuple(range(n)))
-        ok = (
-            _rel_err(r_value, direct) <= REL_TOL
-            and abs(r_value) <= product_bound * (1.0 + SLACK_RTOL)
-            and _rel_err(r_ones, counts) <= REL_TOL
+        rec.judge(
+            "permanent_reproduction", i, {"n": n, "sizes": w, "blocks": blocks, "z": z},
+            (_close, {"R": (r_value, direct), "constant_R": (r_ones, counts)}),
+            (_slack_ok, {"product_bound": (abs(r_value), product_bound)}),
         )
-        rec.record(ok, "permanent_reproduction", i, {
-            "n": n, "sizes": w, "blocks": blocks, "z": z,
-            "R": r_value, "direct": direct, "product_bound": product_bound,
-            "constant_R": r_ones, "partition_count": counts,
-        })
 
     rng = _rng(seed, 42)
     for i in range(max(1, trials // 2)):
@@ -609,15 +571,10 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
         d = int(rng.integers(1, 3))
         w = _composition(rng, k, d)
         blocks = _partition_of(rng, range(k), w)
-        factors = [
-            SetFunction((k, k), (len(wr),) * 2, _block_table(t, wr)) for wr in blocks
-        ]
-        r_value = generalized_R(factors, (tuple(range(k)), tuple(range(k))))
-        direct = multidim_permanent(t)
-        rec.record(_rel_err(r_value, direct) <= REL_TOL, "tensor_reproduction", i, {
+        pairs = {"R": (multidim_permanent_via_laplace(t, w, blocks), multidim_permanent(t))}
+        rec.judge("tensor_reproduction", i, {
             "k": k, "sizes": w, "blocks": blocks, "t": t,
-            "R": r_value, "direct": direct,
-        })
+        }, (_close, pairs))
 
     return SuiteResult("master", seed, trials, rec.checks, rec.failures)
 

@@ -591,7 +591,8 @@ def test_bounds_unit_circle_options_need_unit_circle_input(tmp_path, capsys, opt
         capsys, "bounds", "--input", entries_file(tmp_path, z), *option
     )
     assert code == 2
-    assert f"{option[0]} requires the unit_circle form" in err
+    name = option[0][2:].replace("-", "_")
+    assert f"{name} needs the unit_circle form, got entries" in err
 
 
 @pytest.mark.parametrize("spec", ["x", "", "1,2,3", "1,1,2,3,4,5,6,7", "0,1,2,3,4,5,6,7"])

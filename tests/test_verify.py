@@ -140,7 +140,7 @@ def test_hafnian_level_checks_split_into_positive_parts(monkeypatch):
     parts = {}
 
     def keep(self, ok, family, index, detail):
-        if "G" in detail:
+        if "G_level" in detail:
             parts.setdefault(family, []).append(detail["parts"])
 
     monkeypatch.setattr(verify._Recorder, "record", keep)
@@ -175,6 +175,61 @@ def test_level_families_evaluate_each_level_once(monkeypatch):
     assert max(calls.values()) == 1
     kinds = collections.Counter(key[0] for key in calls)
     assert kinds == {"F_level": 2938, "G_level": 2313}
+
+
+# each bound verify reads, shrunk by (1 - 1e-9) (psi_bounds one value at a
+# time), and the families that must then fail at seed 0: the dominance and
+# the equality family of the same bound body, and nothing else
+PARTITION = {"partition_dominance", "tensor_partition_dominance", "constant_columns_partition"}
+COMPOSITION = {
+    "composition_dominance", "tensor_composition_dominance", "constant_matrix_composition",
+}
+SHRUNK_BOUNDS = {
+    ("partition_bound_f", None): PARTITION,
+    ("permanent_bound_partition", None): PARTITION,
+    ("composition_bound_F", None): COMPOSITION,
+    ("permanent_bound_composition", None): COMPOSITION,
+    ("hafnian_bound", None): {
+        "subhafnian_dominance", "tensor_subhafnian_dominance",
+        "constant_offdiagonal_hafnian", "constant_offdiagonal_tensor_hafnian",
+    },
+    ("phi_bound", None): {"minor_sum_dominance"},
+    ("psi_bounds", 0): {"subhafnian_sum_dominance"},
+    ("psi_bounds", 1): {"subhafnian_sum_dominance"},
+}
+
+
+@pytest.mark.parametrize("name,which", list(SHRUNK_BOUNDS))
+def test_shrunk_bound_fails_exactly_the_families_reading_it(monkeypatch, name, which):
+    real = getattr(bounds, name)
+
+    def shrunk(*args):
+        value = real(*args)
+        if which is None:
+            return value * (1 - 1e-9)
+        return tuple(v * (1 - 1e-9) if i == which else v for i, v in enumerate(value))
+
+    monkeypatch.setattr(verify.bounds, name, shrunk)
+    monkeypatch.setattr(verify, "FAILURE_CAP", 10**9)
+    docs = [json.loads(json.dumps(run_suite(s, 0).to_json())) for s in ("dominance", "equality")]
+    assert {f["family"] for doc in docs for f in doc["failures"]} == SHRUNK_BOUNDS[name, which]
+
+
+def test_each_family_draws_its_own_stream(monkeypatch):
+    # the bound-family bodies draw from the generator their caller passes,
+    # so a family that reused another's key would keep every count
+    keys = collections.Counter()
+    real = verify._rng
+
+    def counted(seed, family):
+        keys[family] += 1
+        return real(seed, family)
+
+    monkeypatch.setattr(verify, "_rng", counted)
+    for name in SUITES:
+        run_suite(name, seed=0, trials=12)
+    families = [*range(4), *range(10, 19), *range(20, 25), 30, 31, 40, 41, 42, 50, 51, 52]
+    assert keys == dict.fromkeys(families, 1)
 
 
 def test_convolution_failures_are_capped_and_replay(monkeypatch):
