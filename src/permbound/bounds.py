@@ -17,8 +17,9 @@ the normalized permanent or hafnian; ``permanent_bound_*`` and
 
 Every average and minor sum reads the minor engine of :mod:`exact` in
 chunks, never one kernel call per minor, but for matrix levels with many
-row minors: they sum elementary symmetric polynomials over the rows. A
-partition's blocks take one call per distinct block size. ``pair_bound``
+row minors: they sum elementary symmetric polynomials over the rows. One
+:class:`Levels` per tensor evaluates each of its levels and column sets
+once, a partition's new blocks in one call per distinct size. ``pair_bound``
 and ``avg_pair_bound`` bound |per| / n! with blocks of two columns (a
 partition, a composition of levels 2) for any square matrix, such as
 exp(i t x) for a phase matrix x or a characteristic-function matrix;
@@ -175,31 +176,33 @@ def _check_row_work(name: str, n: int, sets) -> None:
         )
 
 
-def _block_means(a: np.ndarray, blocks) -> list[float]:
-    """f_set(a, W) for each validated column set W, in order: one
-    :func:`_minor_means` call per distinct size."""
-    means = [1.0] * len(blocks)
-    for k in dict.fromkeys(len(w) for w in blocks if w):
-        at = [i for i, w in enumerate(blocks) if len(w) == k]
-        for i, v in zip(at, _minor_means(a, k, np.array([blocks[i] for i in at]).T)):
-            means[i] = float(v)
-    return means
-
-
 class Levels:
-    """F_level and G_level values of one tensor t, each (mean, k) evaluated
-    once: value(mean, k) is mean(t, k), product(mean, parts, power) the
-    product of value(mean, p) ** power over the parts. The composition and
-    hafnian bounds take a Levels for t; Levels(levels) shares its values."""
+    """Every subset average of one tensor t, each evaluated once: value(mean,
+    k) is mean(t, k) for F_level or G_level, blocks(ws) f_set(t, W) for each
+    column set W, product(mean, parts, power) prod_p value(mean, p) ** power.
+    The partition, composition, pair and hafnian bounds take a Levels for t;
+    Levels(levels) shares its values."""
 
     def __init__(self, t):
         self.t = t.t if isinstance(t, Levels) else np.asarray(t, dtype=complex)
+        # levels keyed (mean, k), blocks by their column tuple
         self._values: dict = t._values if isinstance(t, Levels) else {}
 
     def value(self, mean, k: int) -> float:
         if (mean, k) not in self._values:
             self._values[mean, k] = mean(self.t, k)
         return self._values[mean, k]
+
+    def blocks(self, ws) -> list[float]:
+        """f_set(t, W) for each validated column set W, in order; the empty
+        set gives 1. Sets not seen before take one :func:`_minor_means` call
+        per distinct size."""
+        new = [w for w in dict.fromkeys(ws) if w and w not in self._values]
+        for k in dict.fromkeys(map(len, new)):
+            at = [w for w in new if len(w) == k]
+            for w, v in zip(at, _minor_means(self.t, k, np.array(at).T)):
+                self._values[w] = float(v)
+        return [self._values[w] if w else 1.0 for w in ws]
 
     def product(self, mean, parts, power: float = 1.0) -> float:
         return math.prod(self.value(mean, p) ** power for p in parts)
@@ -226,10 +229,11 @@ def f_set(t, cols: Sequence[int]) -> float:
     |per(t[J_1, ..., J_l, K]) / (k!)^l|^2 for K = cols.
 
     t is a matrix (l = 1) or a tensor with l row axes of size n and a
-    column axis. The empty column set gives 1.
+    column axis, or a :class:`Levels` of one. The empty column set gives 1.
     """
-    a, _, _, m = _as_row_tensor(t)
-    return _block_means(a, [as_index_set(cols, m)])[0]
+    levels = Levels(t)
+    _, _, _, m = _as_row_tensor(levels.t)
+    return levels.blocks([as_index_set(cols, m)])[0]
 
 
 def f_tilde(z, cols: Sequence[int]) -> float:
@@ -263,12 +267,13 @@ def F_level(t, k: int) -> float:
 def partition_bound_f(t, cols: Sequence[int], blocks: Sequence[Sequence[int]]) -> float:
     """Product of f_set over an ordered partition of the column set.
 
-    Dominates f_set(t, cols); refining the partition can only increase the
-    product.
+    t may be a :class:`Levels`. Dominates f_set(t, cols); refining the
+    partition can only increase the product.
     """
-    a, _, _, m = _as_row_tensor(t)
+    levels = Levels(t)
+    _, _, _, m = _as_row_tensor(levels.t)
     K = as_index_set(cols, m)
-    return math.prod(_block_means(a, validate_partition(blocks, K)))
+    return math.prod(levels.blocks(validate_partition(blocks, K)))
 
 
 def composition_bound_F(t, k: int, parts: Sequence[int]) -> float:
@@ -279,11 +284,11 @@ def composition_bound_F(t, k: int, parts: Sequence[int]) -> float:
     return Levels(t).product(F_level, as_composition(parts, total=k))
 
 
-def _partition_root(a: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
-    """prod_r sqrt(f_set(a, W_r)) over an ordered partition of all
-    columns: the partition bound on |per(a)| / (n!)^l for square a."""
-    parts = validate_partition(blocks, range(a.shape[-1]))
-    return math.prod(math.sqrt(v) for v in _block_means(a, parts))
+def _partition_root(levels: Levels, blocks: Sequence[Sequence[int]]) -> float:
+    """prod_r sqrt(f_set(t, W_r)) over an ordered partition of all columns
+    of the Levels' t: the partition bound on |per(t)| / (n!)^l for square t."""
+    parts = validate_partition(blocks, range(levels.t.shape[-1]))
+    return math.prod(math.sqrt(v) for v in levels.blocks(parts))
 
 
 def _as_square_rows(t) -> tuple[np.ndarray, int, int]:
@@ -299,11 +304,12 @@ def permanent_bound_partition(t, blocks: Sequence[Sequence[int]]) -> float:
     """Absolute bound (n!)^l * prod_r sqrt(f_set(t, W_r)) >= |per_l(t)|.
 
     t is a square matrix (l = 1) or a tensor with l row axes and a column
-    axis, all of size n; ``blocks`` must be an ordered partition of all
-    columns.
+    axis, all of size n, or a :class:`Levels` of one; ``blocks`` must be an
+    ordered partition of all columns.
     """
-    a, ell, n = _as_square_rows(t)
-    return float(math.factorial(n)) ** ell * _partition_root(a, blocks)
+    levels = Levels(t)
+    _, ell, n = _as_square_rows(levels.t)
+    return float(math.factorial(n)) ** ell * _partition_root(levels, blocks)
 
 
 def permanent_bound_composition(t, parts: Sequence[int]) -> float:
@@ -371,36 +377,32 @@ def hafnian_bound(t, parts: Sequence[int]) -> float:
 def pair_bound(z, s: Sequence[int] | None = None) -> float:
     """Pairing bound on |per(z)| / n! for a square matrix, n >= 2.
 
-    Columns are paired by the permutation s (default identity): block r is
-    (s[2r], s[2r+1]) and contributes sqrt(f_set(z, block)). For odd n the
-    unpaired column s[n-1] contributes sqrt(mean_j |z[j, s[n-1]]|^2), which
-    is 1 for unit-modulus z.
+    z may be a :class:`Levels`. Columns are paired by the permutation s
+    (default identity): block r is (s[2r], s[2r+1]) and contributes
+    sqrt(f_set(z, block)). For odd n the unpaired column s[n-1] contributes
+    sqrt(mean_j |z[j, s[n-1]]|^2), which is 1 for unit-modulus z.
     """
-    a = _as_square(z)
-    n = a.shape[0]
+    levels = Levels(z)
+    n = _as_square(levels.t).shape[0]
     if n < 2:
         raise DomainError("pair bound needs n >= 2")
     perm = tuple(range(n)) if s is None else tuple(s)
-    return _partition_root(a, [perm[i : i + 2] for i in range(0, len(perm), 2)])
+    return _partition_root(levels, [perm[i : i + 2] for i in range(0, len(perm), 2)])
 
 
 def avg_pair_bound(z) -> float:
     """Permutation-free averaged bound on |per(z)| / n! for a square matrix.
 
-    The mean of f_set(z, (u, v)) over all column pairs, F_level(z, 2),
-    raised to the power floor(n/2) / 2; for odd n times sqrt(mean over all
-    entries of |z|^2), which is 1 for unit-modulus z. Requires n >= 2.
+    z may be a :class:`Levels`. The mean of f_set(z, (u, v)) over all
+    column pairs, F_level(z, 2), raised to the power floor(n/2) / 2; for odd
+    n times sqrt(mean over all entries of |z|^2), which is 1 for
+    unit-modulus z. Requires n >= 2.
     """
-    a = _as_square(z)
-    n = a.shape[0]
+    levels = Levels(z)
+    n = _as_square(levels.t).shape[0]
     if n < 2:
         raise DomainError("averaged bound needs n >= 2")
-    return Levels(a).product(F_level, _pair_levels(n), 0.5)
-
-
-def _pair_levels(n: int) -> tuple[int, ...]:
-    """floor(n/2) levels 2, then a level 1 for odd n."""
-    return (2,) * (n // 2) + (1,) * (n % 2)
+    return levels.product(F_level, (2,) * (n // 2) + (1,) * (n % 2), 0.5)
 
 
 def unit_circle_theta_bound(x, t: float) -> float:
@@ -530,7 +532,7 @@ def phi_bound(z, k: int) -> float:
         subset_count(m, k)
         * subset_count(n, k)
         * math.factorial(k)
-        * math.sqrt(F_level(a, k))
+        * math.sqrt(Levels(a).value(F_level, k))
     )
 
 
@@ -634,9 +636,8 @@ def report_rows(
         # z is exp(i t x), so the pair rows read it; only theta needs x. All
         # three need a pair of columns.
         pairs = n >= 2
-        values.append(("pair_cos", params, pair_bound(z, s_perm) if pairs else None))
-        values.append(("avg_cos", {"t": t},
-                       levels.product(F_level, _pair_levels(n), 0.5) if pairs else None))
+        values.append(("pair_cos", params, pair_bound(levels, s_perm) if pairs else None))
+        values.append(("avg_cos", {"t": t}, avg_pair_bound(levels) if pairs else None))
         if theta:
             values.append(("theta_cos", {"t": t},
                            unit_circle_theta_bound(mi.phases, t) if pairs else None))
@@ -647,7 +648,7 @@ def report_rows(
     if blocks is not None:
         values.append(("partition_subset_avg",
                        {"blocks": [[v + 1 for v in b] for b in blocks]},
-                       _partition_root(z, blocks)))
+                       _partition_root(levels, blocks)))
     if parts is not None:
         values.append(("composition_level_avg", {"parts": list(parts)},
                        levels.product(F_level, parts, 0.5)))

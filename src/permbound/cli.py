@@ -33,6 +33,8 @@ from .matrixio import (
     matrix_from_json,
     report_to_csv,
     report_to_json,
+    round_up_decimals,
+    round_up_scientific,
     tensor_from_json,
 )
 
@@ -195,7 +197,7 @@ def cmd_bounds(args) -> int:
             if not r.applicable:
                 lines.append(f"{r.name:<{width}}  n.a.")
                 continue
-            text = f"{r.name:<{width}}  {r.raw_value:.9e}"
+            text = f"{r.name:<{width}}  {round_up_scientific(r.raw_value, 9)}"
             if r.exact_norm is not None:
                 text += f"  (exact {r.exact_norm:.9e})"
             lines.append(text)
@@ -314,7 +316,7 @@ def cmd_charfn(args) -> int:
                 text += f" |exact|={row['exact_abs']:.9f}"
             for label, key in (("pair", "pair_bound"), ("avg", "avg_bound")):
                 text += f" {label}=" + (
-                    "n.a." if row[key] is None else f"{row[key]:.9f}"
+                    "n.a." if row[key] is None else round_up_decimals(row[key], 9)
                 )
             if "mc_re" in row:
                 text += (

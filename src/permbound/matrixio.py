@@ -15,10 +15,11 @@ allocated. Every number must be finite. A ParseError names its position:
 cell in C order; the CLI exits 2 on it.
 
 Report rows record one bound each: ``raw_value`` is the double, and
-``rounded_up_6dp`` rounds it up at the sixth decimal. Table display rounds
-up at any number of decimals (:func:`round_up_decimals`), the precision of
-each printed cell. Both roundings are exact ceilings of the double, so a
-printed bound is never below the raw value.
+``rounded_up_6dp`` rounds it up at the sixth decimal. Display rounds up at
+any number of decimals (:func:`round_up_decimals`: table1's cells, charfn's
+bounds) or of mantissa digits (:func:`round_up_scientific`: the ``bounds``
+rows). All are exact ceilings of the double, so a printed bound is never
+below the raw value.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -246,6 +248,20 @@ def round_up_decimals(value: float, decimals: int) -> str:
     num, den = value.as_integer_ratio()
     whole, frac = divmod(-(-num * 10**decimals // den), 10**decimals)
     return f"{whole}.{frac:0{decimals}d}" if decimals else str(whole)
+
+
+def round_up_scientific(value: float, digits: int) -> str:
+    """``f"{value:.{digits}e}"`` rounded up instead of to nearest, exactly:
+    :func:`round_up_decimals` of the mantissa. A value on the grid is
+    printed as it is."""
+    exact = Fraction(value)
+    e = math.floor(math.log10(value)) if value > 0 else 0
+    # 1 <= mantissa < 10, where the float log10 may be one off
+    e += (exact >= Fraction(10) ** (e + 1)) - (0 < exact < Fraction(10) ** e)
+    mantissa = round_up_decimals(exact / Fraction(10) ** e, digits)
+    if mantissa.startswith("10"):  # rounding up carried into a new digit
+        mantissa, e = round_up_decimals(1, digits), e + 1
+    return f"{mantissa}e{e:+03d}"
 
 
 def round_up_6dp(value: float) -> float:

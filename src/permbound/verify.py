@@ -253,9 +253,10 @@ def _partition_pairs(rng, t, kernel, k_max: int) -> tuple[dict, dict]:
     cols = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
     blocks = _random_column_blocks(rng, cols)
     full_blocks = _random_column_blocks(rng, range(n))
+    levels = bounds.Levels(t)
     pairs = {
-        "f_set": (bounds.f_set(t, cols), bounds.partition_bound_f(t, cols, blocks)),
-        "permanent": (abs(kernel(t)), bounds.permanent_bound_partition(t, full_blocks)),
+        "f_set": (bounds.f_set(levels, cols), bounds.partition_bound_f(levels, cols, blocks)),
+        "permanent": (abs(kernel(t)), bounds.permanent_bound_partition(levels, full_blocks)),
     }
     return {"cols": cols, "blocks": blocks, "full_blocks": full_blocks}, pairs
 
@@ -343,10 +344,8 @@ def suite_dominance(seed: int, trials: int) -> SuiteResult:
                 + (coarse[big][:cut], coarse[big][cut:])
                 + coarse[big + 1 :]
             )
-            refined = (
-                bounds.partition_bound_f(z, cols, coarse),
-                bounds.partition_bound_f(z, cols, fine),
-            )
+            levels = bounds.Levels(z)
+            refined = tuple(bounds.partition_bound_f(levels, cols, b) for b in (coarse, fine))
             rec.judge("partition_refinement", i, {
                 "n": n, "cols": cols, "coarse": coarse, "fine": fine, "z": z,
             }, (_slack_ok, {"refinement": refined}))
@@ -426,8 +425,8 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
         dead = int(rng.choice(cols))
         z[:, dead] = 0.0
         blocks = _random_column_blocks(rng, cols)
-        lhs = bounds.f_set(z, cols)
-        rhs = bounds.partition_bound_f(z, cols, blocks)
+        levels = bounds.Levels(z)
+        lhs, rhs = bounds.f_set(levels, cols), bounds.partition_bound_f(levels, cols, blocks)
         ok = lhs <= 1e-15 and rhs <= 1e-15
         rec.record(ok, "zero_column_partition", i, {
             "n": n, "cols": cols, "dead_column": dead, "blocks": blocks,
@@ -613,10 +612,10 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
         detail: dict = {"n": n, "model": model.to_json(), "violations": []}
         for t in ts:
             value = abs(charfn.exact_charfn(model, float(t)))
-            phi = model.charfn_matrix(float(t))
-            pair = bounds.pair_bound(phi)
-            pair_s = bounds.pair_bound(phi, perm)
-            avg = bounds.avg_pair_bound(phi)
+            levels = bounds.Levels(model.charfn_matrix(float(t)))
+            pair = bounds.pair_bound(levels)
+            pair_s = bounds.pair_bound(levels, perm)
+            avg = bounds.avg_pair_bound(levels)
             dominated = all(
                 value <= b + 1e-10 + SLACK_RTOL * b for b in (pair, pair_s, avg)
             )

@@ -901,6 +901,29 @@ def test_block_products_make_one_call_per_block_size(monkeypatch):
     bounds.permanent_bound_partition(cube(rng, 4, 3), [(0, 1), (2, 3)])
     assert calls == [(2, 2)]
 
+    # one Levels shared by every partition-side bound gives the bits of
+    # fresh calls, and a block it has seen takes no second minor call
+    perm = (0, 1, 3, 4, 5, 6, 2)
+    bounds_of = (
+        lambda t: bounds.f_set(t, (3, 4)),
+        lambda t: bounds.partition_bound_f(t, (0, 1, 2, 5, 6), [(0, 1), (2,), (5, 6)]),
+        lambda t: bounds.permanent_bound_partition(t, blocks),
+        lambda t: bounds.pair_bound(t, perm),
+        lambda t: bounds.pair_bound(t),
+        lambda t: bounds.avg_pair_bound(t),
+    )
+    fresh = [bound(z) for bound in bounds_of]
+    calls.clear()
+    levels = bounds.Levels(z)
+    assert [bound(levels) for bound in bounds_of] == fresh
+    # f_set (3, 4); (0, 1), (2,), (5, 6); nothing new for the full partition
+    # and pair_bound(perm); the identity pairs (2, 3), (4, 5) and (6,);
+    # level 2, and level 1 for the odd column
+    assert calls == [(2, 1), (2, 2), (1, 1), (2, 2), (1, 1), (2, 21), (1, 7)]
+    calls.clear()
+    assert [bound(bounds.Levels(levels)) for bound in bounds_of] == fresh
+    assert calls == []
+
 
 def test_plan_cache_skips_multi_chunk_shapes(monkeypatch):
     # one column set of 28 row pairs at 16 minors per chunk: two chunks,
@@ -1059,13 +1082,14 @@ def test_report_rows_pair_options_apply_before_any_row(monkeypatch, mi, options,
 
 def test_table1_report_evaluates_each_level_once(monkeypatch):
     # pair_cos: one call for its four pairs; avg_cos: level 2 over all 28
-    # pairs; partition 3, 3, 2: one call per block size; composition
-    # 3, 3, 2: level 3 only, since avg_cos already evaluated level 2
+    # pairs; partition 3, 3, 2: its two blocks of 3, since pair_cos already
+    # evaluated the pair (7, 8); composition 3, 3, 2: level 3 only, since
+    # avg_cos already evaluated level 2
     from permbound import table1
 
     calls = count_minor_means(monkeypatch)
     table1.compute_rows(1.0)
-    assert sorted(calls) == sorted([(2, 4), (2, 28), (3, 2), (2, 1), (3, 56)])
+    assert sorted(calls) == sorted([(2, 4), (2, 28), (3, 2), (3, 56)])
 
 
 def test_only_bounds_sets_its_limits():

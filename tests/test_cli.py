@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from permbound import bounds, cli, exact, table1
+from permbound import bounds, charfn, cli, exact, table1
 from permbound.matrixio import from_entries, matrix_to_json, tensor_to_json
 from oracles import f_set_fraction
 
@@ -784,6 +785,50 @@ def test_charfn_one_cell_model_reports_pair_bounds_na(tmp_path, capsys, s_perm):
     assert capsys.readouterr().out.splitlines()[1].split(",")[2:4] == ["", ""]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.split()[2:] == ["pair=n.a.", "avg=n.a."]
+
+
+def test_bounds_text_prints_ceilings(tmp_path, capsys):
+    # on c J for the double c = 1/d, |per| / n! is exactly c^6, and three rows
+    # (column norms, partition, composition) equal it: rounded to nearest,
+    # 66 of their 111 printed values were below it. Each row now prints a
+    # ceiling of its double, so only a double that is itself below c^6 (by
+    # 4e-16 and 1.5e-16 relative: floating-point rounding of the bound, not
+    # of the print) can still print below it, where c^6 sits just above a
+    # grid point
+    path = tmp_path / "cj.json"
+    argv = ["bounds", "--input", str(path), "--composition", "2,2,2",
+            "--partition", "1,2|3,4|5,6"]
+    below = []
+    for d in range(3, 40):
+        c = 1.0 / d
+        path.write_text(json.dumps(matrix_to_json(from_entries(np.full((6, 6), c)))))
+        assert cli.main([*argv, "--format", "json"]) == 0
+        raw = {row["name"]: Fraction(row["raw_value"])
+               for row in json.loads(capsys.readouterr().out)["rows"] if row["applicable"]}
+        assert cli.main(argv) == 0
+        for line in capsys.readouterr().out.splitlines():
+            name, shown = line.split()[:2]
+            if name in raw:
+                assert Fraction(shown) >= raw[name], (d, line)
+                if Fraction(shown) < Fraction(c) ** 6:
+                    below.append((d, name, raw[name] < Fraction(c) ** 6))
+    assert below == [(20, "hadamard_column_norm", True), (25, "partition_subset_avg", True)]
+
+
+def test_charfn_text_prints_ceilings(tmp_path, capsys):
+    # one bernoulli(p) cell on a 6 x 6 grid: phi(t) is c J for the double
+    # c = phi_p(t), and both bounds equal |c|^6; rounded to nearest, 38 of
+    # the 78 printed bounds were below it
+    path = tmp_path / "bernoulli.json"
+    for i in range(1, 40):
+        cell = {"family": "bernoulli", "params": {"p": i / 40}}
+        path.write_text(json.dumps({"cells": [[cell] * 6] * 6}))
+        assert cli.main(["charfn", "--input", str(path), "--t", "1.3"]) == 0
+        c = complex(charfn.load_model(path).charfn_matrix(1.3)[0, 0])
+        exact = (Fraction(c.real) ** 2 + Fraction(c.imag) ** 2) ** 3
+        fields = dict(f.split("=") for f in capsys.readouterr().out.split()[1:])
+        for key in ("pair", "avg"):
+            assert Fraction(fields[key]) >= exact, (i, key, fields[key])
 
 
 def test_charfn_bad_model(tmp_path):

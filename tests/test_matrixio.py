@@ -25,6 +25,7 @@ from permbound.matrixio import (
     report_to_json,
     round_up_6dp,
     round_up_decimals,
+    round_up_scientific,
     tensor_from_json,
     tensor_to_json,
 )
@@ -307,6 +308,45 @@ def test_round_up_decimals_never_below(value, decimals):
     assert len(shown.partition(".")[2]) == decimals
     assert Fraction(shown) >= Fraction(value)
     assert float(shown) - value <= 10.0**-decimals + 1e-15 * value
+
+
+@pytest.mark.parametrize(
+    "value, digits, shown",
+    [
+        (0.0, 9, "0.000000000e+00"),
+        (1.0, 9, "1.000000000e+00"),  # on the grid
+        (math.nextafter(1.0, 2.0), 9, "1.000000001e+00"),  # just above
+        (math.nextafter(1.0, 0.0), 9, "1.000000000e+00"),  # just below: carries
+        (9.765625e-4, 9, "9.765625000e-04"),
+        (math.nextafter(9.765625e-4, 1.0), 9, "9.765625001e-04"),
+        (math.nextafter(9.765625e-4, 0.0), 9, "9.765625000e-04"),
+        (0.1, 9, "1.000000001e-01"),  # the double is above 1/10
+        (0.2 + 0.1, 0, "4e-01"),
+        (5e-324, 9, "4.940656459e-324"),  # least subnormal; nearest ends in 8
+        (math.ldexp(1.0, -1070), 9, "7.905050334e-323"),
+        (1.7976931348623157e308, 9, "1.797693135e+308"),
+    ],
+)
+def test_round_up_scientific_at_grid_points(value, digits, shown):
+    assert round_up_scientific(value, digits) == shown
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.integers(0, 2**52).map(lambda m: m * 5e-324),  # subnormals
+    ),
+    st.integers(min_value=0, max_value=12),
+)
+def test_round_up_scientific_is_the_ceiling(value, digits):
+    # Python's rounding to nearest where that is not below the value, else
+    # one step of its last digit above it
+    shown, nearest = round_up_scientific(value, digits), f"{value:.{digits}e}"
+    if Fraction(nearest) >= Fraction(value):
+        assert shown == nearest
+    else:
+        step = Fraction(10) ** (int(nearest.partition("e")[2]) - digits)
+        assert Fraction(shown) == Fraction(nearest) + step
 
 
 def test_bound_row_json():

@@ -177,6 +177,23 @@ def test_level_families_evaluate_each_level_once(monkeypatch):
     assert kinds == {"F_level": 2938, "G_level": 2313}
 
 
+def test_no_minor_is_evaluated_twice(monkeypatch):
+    # each trial tensor's column sets are evaluated once, as blocks or within
+    # a level (with blocks evaluated per call, seed 0 repeated 398 of them
+    # in dominance and 80 in equality); sharing them changes no check count
+    calls = collections.Counter()
+    means = bounds._minor_means
+
+    def counted(a, k, cols):
+        calls.update((a.shape, a.tobytes(), tuple(w)) for w in cols.T.tolist())
+        return means(a, k, cols)
+
+    monkeypatch.setattr(bounds, "_minor_means", counted)
+    assert run_suite("dominance", 0).checks == 1404
+    assert run_suite("equality", 0).checks == 250
+    assert max(calls.values()) == 1
+
+
 # each bound verify reads, shrunk by (1 - 1e-9) (psi_bounds one value at a
 # time), and the families that must then fail at seed 0: the dominance and
 # the equality family of the same bound body, and nothing else
