@@ -16,13 +16,17 @@ the normalized permanent or hafnian; ``permanent_bound_*`` and
 ``hafnian_bound`` return the corresponding absolute bounds.
 
 Every average and minor sum reads the minor engine of :mod:`exact` in
-chunks, never one kernel call per minor, but for matrix levels with many
-row minors: they sum elementary symmetric polynomials over the rows. One
-:class:`Levels` per tensor evaluates each of its levels and column sets
-once, a partition's new blocks in one call per distinct size. ``pair_bound``
-and ``avg_pair_bound`` bound |per| / n! with blocks of two columns (a
-partition, a composition of levels 2) for any square matrix, such as
-exp(i t x) for a phase matrix x or a characteristic-function matrix;
+chunks, never one kernel call per minor, or for matrix levels 2-6 the row
+side, which sums elementary symmetric polynomials over the rows. One cost
+model, in Glynn products of the engine, prices both paths for the shape,
+the level and the number of column sets, and the cheaper path runs; the
+report's work limit prices the same plan. One :class:`Levels` per tensor
+evaluates each of its levels and column sets once: a level over all its
+column sets, whose values its blocks then read, and other blocks in one
+call per distinct size. ``pair_bound`` and ``avg_pair_bound`` bound
+|per| / n! with blocks of two columns (a partition, a composition of
+levels 2) for any square matrix, such as exp(i t x) for a phase matrix x
+or a characteristic-function matrix;
 ``unit_circle_theta_bound`` refines the averaged bound from the phases.
 
 The classical baselines (operator-norm powers, the singular-value mean,
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,6 +49,7 @@ from .combinatorics import (
     as_composition,
     as_index_set,
     subset_count,
+    subset_ranks,
     subset_table,
     validate_partition,
 )
@@ -65,14 +71,24 @@ from .matrixio import BoundRow, MatrixInput
 
 # Report rows are normalized by n!, which a double holds up to n = 170.
 BOUNDS_MAX_N = 170
-# Glynn products over the minors of a partition or composition row (4-36 ns
-# each on a 2-core x86 box with Python 3.11 and numpy 2.4, level 2 slowest):
-# accepted rows finish within 7 s there.
+# Planned work of a partition or composition row, in Glynn products as
+# :func:`_minor_cost` prices the path that runs. The largest accepted rows
+# took 1.0-1.1 s on the engine (n = 17, blocks of 11 and 6) and 1.8-1.9 s on
+# the row side (n = 82, composition 3, ..., 3, 1) in fresh processes on a
+# 2-core x86 box with Python 3.11, numpy 2.4 and one BLAS thread.
 BOUNDS_MAX_WORK = 200_000_000
 SIGN_ATOL = 1e-12
 # Largest level whose matrix averages may take the row side: one column
 # set's accumulator, (k + 1) 2^(k-2) (2^(k-1) + 1) entries, still fits a chunk.
 ROW_SIDE_MAX_K = 6
+# The cost model of a minor-mean call, in Glynn products of the engine
+# (3.6 ns each): a call to the engine costs 17.5 us more, a call to the row
+# side 72 us and 3.2 ns per sign-vector pair step. Least-squares fit to
+# in-process timings of n = 3-24, k = 2-6 and 1 to all C(n, k) column sets
+# on a 2-core x86 box (Python 3.11.7, numpy 2.4.6, one BLAS thread).
+_ENGINE_CALL = 5_000
+_ROW_CALL = 20_000
+_ROW_STEP = 0.9
 # Entries of a chunk of the row side's accumulator or the theta row's arrays.
 _CHUNK_ENTRIES = 1 << 13
 
@@ -92,21 +108,42 @@ def _as_matrix(z) -> np.ndarray:
 # subset averages for permanents
 
 
+def _minor_cost(shape: tuple, k: int, sets: int) -> tuple[bool, int]:
+    """Whether :func:`_minor_means` takes the row side for ``sets`` column
+    sets of size k >= 1 of a row tensor of ``shape``, and the price of the
+    cheaper path in Glynn products: the engine's C(n, k)^l minors of
+    multidim_permanent_work(k, l) products per set, or for a matrix at
+    2 <= k <= ROW_SIDE_MAX_K the row side's n k 2^(k-2) (2^(k-1) + 1) pair
+    steps per set, each path plus its call."""
+    n, ell = shape[0], len(shape) - 1
+    engine = _ENGINE_CALL + sets * math.comb(n, k) ** ell * multidim_permanent_work(k, ell)
+    if ell == 1 and 2 <= k <= ROW_SIDE_MAX_K:
+        row = _ROW_CALL + int(_ROW_STEP * sets * n * k * (1 << (k - 2)) * ((1 << (k - 1)) + 1))
+        if row < engine:
+            return True, row
+    return False, engine
+
+
 def _minor_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
     """For each column set cols[:, q] (k >= 1 columns) of a row tensor with
     l row axes, the mean over l-tuples of row k-subsets J of
-    |per(a[J_1, ..., J_l, cols[:, q]]) / (k!)^l|^2. A matrix at
-    2 <= k <= ROW_SIDE_MAX_K with C(n, k) > 2n (2^(k-1) + 1) row minors takes
-    the row side, at most a quarter of the engine's products."""
-    n = a.shape[0]
-    if a.ndim == 2 and 2 <= k <= ROW_SIDE_MAX_K and math.comb(n, k) > (n << k) + 2 * n:
+    |per(a[J_1, ..., J_l, cols[:, q]]) / (k!)^l|^2, on the path that
+    :func:`_minor_cost` prices lower: so full matrix levels 3-4 from n = 8,
+    5 from n = 9, 6 from n = 10 and 2 from n = 13 read the row side, and
+    every matrix of n <= 7 and single blocks below n = 11 the engine."""
+    if _minor_cost(a.shape, k, cols.shape[1])[0]:
         return _row_side_means(a, k, cols)
+    return _engine_means(a, k, cols)
+
+
+def _engine_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
+    """:func:`_minor_means` on the minor engine, for any row tensor."""
     ell = a.ndim - 1
     fact = float(math.factorial(k) ** ell)
     sums = np.zeros(cols.shape[1])
     for q, _, per in _minor_stack(a, k, cols):
         sums[q : q + len(per)] += ((np.abs(per) / fact) ** 2).sum(axis=1)
-    return sums / subset_count(n, k) ** ell
+    return sums / subset_count(a.shape[0], k) ** ell
 
 
 def _elementary_symmetric(rows, k: int, shape: tuple = (), dtype=float) -> np.ndarray:
@@ -165,44 +202,61 @@ def _row_side_means(a: np.ndarray, k: int, cols: np.ndarray) -> np.ndarray:
     return np.ldexp(means, 2 * shift[cols].sum(axis=0))
 
 
-def _check_row_work(name: str, n: int, sets) -> None:
-    """Refuse a report row whose :func:`_minor_means` calls read, for each
-    (k, c) in sets, c column sets of size k of an n x n matrix: C(n, k) row
-    minors of multidim_permanent_work(k, 1) products per set."""
-    work = sum(c * math.comb(n, k) * multidim_permanent_work(k, 1) for k, c in sets)
-    if work > BOUNDS_MAX_WORK:
-        raise FeasibilityError(
-            f"{name} row work limit {BOUNDS_MAX_WORK} products, got {work}"
-        )
-
-
 class Levels:
     """Every subset average of one tensor t, each evaluated once: value(mean,
     k) is mean(t, k) for F_level or G_level, blocks(ws) f_set(t, W) for each
     column set W, product(mean, parts, power) prod_p value(mean, p) ** power.
-    The partition, composition, pair and hafnian bounds take a Levels for t;
+    An F level is evaluated over all its column sets, and a block of an
+    evaluated level reads its value there. The partition, composition, pair
+    and hafnian bounds take a Levels for t, and numpy reads it as t;
     Levels(levels) shares its values."""
 
     def __init__(self, t):
-        self.t = t.t if isinstance(t, Levels) else np.asarray(t, dtype=complex)
-        # levels keyed (mean, k), blocks by their column tuple
-        self._values: dict = t._values if isinstance(t, Levels) else {}
+        if isinstance(t, Levels):
+            self.t, self._values, self._sets = t.t, t._values, t._sets
+        else:
+            self.t = np.asarray(t, dtype=complex)
+            # levels keyed (mean, k), blocks by their column tuple
+            self._values: dict = {}
+            # f_set of every column set of each F level evaluated, keyed by k
+            self._sets: dict = {}
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.t, dtype=dtype, copy=copy)
 
     def value(self, mean, k: int) -> float:
         if (mean, k) not in self._values:
-            self._values[mean, k] = mean(self.t, k)
+            self._values[mean, k] = mean(self, k)
         return self._values[mean, k]
 
     def blocks(self, ws) -> list[float]:
         """f_set(t, W) for each validated column set W, in order; the empty
-        set gives 1. Sets not seen before take one :func:`_minor_means` call
-        per distinct size."""
+        set gives 1. Sets of an evaluated F level read it, by rank; the other
+        sets not seen before take one :func:`_minor_means` call per size."""
         new = [w for w in dict.fromkeys(ws) if w and w not in self._values]
         for k in dict.fromkeys(map(len, new)):
             at = [w for w in new if len(w) == k]
-            for w, v in zip(at, _minor_means(self.t, k, np.array(at).T)):
+            cols = np.array(at).T
+            means = (self._sets[k][subset_ranks(cols, self.t.shape[-1])]
+                     if k in self._sets else _minor_means(self.t, k, cols))
+            for w, v in zip(at, means):
                 self._values[w] = float(v)
         return [self._values[w] if w else 1.0 for w in ws]
+
+    def plan(self, ks=(), ws=()) -> tuple[int, int]:
+        """Glynn products, as :func:`_minor_cost` prices them, that
+        value(F_level, k) for each k in ks and then blocks(ws) would take,
+        as (levels, blocks), without evaluating them. A level evaluated
+        before costs nothing, nor does a block seen before or one whose size
+        is such a level or in ks."""
+        m = self.t.shape[-1]
+        ks = {k for k in ks if k and k not in self._sets}
+        level = sum(_minor_cost(self.t.shape, k, math.comb(m, k))[1] for k in ks)
+        free = self._sets.keys() | ks
+        sizes = Counter(len(w) for w in dict.fromkeys(ws)
+                        if w and w not in self._values and len(w) not in free)
+        block = sum(_minor_cost(self.t.shape, k, c)[1] for k, c in sizes.items())
+        return level, block
 
     def product(self, mean, parts, power: float = 1.0) -> float:
         return math.prod(self.value(mean, p) ** power for p in parts)
@@ -254,13 +308,16 @@ def f_tilde(z, cols: Sequence[int]) -> float:
 
 
 def F_level(t, k: int) -> float:
-    """Mean of f_set(t, K) over all column subsets K of size k."""
+    """Mean of f_set(t, K) over all column subsets K of size k. A
+    :class:`Levels` for t keeps each set's f_set, for the blocks it reads."""
     a, _, _, m = _as_row_tensor(t)
     if not 0 <= k <= m:
         raise DomainError(f"level k={k} outside [0, {m}]")
     if k == 0:
         return 1.0
     means = _minor_means(a, k, subset_table(m, k))
+    if isinstance(t, Levels):
+        t._sets[k] = means
     return float(means.sum() / len(means))
 
 
@@ -455,10 +512,11 @@ def _log_hadamard(z) -> float:
         return float(0.5 * np.log(means).sum())
 
 
-def _log_opnorm(z, p) -> float:
+def _log_opnorm(z, p, sv) -> float:
     """log of the operator-norm bound ||z||_p ** n / n! on |per(z)| / n!, for
     p "1" (the largest column absolute sum), "inf" (the largest row absolute
-    sum) or "2" (the largest singular value)."""
+    sum) or "2" (the largest singular value: sv[0] of z's singular values
+    sv, descending, as np.linalg.norm(z, 2) reads it)."""
     a = _as_square(z)
     n = a.shape[0]
     if n == 0:
@@ -468,18 +526,17 @@ def _log_opnorm(z, p) -> float:
     elif p == "inf":
         norm = float(np.abs(a).sum(axis=1).max())
     else:
-        norm = float(np.linalg.norm(a, 2))
+        norm = float(sv[0])
     return n * math.log(norm) - math.lgamma(n + 1) if norm else -math.inf
 
 
-def _log_singular(z) -> float:
+def _log_singular(sv) -> float:
     """log of the singular-value bound sqrt((1/n) sum_j alpha_j^(2n)) / n! on
-    |per(z)| / n!, a logsumexp over 2n log alpha_j."""
-    a = _as_square(z)
-    n = a.shape[0]
+    |per(z)| / n!, a logsumexp over 2n log alpha_j for the n singular values
+    sv of z, in descending order."""
+    n = len(sv)
     if n == 0:
         return 0.0
-    sv = np.linalg.svd(a, compute_uv=False)  # descending
     if sv[0] == 0.0:
         return -math.inf
     log_sum = math.log(float(((sv / sv[0]) ** (2 * n)).sum()))
@@ -599,9 +656,11 @@ def report_rows(
     Before any row is computed: n > BOUNDS_MAX_N raises FeasibilityError,
     ``s_perm`` or ``theta`` off a unit_circle input, an ``s_perm`` that is
     no permutation of range(n) and invalid ``blocks`` or ``parts`` raise
-    DomainError, and a partition or composition row over BOUNDS_MAX_WORK
-    Glynn products raises FeasibilityError. So does a row value that does
-    not fit a double.
+    DomainError, and a partition or composition row whose planned work
+    (:meth:`Levels.plan`, after the levels the report evaluates) is over
+    BOUNDS_MAX_WORK Glynn products raises FeasibilityError. So does a row
+    value that does not fit a double. The levels are evaluated before any
+    block, so the pair and partition rows read their blocks from them.
     """
     z, n = mi.z, mi.n
     if n > BOUNDS_MAX_N:
@@ -613,20 +672,30 @@ def report_rows(
         raise DomainError(f"s_perm {list(s_perm)} is not a permutation of range({n})")
     if blocks is not None:
         blocks = validate_partition(blocks, range(n))
-        # one f_set per block
-        _check_row_work("partition", n, ((len(b), 1) for b in blocks))
     if parts is not None:
         parts = as_composition(parts, total=n)
-        # one F_level per distinct level, over all its column sets
-        _check_row_work("composition", n, ((k, math.comb(n, k)) for k in set(parts)))
     fact = float(math.factorial(n))
     levels = Levels(z)
+    # the levels the report evaluates, before any block: avg_cos's (not
+    # limited) and the composition's; a block of one of them is free
+    ks = ({2, n % 2} - {0} if mi.form == "unit_circle" and n >= 2 else set())
+    ks |= set(parts or ())
+    works = {"partition": levels.plan(ks, blocks or ())[1],
+             "composition": levels.plan(parts or ())[0]}
+    for name, work in works.items():
+        if work > BOUNDS_MAX_WORK:
+            raise FeasibilityError(
+                f"{name} row work limit {BOUNDS_MAX_WORK} products, got {work}"
+            )
+    sv = np.linalg.svd(_as_square(z), compute_uv=False)  # descending
+    for k in sorted(ks):
+        levels.value(F_level, k)
     # (name, params, value); value None marks a row that is not applicable
     values: list[tuple[str, dict, object]] = []
     for p in ("1", "inf", "2"):
         if ps is None or p in ps:
-            values.append((f"opnorm_p{p}", {"p": p}, _exp(_log_opnorm(z, p))))
-    values.append(("singular_mean_power", {}, _exp(_log_singular(z))))
+            values.append((f"opnorm_p{p}", {"p": p}, _exp(_log_opnorm(z, p, sv))))
+    values.append(("singular_mean_power", {}, _exp(_log_singular(sv))))
     values.append(("hadamard_column_norm", {}, _exp(_log_hadamard(z))))
     if mi.form == "unit_circle":
         t = mi.t

@@ -36,6 +36,7 @@ from .matrixio import (
     round_up_decimals,
     round_up_scientific,
     tensor_from_json,
+    with_t,
 )
 
 # trials * n^2 limit of charfn --mc; at it a fresh process took 0.64-0.85 s / 94 MB
@@ -108,15 +109,14 @@ def _parse_index(token: str, where: str, minimum: int = 1) -> int:
 
 
 def _load_input(args, tensors: bool = False):
-    """Load ``--input`` and apply ``--t``, which needs a unit_circle matrix.
-    With ``tensors``, a file with a ``shape`` key is a tensor file."""
+    """Load ``--input`` and apply ``--t`` (:func:`matrixio.with_t`). With
+    ``tensors``, a file with a ``shape`` key is a tensor file."""
     data = load_json(args.input)
     if tensors and isinstance(data, dict) and "shape" in data:
-        if args.t is not None:
-            raise ParseError("--t override requires the unit_circle form")
-        return tensor_from_json(data)
-    mi = matrix_from_json(data)
-    return mi if args.t is None else mi.with_t(args.t)
+        loaded = tensor_from_json(data)
+    else:
+        loaded = matrix_from_json(data)
+    return loaded if args.t is None else with_t(loaded, args.t)
 
 
 def _emit(args, payload: str) -> None:

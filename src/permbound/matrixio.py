@@ -143,11 +143,13 @@ class MatrixInput:
     def n(self) -> int:
         return self.z.shape[0]
 
-    def with_t(self, t: float) -> "MatrixInput":
-        """Re-evaluate a unit_circle input at a different argument."""
-        if self.form != "unit_circle":
-            raise ParseError("--t override requires the unit_circle form")
-        return from_unit_circle(self.phases, _parse_t(t, "--t"))
+
+def with_t(loaded, t: float) -> MatrixInput:
+    """A unit_circle :class:`MatrixInput` at the argument t (``--t``); any
+    other input, another form or a tensor array, has no argument to set."""
+    if not isinstance(loaded, MatrixInput) or loaded.form != "unit_circle":
+        raise ParseError("--t override requires the unit_circle form")
+    return from_unit_circle(loaded.phases, _parse_t(t, "--t"))
 
 
 def from_entries(z) -> MatrixInput:

@@ -613,9 +613,10 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
         for t in ts:
             value = abs(charfn.exact_charfn(model, float(t)))
             levels = bounds.Levels(model.charfn_matrix(float(t)))
+            # the averaged bound first: both pairings then read its levels
+            avg = bounds.avg_pair_bound(levels)
             pair = bounds.pair_bound(levels)
             pair_s = bounds.pair_bound(levels, perm)
-            avg = bounds.avg_pair_bound(levels)
             dominated = all(
                 value <= b + 1e-10 + SLACK_RTOL * b for b in (pair, pair_s, avg)
             )
@@ -640,9 +641,10 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
             [[charfn.point_mass(float(x[j, r])) for r in range(n)] for j in range(n)]
         )
         t = float(rng.uniform(0.2, 3.0))
-        phi, phases = model.charfn_matrix(t), np.exp(1j * t * x)
-        pair_a, pair_b = bounds.pair_bound(phi), bounds.pair_bound(phases)
+        phi = bounds.Levels(model.charfn_matrix(t))
+        phases = bounds.Levels(np.exp(1j * t * x))
         avg_a, avg_b = bounds.avg_pair_bound(phi), bounds.avg_pair_bound(phases)
+        pair_a, pair_b = bounds.pair_bound(phi), bounds.pair_bound(phases)
         # unit moduli make the odd-n correction factors exactly 1
         ok = _rel_err(pair_a, pair_b) <= REL_TOL and _rel_err(avg_a, avg_b) <= REL_TOL
         rec.record(ok, "point_mass_consistency", i, {

@@ -217,16 +217,16 @@ def row_side_input(kind, rng, n, m):
 @given(kind=st.sampled_from(ROW_SIDE_KINDS), n=st.integers(2, 8), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 def test_row_side_matches_the_engine(kind, n, data, seed):
-    # below n = 10 every level reads the engine, so it is the oracle here; a
-    # column scale factors out of the engine exactly, so columns are scaled,
-    # by powers of two that keep +-1 and constant inputs exact
+    # the engine, called on its own path, is the oracle here; a column scale
+    # factors out of the engine exactly, so columns are scaled, by powers of
+    # two that keep +-1 and constant inputs exact
     m = data.draw(st.integers(2, n))
     k = data.draw(st.integers(2, min(m, bounds.ROW_SIDE_MAX_K)))
     scales = data.draw(st.lists(st.sampled_from([-27, -10, 0, 10, 27]),
                                 min_size=m, max_size=m))
     z = row_side_input(kind, np.random.default_rng(seed), n, m) * np.exp2(scales)
     cols = subset_table(m, k)
-    engine = bounds._minor_means(z, k, cols)
+    engine = bounds._engine_means(z, k, cols)
     row = bounds._row_side_means(z, k, cols)
     # relative to the engine: where it reads exactly 0 (a zero column, or
     # +-1 entries whose every minor has permanent 0), the row side must too
@@ -236,7 +236,8 @@ def test_row_side_matches_the_engine(kind, n, data, seed):
 @pytest.mark.parametrize("n, k", [(10, 3), (10, 4), (11, 3), (11, 4), (14, 2)])
 @pytest.mark.parametrize("scaled", [None, "rows", "columns", "narrow_column"])
 def test_row_side_matches_exact_rationals(n, k, scaled):
-    # level 2 takes the row side from n = 14; a narrow column's share of the
+    # f_set, and the row side called on its own path (single blocks of these
+    # shapes read the engine); a narrow column's share of the row side's
     # signed column sums is lost unless each column is brought to one scale
     rng = np.random.default_rng(70 + 2 * n + k)
     z = cmat(rng, n)
@@ -251,8 +252,59 @@ def test_row_side_matches_exact_rationals(n, k, scaled):
         z[:, 1] *= 1e-8
     for K in ((0, 1, 2, 3)[:k], tuple(sorted(rng.choice(n, k, replace=False)))):
         truth = f_set_fraction(z, K)
-        got = bounds.f_set(z, K)
-        assert abs(Fraction(got) - truth) <= Fraction(1e-13) * truth
+        for got in (bounds.f_set(z, K), bounds._row_side_means(z, k, np.array([K]).T)[0]):
+            assert abs(Fraction(got) - truth) <= Fraction(1e-13) * truth
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_full_levels_on_the_row_side_match_exact_rationals(n):
+    # full levels 3-5 at n = 8-10 take the row side; rows scaled by 1e-3, 1
+    # and 1e3 in turn would cost the engine up to 3e-9 relative. The level's
+    # per-set values are what its blocks read; level 6 at n = 10 is left
+    # out, since one exact set takes 16 s there
+    rng = np.random.default_rng(77 + n)
+    z = cmat(rng, n) * (10.0 ** (3 * (np.arange(n) % 3 - 1)))[:, None]
+    levels = bounds.Levels(z)
+    for k in range(3, 6):
+        if not bounds._minor_cost(z.shape, k, math.comb(n, k))[0]:
+            continue
+        level = bounds.F_level(levels, k)
+        sets = levels._sets[k]
+        assert level == sets.sum() / len(sets)
+        ranks = [len(sets) - 1] + ([int(rng.integers(len(sets) - 1))] if k < 5 else [])
+        table = subset_table(n, k)
+        for r in ranks:
+            truth = f_set_fraction(z, table[:, r])
+            assert abs(Fraction(sets[r]) - truth) <= Fraction(1e-14) * truth
+        if (n, k) == (8, 3):
+            truth = sum(f_set_fraction(z, table[:, r]) for r in range(len(sets))) / len(sets)
+            assert abs(Fraction(level) - truth) <= Fraction(1e-14) * truth
+
+
+def test_spectral_rows_share_one_svd(monkeypatch):
+    # opnorm_p2 and singular_mean_power read one SVD, and each equals, bit for
+    # bit, its formula on its own numpy call: np.linalg.norm(z, 2) is the
+    # largest singular value of the same LAPACK call
+    rng = np.random.default_rng(64)
+    want = []
+    for n in (1, 2, 5, 9, 16):
+        z = cmat(rng, n)
+        sv = np.linalg.svd(z, compute_uv=False)
+        log_sum = math.log(float(((sv / sv[0]) ** (2 * n)).sum()))
+        want.append((z, {
+            "opnorm_p2": math.exp(n * math.log(np.linalg.norm(z, 2)) - math.lgamma(n + 1)),
+            "singular_mean_power": math.exp(
+                n * math.log(sv[0]) + 0.5 * (log_sum - math.log(n)) - math.lgamma(n + 1)
+            ),
+        }))
+    calls, svd, norm = [], np.linalg.svd, np.linalg.norm
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append("svd") or svd(*a, **kw))
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append("norm") or norm(*a, **kw))
+    for z, values in want:
+        calls.clear()
+        rows = {r.name: r.raw_value for r in bounds.report_rows(from_entries(z))}
+        assert calls == ["svd"]
+        assert {name: rows[name] for name in values} == values
 
 
 def test_row_side_reads_zero_on_a_zero_column():
@@ -279,8 +331,10 @@ def test_row_side_clamps_a_vanishing_mean():
 
 
 def test_subset_averages_pick_their_path(monkeypatch):
-    # the row side takes matrix levels 2..6 with C(n, k) > 2n (2^(k-1) + 1);
-    # an engine call shows up as one entry of chunk counts
+    # the cost model's choices: full matrix levels 3-4 take the row side from
+    # n = 8, level 5 from n = 9, level 6 from n = 10 and level 2 from n = 13;
+    # every level of n <= 7 and single blocks below n = 11 read the engine,
+    # whose call shows up as one entry of chunk counts
     chunks = count_chunks(monkeypatch)
     rng = np.random.default_rng(71)
 
@@ -290,19 +344,21 @@ def test_subset_averages_pick_their_path(monkeypatch):
         chunks.clear()
         return calls
 
-    for n in range(1, 10):
+    for n in range(1, 8):
         z = cmat(rng, n)
         assert [engine_calls(bounds.F_level(z, k)) for k in range(1, n + 1)] == [1] * n
-    z10 = cmat(rng, 10)
-    assert [engine_calls(bounds.F_level(z10, k)) for k in range(1, 11)] == [
-        1, 1, 0, 0, 1, 1, 1, 1, 1, 1
-    ]
-    assert engine_calls(bounds.f_set(z10, (1, 4, 7))) == 0
-    assert engine_calls(bounds.F_level(cmat(rng, 13), 2)) == 1
-    assert engine_calls(bounds.F_level(cmat(rng, 14), 2)) == 0
+    for n, want in ((8, [1, 1, 0, 0, 1, 1, 1, 1]), (9, [1, 1, 0, 0, 0, 1, 1, 1, 1]),
+                    (10, [1, 1, 0, 0, 0, 0, 1, 1, 1, 1])):
+        z = cmat(rng, n)
+        assert [engine_calls(bounds.F_level(z, k)) for k in range(1, n + 1)] == want
+    z10 = z
+    assert [engine_calls(bounds.f_set(z10, range(k))) for k in range(1, 8)] == [1] * 7
+    assert engine_calls(bounds.F_level(cmat(rng, 12), 2)) == 1
+    assert engine_calls(bounds.F_level(cmat(rng, 13), 2)) == 0
     z16 = cmat(rng, 16)
-    assert engine_calls(bounds.f_set(z16, range(6))) == 0
-    assert engine_calls(bounds.f_set(z16, range(7))) == 1
+    assert [engine_calls(bounds.f_set(z16, range(k))) for k in range(1, 8)] == [
+        1, 1, 1, 0, 0, 0, 1
+    ]
     assert engine_calls(bounds.f_set(cube(rng, 10, 3)[:, :, :3], (0, 1, 2))) == 1
 
 
@@ -1035,12 +1091,34 @@ def test_dominance_flags_do_not_depend_on_scale():
         assert _flags(scale * z, 8) == flags
 
 
+def test_levels_plan_prices_the_path_that_runs(monkeypatch):
+    # plan evaluates nothing; each level and each size of new blocks costs
+    # what _minor_cost prices for its path, and a block of a level planned
+    # or evaluated before costs nothing
+    z = cmat(np.random.default_rng(65), 10)
+    levels = bounds.Levels(z)
+    calls = count_minor_means(monkeypatch)
+    blocks = [(0, 1), (2, 3, 4, 5), (6, 7, 8), (9,)]
+    cost = [bounds._minor_cost(z.shape, k, c)[1] for k, c in ((2, 45), (4, 210), (3, 1), (1, 1))]
+    assert bounds._minor_cost(z.shape, 4, 210)[0] and not bounds._minor_cost(z.shape, 3, 1)[0]
+    assert levels.plan((2, 4, 0), blocks) == (cost[0] + cost[1], cost[2] + cost[3])
+    assert levels.plan((), blocks[1:2]) == (0, bounds._minor_cost(z.shape, 4, 1)[1])
+    assert calls == []
+    bounds.F_level(levels, 4)
+    levels.blocks([(6, 7, 8)])
+    assert levels.plan((2, 4), blocks) == (cost[0], cost[3])
+    assert calls == [(4, 210), (3, 1)]
+
+
 @pytest.mark.parametrize(
     "n, options, limit",
     [
         (171, {}, "bounds limit n <= 170"),
         (24, {"parts": (12, 12)}, "composition row work limit 200000000"),
         (24, {"blocks": [range(24)]}, "partition row work limit 200000000"),
+        # the row side's price: 205,923,573 products for level 3
+        (83, {"parts": (3,) * 27 + (2,)}, "composition row work limit 200000000"),
+        (18, {"blocks": [range(15), range(15, 18)]}, "partition row work limit"),
     ],
 )
 def test_report_rows_limits_apply_before_any_minor(monkeypatch, n, options, limit):
@@ -1081,15 +1159,14 @@ def test_report_rows_pair_options_apply_before_any_row(monkeypatch, mi, options,
 
 
 def test_table1_report_evaluates_each_level_once(monkeypatch):
-    # pair_cos: one call for its four pairs; avg_cos: level 2 over all 28
-    # pairs; partition 3, 3, 2: its two blocks of 3, since pair_cos already
-    # evaluated the pair (7, 8); composition 3, 3, 2: level 3 only, since
-    # avg_cos already evaluated level 2
+    # the report evaluates its levels first: level 2 over all 28 pairs for
+    # avg_cos and the composition 3, 3, 2, and level 3 over all 56 triples;
+    # pair_cos's four pairs and the partition 3, 3, 2's blocks read them
     from permbound import table1
 
     calls = count_minor_means(monkeypatch)
     table1.compute_rows(1.0)
-    assert sorted(calls) == sorted([(2, 4), (2, 28), (3, 2), (3, 56)])
+    assert sorted(calls) == [(2, 28), (3, 56)]
 
 
 def test_only_bounds_sets_its_limits():

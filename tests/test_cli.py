@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from permbound import bounds, charfn, cli, exact, table1
-from permbound.matrixio import from_entries, matrix_to_json, tensor_to_json
+from permbound.matrixio import (
+    from_entries, from_unit_circle, matrix_to_json, tensor_to_json
+)
 from oracles import f_set_fraction
 
 
@@ -293,6 +296,15 @@ def test_t_override_needs_a_unit_circle_input(tmp_path, capsys, command, array):
     assert "--t override requires the unit_circle form" in capsys.readouterr().err
 
 
+def test_t_override_rule_has_one_home():
+    # the tensor file and the non-unit_circle matrices above exit 2 through
+    # one check, matrixio.with_t
+    src = pathlib.Path(cli.__file__).parent
+    found = {p.name: p.read_text(encoding="utf-8").count("requires the unit_circle form")
+             for p in sorted(src.glob("*.py"))}
+    assert {name: count for name, count in found.items() if count} == {"matrixio.py": 1}
+
+
 @pytest.mark.parametrize(
     "doc, named",
     [
@@ -447,6 +459,27 @@ def test_bounds_feasibility_exit(tmp_path, capsys, n, options, limit):
     assert code == 3
     assert limit in err
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("n, parts", [(170, (2,) * 85), (20, (4,) * 5)])
+def test_row_side_compositions_pass_the_work_limit(tmp_path, capsys, n, parts):
+    # the work limit prices the path that runs: these levels take the row
+    # side, where the engine's 825,412,900 and 751,168,800 products were
+    # refused; the row equals F_level called directly
+    rng = np.random.default_rng(9)
+    if n == 170:
+        mi = from_unit_circle(rng.uniform(-1.0, 1.0, (n, n)), 0.7)
+    else:
+        mi = from_entries(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(matrix_to_json(mi)))
+    composition = ",".join(map(str, parts))
+    assert cli.main(["bounds", "--input", str(path), "--composition", composition,
+                     "--format", "json"]) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    level = bounds.F_level(mi.z, parts[0])
+    want = math.prod(level ** 0.5 for _ in parts)
+    assert rows["composition_level_avg"]["raw_value"] == want
 
 
 def test_bounds_avg_cos_row_is_not_work_limited(tmp_path, capsys, monkeypatch):

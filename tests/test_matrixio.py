@@ -28,6 +28,7 @@ from permbound.matrixio import (
     round_up_scientific,
     tensor_from_json,
     tensor_to_json,
+    with_t,
 )
 
 
@@ -50,10 +51,10 @@ def test_unit_circle_roundtrip_and_t_override():
     back = matrix_from_json(matrix_to_json(mi))
     assert np.array_equal(back.phases, x)
     assert back.t == 0.75
-    shifted = mi.with_t(2.0)
+    shifted = with_t(mi, 2.0)
     assert np.allclose(shifted.z, np.exp(2.0j * x))
     with pytest.raises(ParseError):
-        from_entries(np.eye(2)).with_t(1.0)
+        with_t(from_entries(np.eye(2)), 1.0)
 
 
 def test_polar_roundtrip():
@@ -122,7 +123,7 @@ def test_non_finite_tensor_entry_and_t_override():
     assert "entries[0][1]" in str(err.value)
     mi = from_unit_circle(np.zeros((2, 2)), 1.0)
     with pytest.raises(ParseError) as err:
-        mi.with_t(float("nan"))
+        with_t(mi, float("nan"))
     assert "--t" in str(err.value)
 
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -192,6 +193,22 @@ def test_no_minor_is_evaluated_twice(monkeypatch):
     assert run_suite("dominance", 0).checks == 1404
     assert run_suite("equality", 0).checks == 250
     assert max(calls.values()) == 1
+
+
+def test_charfn_pairs_read_their_level(monkeypatch):
+    # the averaged bound evaluates levels 2 and 1 first, and both pairings
+    # read their blocks there: every minor call is a whole level (with the
+    # pairs read first, 735 of seed 0's 2,240 column sets repeated one)
+    calls = []
+    means = bounds._minor_means
+
+    def counted(a, k, cols):
+        calls.append(cols.shape[1] == math.comb(a.shape[1], k))
+        return means(a, k, cols)
+
+    monkeypatch.setattr(bounds, "_minor_means", counted)
+    assert run_suite("charfn", 0).checks == 15
+    assert calls and all(calls)
 
 
 # each bound verify reads, shrunk by (1 - 1e-9) (psi_bounds one value at a
