@@ -696,7 +696,8 @@ def report_rows(
         if ps is None or p in ps:
             values.append((f"opnorm_p{p}", {"p": p}, _exp(_log_opnorm(z, p, sv))))
     values.append(("singular_mean_power", {}, _exp(_log_singular(sv))))
-    values.append(("hadamard_column_norm", {}, _exp(_log_hadamard(z))))
+    column_norm = _exp(_log_hadamard(z))
+    values.append(("hadamard_column_norm", {}, column_norm))
     if mi.form == "unit_circle":
         t = mi.t
         params = {"t": t}
@@ -712,8 +713,8 @@ def report_rows(
                            unit_circle_theta_bound(mi.phases, t) if pairs else None))
     values.append(("krauter_rank", {}, baseline_krauter(z)))
     if all_baselines:
-        # sqrt of the full-column minor average is the column-norm bound, in logs
-        values.append(("ckp_column_mean", {}, _exp(_log_hadamard(z))))
+        # sqrt of the full-column minor average is the column-norm bound
+        values.append(("ckp_column_mean", {}, column_norm))
     if blocks is not None:
         values.append(("partition_subset_avg",
                        {"blocks": [[v + 1 for v in b] for b in blocks]},

@@ -292,9 +292,11 @@ def cmd_charfn(args) -> int:
             if model.n <= exact.EXACT_COLUMN_MAX_N
             else None
         )
-        phi = model.charfn_matrix(t)
-        row["pair_bound"] = bounds.pair_bound(phi, s_perm) if pairs else None
-        row["avg_bound"] = bounds.avg_pair_bound(phi) if pairs else None
+        # the averaged bound first: the pairing reads its level 2
+        levels = bounds.Levels(model.charfn_matrix(t))
+        avg = bounds.avg_pair_bound(levels) if pairs else None
+        row["pair_bound"] = bounds.pair_bound(levels, s_perm) if pairs else None
+        row["avg_bound"] = avg
         if args.mc:
             mc = charfn.monte_carlo_charfn(
                 model, t, trials=args.mc, seed=args.seed

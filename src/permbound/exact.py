@@ -606,20 +606,6 @@ def evaluate(kind: str, array) -> tuple[complex, int]:
     return kernels[kind](array), work
 
 
-def permanent_via_laplace(z, column_blocks: Sequence[Sequence[int]]) -> complex:
-    """Permanent via expansion along an ordered partition of the columns.
-
-    For any ordered partition (W_1, ..., W_d) of the column set, the
-    permanent equals the sum over ordered partitions (V_1, ..., V_d) of the
-    row set with |V_r| = |W_r| of prod_r per(z[V_r, W_r]): the order-2 case
-    of :func:`multidim_permanent_via_laplace`. Independent route to
-    :func:`permanent` used for cross-checks.
-    """
-    a = _as_square(z)
-    blocks = validate_partition(column_blocks, range(a.shape[0]))
-    return multidim_permanent_via_laplace(a, [len(b) for b in blocks], blocks)
-
-
 def multidim_permanent_via_laplace(
     t,
     sizes: Sequence[int],

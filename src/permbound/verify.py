@@ -5,15 +5,18 @@ a :class:`SuiteResult` whose failures carry the serialized offending instance
 for replay. Each family of checks draws its trials in order from one
 generator keyed by the seed and the family, so fewer trials check a prefix;
 the convolution sweep draws each (n, k, j) case's trials as one batch. A check
-that holds at every tensor order runs one body over its families' rows.
+that holds at every tensor order (the bound families, the permanent and
+hafnian expansions, the permanent reproduction) runs one body over its
+families' rows.
 
-A check of a value against a bound or a reference names its (value, bound)
-pairs, and one comparator judges them all: ``value <= bound`` within
-SLACK_RTOL for dominance, agreement within EQ_RTOL for equality and within
-REL_TOL for the expansions. A failure carries each pair as [value, bound].
-Dominance and equality share one body per bound family (partition,
-composition, hafnian): it draws everything after the input, so the two
-suites differ only in the input and the comparator. Suites:
+Every check of a value against a bound or a reference names its (value,
+bound) pairs, and one comparator judges each set of them: ``value <= bound``
+within SLACK_RTOL for dominance, agreement within EQ_RTOL for equality and
+within REL_TOL for the expansions. A failure carries each pair as [value,
+bound]. Only the convolution sweep and the verdicts of :mod:`convolution`
+record a flag. Dominance and equality share one body per bound family
+(partition, composition, hafnian): it draws everything after the input, so
+the two suites differ only in the input and the comparator. Suites:
 
 * laplace: block expansions reproduce the exact kernels,
 * dominance: subset-average products dominate exact values,
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -57,7 +61,6 @@ from .exact import (
     multidim_permanent,
     multidim_permanent_via_laplace,
     permanent,
-    permanent_via_laplace,
 )
 from .matrixio import cells_to_json
 
@@ -166,6 +169,15 @@ def _partition_of(rng, elements, sizes) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
+def _random_column_blocks(rng, cols, d_max: int | None = None):
+    """An ordered partition of cols into d blocks, some possibly empty, for
+    d drawn in [1, min(d_max, |cols|)]."""
+    k = len(cols)
+    d = int(rng.integers(1, (k if d_max is None else min(d_max, k)) + 1))
+    w = _composition(rng, k, d)
+    return _partition_of(rng, cols, w)
+
+
 def _rel_err(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
@@ -182,36 +194,34 @@ def _close(a: complex, b: complex) -> bool:
     return _rel_err(a, b) <= REL_TOL
 
 
+def _charfn_dominated(value: float, bound: float) -> bool:
+    return value <= bound + 1e-10 + SLACK_RTOL * bound
+
+
 # ---------------------------------------------------------------------------
 
 
 def suite_laplace(seed: int, trials: int) -> SuiteResult:
     """Expansion identities against the exact kernels."""
     rec = _Recorder()
-    rng = _rng(seed, 0)
-    for i in range(trials):
-        n = int(rng.integers(2, 8))
-        z = _ctensor(rng, n, 2)
-        d = int(rng.integers(1, min(3, n) + 1))
-        w = _composition(rng, n, d)
-        blocks = _partition_of(rng, range(n), w)
-        pairs = {"expansion": (permanent_via_laplace(z, blocks), permanent(z))}
-        rec.judge("permanent_expansion", i, {"n": n, "blocks": blocks, "z": z}, (_close, pairs))
-    rng = _rng(seed, 1)
-    for i in range(trials):
-        k = int(rng.integers(2, 5))
-        t = _ctensor(rng, k, 3)
-        d = int(rng.integers(1, min(3, k) + 1))
-        w = _composition(rng, k, d)
-        blocks = _partition_of(rng, range(k), w)
-        direct = multidim_permanent(t)
-        pairs = {
-            "fixed": (multidim_permanent_via_laplace(t, w, blocks), direct),
-            "symmetrized": (multidim_permanent_via_laplace(t, w), direct),
-        }
-        rec.judge("tensor_permanent_expansion", i, {
-            "k": k, "sizes": w, "blocks": blocks, "t": t,
-        }, (_close, pairs))
+    # a permanent along an ordered partition of its last axis: fixed, and
+    # averaged over the partitions of the same block sizes
+    for key, family, order, n_max, kernel in (
+        (0, "permanent_expansion", 2, 7, permanent),
+        (1, "tensor_permanent_expansion", 3, 4, multidim_permanent),
+    ):
+        rng = _rng(seed, key)
+        for i in range(trials):
+            n = int(rng.integers(2, n_max + 1))
+            t = _ctensor(rng, n, order)
+            blocks = _random_column_blocks(rng, range(n), 3)
+            w = tuple(map(len, blocks))
+            direct = kernel(t)
+            pairs = {
+                "fixed": (multidim_permanent_via_laplace(t, w, blocks), direct),
+                "symmetrized": (multidim_permanent_via_laplace(t, w), direct),
+            }
+            rec.judge(family, i, {"n": n, "sizes": w, "blocks": blocks, "t": t}, (_close, pairs))
     for key, family, order, sizes, kernel in (
         (2, "hafnian_expansion", 2, [4, 6, 8], hafnian),
         (3, "tensor_hafnian_expansion", 3, [6], hyperhafnian),
@@ -235,13 +245,6 @@ def suite_laplace(seed: int, trials: int) -> SuiteResult:
 # One body per bound family: each draws everything after the input t and
 # returns the drawn instance with its named (value, bound) pairs, so the
 # dominance and the equality suite judge the same pairs.
-
-
-def _random_column_blocks(rng, cols):
-    k = len(cols)
-    d = int(rng.integers(1, k + 1))
-    w = _composition(rng, k, d)
-    return _partition_of(rng, cols, w)
 
 
 def _partition_pairs(rng, t, kernel, k_max: int) -> tuple[dict, dict]:
@@ -426,12 +429,13 @@ def suite_equality(seed: int, trials: int) -> SuiteResult:
         z[:, dead] = 0.0
         blocks = _random_column_blocks(rng, cols)
         levels = bounds.Levels(z)
-        lhs, rhs = bounds.f_set(levels, cols), bounds.partition_bound_f(levels, cols, blocks)
-        ok = lhs <= 1e-15 and rhs <= 1e-15
-        rec.record(ok, "zero_column_partition", i, {
-            "n": n, "cols": cols, "dead_column": dead, "blocks": blocks,
-            "z": z, "f": lhs, "product": rhs,
-        })
+        pairs = {
+            "f_set": (bounds.f_set(levels, cols), 1e-15),
+            "product": (bounds.partition_bound_f(levels, cols, blocks), 1e-15),
+        }
+        rec.judge("zero_column_partition", i, {
+            "n": n, "cols": cols, "dead_column": dead, "blocks": blocks, "z": z,
+        }, (operator.le, pairs))
 
     for key, family, order, sizes, kernel in (
         (23, "constant_offdiagonal_hafnian", 2, [4, 6, 8], hafnian),
@@ -540,40 +544,32 @@ def suite_master(seed: int, trials: int) -> SuiteResult:
             "lhs": multi.lhs, "rhs": multi.rhs,
         })
 
-    rng = _rng(seed, 41)
-    for i in range(trials):
-        n = int(rng.integers(2, 6))
-        z = _ctensor(rng, n, 2)
-        d = int(rng.integers(1, min(3, n) + 1))
-        w = _composition(rng, n, d)
-        blocks = _partition_of(rng, range(n), w)
-        factors = [SetFunction(n, len(wr), _block_table(z, wr)) for wr in blocks]
-        r_value = generalized_R(factors, tuple(range(n)))
-        direct = permanent(z)
-        counts = multinomial(w)
-        product_bound = counts * math.prod(math.sqrt(f.mean_square()) for f in factors)
-        ones = [
-            SetFunction(n, len(wr), np.ones(math.comb(n, len(wr))))
-            for wr in blocks
-        ]
-        r_ones = generalized_R(ones, tuple(range(n)))
-        rec.judge(
-            "permanent_reproduction", i, {"n": n, "sizes": w, "blocks": blocks, "z": z},
-            (_close, {"R": (r_value, direct), "constant_R": (r_ones, counts)}),
-            (_slack_ok, {"product_bound": (abs(r_value), product_bound)}),
-        )
-
-    rng = _rng(seed, 42)
-    for i in range(max(1, trials // 2)):
-        k = int(rng.integers(2, 4))
-        t = _ctensor(rng, k, 3)
-        d = int(rng.integers(1, 3))
-        w = _composition(rng, k, d)
-        blocks = _partition_of(rng, range(k), w)
-        pairs = {"R": (multidim_permanent_via_laplace(t, w, blocks), multidim_permanent(t))}
-        rec.judge("tensor_reproduction", i, {
-            "k": k, "sizes": w, "blocks": blocks, "t": t,
-        }, (_close, pairs))
+    # R over the block permanents of an ordered partition of the last axis
+    # reproduces the permanent, over all-ones blocks it counts the terms
+    for key, family, order, n_max, d_max, count, kernel in (
+        (41, "permanent_reproduction", 2, 5, 3, trials, permanent),
+        (42, "tensor_reproduction", 3, 3, 2, max(1, trials // 2), multidim_permanent),
+    ):
+        rng = _rng(seed, key)
+        ell = order - 1
+        for i in range(count):
+            n = int(rng.integers(2, n_max + 1))
+            t = _ctensor(rng, n, order)
+            blocks = _random_column_blocks(rng, range(n), d_max)
+            w = tuple(map(len, blocks))
+            factors = [SetFunction((n,) * ell, (len(b),) * ell, _block_table(t, b))
+                       for b in blocks]
+            ones = [SetFunction(f.sizes, f.levels, np.ones(f.table.shape)) for f in factors]
+            full = (range(n),) * ell
+            r_value = generalized_R(factors, full)
+            counts = multinomial(w) ** ell
+            product_bound = counts * math.prod(math.sqrt(f.mean_square()) for f in factors)
+            rec.judge(
+                family, i, {"n": n, "sizes": w, "blocks": blocks, "t": t},
+                (_close, {"R": (r_value, kernel(t)),
+                          "constant_R": (generalized_R(ones, full), counts)}),
+                (_slack_ok, {"product_bound": (abs(r_value), product_bound)}),
+            )
 
     return SuiteResult("master", seed, trials, rec.checks, rec.failures)
 
@@ -609,29 +605,28 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
         model = _random_model(rng, n)
         ts = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, 20)])
         perm = tuple(int(v) for v in rng.permutation(n))
-        detail: dict = {"n": n, "model": model.to_json(), "violations": []}
-        for t in ts:
+        dominated, ceilings, floors, unit = {}, {}, {}, {}
+        for j, t in enumerate(ts):
             value = abs(charfn.exact_charfn(model, float(t)))
             levels = bounds.Levels(model.charfn_matrix(float(t)))
             # the averaged bound first: both pairings then read its levels
-            avg = bounds.avg_pair_bound(levels)
-            pair = bounds.pair_bound(levels)
-            pair_s = bounds.pair_bound(levels, perm)
-            dominated = all(
-                value <= b + 1e-10 + SLACK_RTOL * b for b in (pair, pair_s, avg)
-            )
-            in_range = all(
-                -SLACK_RTOL <= b <= 1.0 + SLACK_RTOL for b in (pair, pair_s, avg)
-            )
-            good = dominated and in_range
+            named = {
+                "avg": bounds.avg_pair_bound(levels),
+                "pair": bounds.pair_bound(levels),
+                "pair_permuted": bounds.pair_bound(levels, perm),
+            }
+            for name, b in named.items():
+                dominated[f"{name}_t{j}"] = (value, b)
+                ceilings[f"{name}_t{j}_le_1"] = (b, 1.0)
+                floors[f"{name}_t{j}_ge_0"] = (-SLACK_RTOL, b)
             if t == 0.0:
-                good = good and abs(value - 1.0) <= 1e-12
-            if not good:
-                detail["violations"].append(
-                    {"t": float(t), "exact": value, "pair": pair,
-                     "pair_permuted": pair_s, "avg": avg}
-                )
-        rec.record(not detail["violations"], "charfn_dominance", i, detail)
+                unit[f"unit_t{j}"] = (abs(value - 1.0), 1e-12)
+        rec.judge(
+            "charfn_dominance", i,
+            {"n": n, "model": model.to_json(), "ts": ts, "perm": perm},
+            (_charfn_dominated, dominated), (_slack_ok, ceilings),
+            (operator.le, floors), (operator.le, unit),
+        )
 
     rng = _rng(seed, 51)
     for i in range(3):
@@ -643,14 +638,12 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
         t = float(rng.uniform(0.2, 3.0))
         phi = bounds.Levels(model.charfn_matrix(t))
         phases = bounds.Levels(np.exp(1j * t * x))
-        avg_a, avg_b = bounds.avg_pair_bound(phi), bounds.avg_pair_bound(phases)
-        pair_a, pair_b = bounds.pair_bound(phi), bounds.pair_bound(phases)
         # unit moduli make the odd-n correction factors exactly 1
-        ok = _rel_err(pair_a, pair_b) <= REL_TOL and _rel_err(avg_a, avg_b) <= REL_TOL
-        rec.record(ok, "point_mass_consistency", i, {
-            "n": n, "t": t, "x": x, "pair_model": pair_a, "pair_phases": pair_b,
-            "avg_model": avg_a, "avg_phases": avg_b,
-        })
+        pairs = {
+            "avg": (bounds.avg_pair_bound(phi), bounds.avg_pair_bound(phases)),
+            "pair": (bounds.pair_bound(phi), bounds.pair_bound(phases)),
+        }
+        rec.judge("point_mass_consistency", i, {"n": n, "t": t, "x": x}, (_close, pairs))
 
     rng = _rng(seed, 52)
     for i in range(2):
@@ -659,15 +652,15 @@ def suite_charfn(seed: int, trials: int) -> SuiteResult:
         t = float(rng.uniform(0.3, 2.0))
         exact = charfn.exact_charfn(model, t)
         mc = charfn.monte_carlo_charfn(model, t, trials=100_000, seed=seed + i)
-        ok = (
-            abs(mc.estimate.real - exact.real) <= 4.0 * mc.stderr_re + 1e-12
-            and abs(mc.estimate.imag - exact.imag) <= 4.0 * mc.stderr_im + 1e-12
-        )
-        rec.record(ok, "monte_carlo", i, {
+        pairs = {
+            "real": (abs(mc.estimate.real - exact.real), 4.0 * mc.stderr_re + 1e-12),
+            "imag": (abs(mc.estimate.imag - exact.imag), 4.0 * mc.stderr_im + 1e-12),
+        }
+        rec.judge("monte_carlo", i, {
             "n": n, "t": t, "model": model.to_json(), "exact": exact,
             "estimate": mc.estimate, "stderr_re": mc.stderr_re,
             "stderr_im": mc.stderr_im, "trials": mc.trials, "seed": mc.seed,
-        })
+        }, (operator.le, pairs))
 
     return SuiteResult("charfn", seed, trials, rec.checks, rec.failures)
 

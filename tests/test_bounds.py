@@ -1058,7 +1058,6 @@ def test_no_average_calls_a_kernel_per_minor(monkeypatch):
         bounds.pair_bound(np.exp(0.7j * x)), bounds.avg_pair_bound(np.exp(0.7j * x)),
         bounds.minor_sum_phi(z, 3), bounds.phi_bound(z, 3),
         bounds.subhafnian_sum_psi(s, 2), *bounds.psi_bounds(s, 2),
-        exact.permanent_via_laplace(z, blocks),
         exact.multidim_permanent_via_laplace(t, (2, 2), tblocks),
         exact.multidim_permanent_via_laplace(t, (1, 3)),
         exact.hyperhafnian_via_expansion(s, (1, 2)),

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permbound import bounds, charfn, cli, exact, table1
+from permbound import bounds, charfn, cli, exact, table1, verify
 from permbound.matrixio import (
     from_entries, from_unit_circle, matrix_to_json, tensor_to_json
 )
@@ -818,6 +818,27 @@ def test_charfn_one_cell_model_reports_pair_bounds_na(tmp_path, capsys, s_perm):
     assert capsys.readouterr().out.splitlines()[1].split(",")[2:4] == ["", ""]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.split()[2:] == ["pair=n.a.", "avg=n.a."]
+
+
+def test_charfn_pair_bound_reads_the_averaged_level(tmp_path, capsys, monkeypatch):
+    # each t's averaged bound evaluates level 2, and the pairing reads its
+    # blocks there: one whole-level minor call per t
+    path = tmp_path / "model6.json"
+    model = verify._random_model(np.random.default_rng(3), 6)
+    path.write_text(json.dumps(model.to_json()))
+    calls = []
+    means = bounds._minor_means
+
+    def counted(a, k, cols):
+        calls.append(cols.shape[1] == math.comb(a.shape[1], k))
+        return means(a, k, cols)
+
+    monkeypatch.setattr(bounds, "_minor_means", counted)
+    argv = ["charfn", "--input", str(path), "--t", "0.4", "--t", "1.1", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [list(row) for row in rows] == [["t", "exact_abs", "pair_bound", "avg_bound"]] * 2
+    assert calls == [True, True]
 
 
 def test_bounds_text_prints_ceilings(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from permbound import bounds, verify
+from permbound.combinatorics import multinomial
 from permbound.convolution import SetFunction, classify_equality
 from permbound.errors import DomainError
 from permbound.matrixio import matrix_from_json
@@ -122,7 +124,7 @@ def test_merged_families_keep_their_order(monkeypatch):
         orders.setdefault(family, set()).add(detail["t"].ndim if "t" in detail else None)
 
     monkeypatch.setattr(verify._Recorder, "record", keep)
-    for name in ("dominance", "equality", "laplace"):
+    for name in ("dominance", "equality", "laplace", "master"):
         run_suite(name, seed=2, trials=12)
     expected = {
         "partition_dominance": 2, "tensor_partition_dominance": 3,
@@ -130,6 +132,8 @@ def test_merged_families_keep_their_order(monkeypatch):
         "subhafnian_dominance": 2, "tensor_subhafnian_dominance": 3,
         "constant_offdiagonal_hafnian": 2, "constant_offdiagonal_tensor_hafnian": 3,
         "hafnian_expansion": 2, "tensor_hafnian_expansion": 3,
+        "permanent_expansion": 2, "tensor_permanent_expansion": 3,
+        "permanent_reproduction": 2, "tensor_reproduction": 3,
     }
     assert {family: orders[family] for family in expected} == {
         family: {order} for family, order in expected.items()
@@ -213,7 +217,8 @@ def test_charfn_pairs_read_their_level(monkeypatch):
 
 # each bound verify reads, shrunk by (1 - 1e-9) (psi_bounds one value at a
 # time), and the families that must then fail at seed 0: the dominance and
-# the equality family of the same bound body, and nothing else
+# the equality family of the same bound body, or the charfn family, whose
+# bounds are exactly 1 at t = 0, and nothing else
 PARTITION = {"partition_dominance", "tensor_partition_dominance", "constant_columns_partition"}
 COMPOSITION = {
     "composition_dominance", "tensor_composition_dominance", "constant_matrix_composition",
@@ -230,7 +235,11 @@ SHRUNK_BOUNDS = {
     ("phi_bound", None): {"minor_sum_dominance"},
     ("psi_bounds", 0): {"subhafnian_sum_dominance"},
     ("psi_bounds", 1): {"subhafnian_sum_dominance"},
+    ("pair_bound", None): {"charfn_dominance"},
+    ("avg_pair_bound", None): {"charfn_dominance"},
 }
+# the charfn_dominance pairs each bound names at t = 0
+CHARFN_PAIRS = {"pair_bound": ("pair_t0", "pair_permuted_t0"), "avg_pair_bound": ("avg_t0",)}
 
 
 @pytest.mark.parametrize("name,which", list(SHRUNK_BOUNDS))
@@ -245,8 +254,18 @@ def test_shrunk_bound_fails_exactly_the_families_reading_it(monkeypatch, name, w
 
     monkeypatch.setattr(verify.bounds, name, shrunk)
     monkeypatch.setattr(verify, "FAILURE_CAP", 10**9)
-    docs = [json.loads(json.dumps(run_suite(s, 0).to_json())) for s in ("dominance", "equality")]
-    assert {f["family"] for doc in docs for f in doc["failures"]} == SHRUNK_BOUNDS[name, which]
+    docs = [
+        json.loads(json.dumps(run_suite(s, 0).to_json()))
+        for s in ("dominance", "equality", "charfn")
+    ]
+    failures = [f for doc in docs for f in doc["failures"]]
+    assert {f["family"] for f in failures} == SHRUNK_BOUNDS[name, which]
+    for f in failures:
+        if f["family"] == "charfn_dominance":
+            assert f["ts"][0] == 0.0
+            for pair in CHARFN_PAIRS[name]:
+                value, bound = f[pair]
+                assert value == 1.0 and bound == pytest.approx(1 - 1e-9, rel=1e-12)
 
 
 def test_each_family_draws_its_own_stream(monkeypatch):
@@ -294,22 +313,75 @@ def test_convolution_failures_are_capped_and_replay(monkeypatch):
 
 
 def test_laplace_failure_records_replay_bit_identical(monkeypatch):
-    real = verify.permanent_via_laplace
+    real = verify.multidim_permanent_via_laplace
     drawn = []
 
-    def off_by_one(z, blocks):
-        drawn.append(z)
-        return real(z, blocks) + 1.0
+    def off_by_one(t, sizes, blocks=None):
+        if blocks is not None:  # one fixed expansion per trial
+            drawn.append(t)
+        return real(t, sizes, blocks) + 1.0
 
-    monkeypatch.setattr(verify, "permanent_via_laplace", off_by_one)
+    monkeypatch.setattr(verify, "multidim_permanent_via_laplace", off_by_one)
     result = run_suite("laplace", seed=3)
     assert len(result.failures) == 25
     doc = json.loads(json.dumps(result.to_json()))
     for failure in doc["failures"]:
         assert failure["family"] == "permanent_expansion"
         n = failure["n"]
-        z = matrix_from_json({"rows": n, "cols": n, "entries": failure["z"]}).z
+        z = matrix_from_json({"rows": n, "cols": n, "entries": failure["t"]}).z
         assert z.tobytes() == drawn[failure["index"]].tobytes()
+
+
+def test_reproductions_judge_every_pair_at_both_orders(monkeypatch):
+    # R reproduces the permanent, over all-ones blocks it counts the
+    # multinomial(sizes) ** l terms, and |R| stays within the product bound
+    judged = collections.defaultdict(list)
+
+    def keep(self, ok, family, index, detail):
+        judged[family].append(detail)
+
+    monkeypatch.setattr(verify._Recorder, "record", keep)
+    run_suite("master", seed=0, trials=12)
+    for family, order in (("permanent_reproduction", 2), ("tensor_reproduction", 3)):
+        assert judged[family]
+        for detail in judged[family]:
+            r_value = detail["R"][0]
+            ones, counts = detail["constant_R"]
+            assert counts == multinomial(detail["sizes"]) ** (order - 1)
+            assert ones == pytest.approx(counts, rel=1e-12)
+            assert detail["product_bound"][0] == abs(r_value)
+
+
+# sha256 prefixes of each laplace and master family's drawn instances at seed
+# 0, default trials, index by index: the tensor's bytes and its blocks (or
+# sizes, weights and levels), as the separate matrix and tensor bodies drew them
+DRAWN = {
+    "permanent_expansion": "f262c4c85573e476",
+    "tensor_permanent_expansion": "9ff271ec115bb0b0",
+    "hafnian_expansion": "81f2fd03c6c8e690",
+    "tensor_hafnian_expansion": "ce551cece6166f36",
+    "random_master": "4eda231e9ce8b412",
+    "multi_axis_convolution": "4f8f9cecc262f0f5",
+    "permanent_reproduction": "9a9f6dd51bd7f6b6",
+    "tensor_reproduction": "79f666203ba164d6",
+}
+
+
+def test_expansion_families_draw_the_same_instances(monkeypatch):
+    hashes = {}
+
+    def keep(self, ok, family, index, detail):
+        structure = [detail.get(key) for key in ("weights", "g_levels", "h_levels")]
+        structure.append(detail.get("blocks", detail.get("sizes")))
+        digest = hashes.setdefault(family, hashlib.sha256())
+        digest.update(json.dumps([index, verify._jsonable(structure)]).encode())
+        if "t" in detail:
+            digest.update(detail["t"].tobytes())
+
+    monkeypatch.setattr(verify._Recorder, "record", keep)
+    for name in ("laplace", "master"):
+        run_suite(name, seed=0)
+    assert {family: h.hexdigest()[:16] for family, h in hashes.items()} == DRAWN
 
 
 def test_convolution_wrong_classifier_fails(monkeypatch):
