@@ -26,7 +26,7 @@ column sets, whose values its blocks then read, and other blocks in one
 call per distinct size. ``pair_bound`` and ``avg_pair_bound`` bound
 |per| / n! with blocks of two columns (a partition, a composition of
 levels 2) for any square matrix, such as exp(i t x) for a phase matrix x
-or a characteristic-function matrix;
+or a characteristic-function matrix (the report's rows for an input with t);
 ``unit_circle_theta_bound`` refines the averaged bound from the phases.
 
 The classical baselines (operator-norm powers, the singular-value mean,
@@ -644,18 +644,18 @@ def report_rows(
     """Catalogue of bound rows on |per(z)| / n!, limits included.
 
     Row order is fixed: the operator norms in ``ps`` (of "1", "inf", "2";
-    None selects all three), singular mean, column norms, the unit-circle
-    rows (unit_circle inputs only; ``s_perm`` pairs the columns, ``theta``
-    adds the refinement), rank bound, the column mean-square row with
-    ``all_baselines``, then the partition row for the 0-based ``blocks``
-    and the composition row for ``parts`` when given. The rank row off
-    sign matrices or below n = 5, and the unit-circle rows below n = 2, are
-    not applicable. For n <= 12 every applicable row carries the exact
+    None selects all three), singular mean, column norms, the pair rows
+    (inputs whose ``t`` is set; ``s_perm`` pairs the columns, ``theta``
+    adds the unit_circle refinement), rank bound, the column mean-square
+    row with ``all_baselines``, then the partition row for the 0-based
+    ``blocks`` and the composition row for ``parts`` when given. The rank
+    row off sign matrices or below n = 5, and the pair rows below n = 2,
+    are not applicable. For n <= 12 every applicable row carries the exact
     value and whether it dominates it. Rows share one :class:`Levels`.
 
     Before any row is computed: n > BOUNDS_MAX_N raises FeasibilityError,
-    ``s_perm`` or ``theta`` off a unit_circle input, an ``s_perm`` that is
-    no permutation of range(n) and invalid ``blocks`` or ``parts`` raise
+    ``s_perm`` without t or ``theta`` off a unit_circle input, an ``s_perm``
+    that is no permutation of range(n) and invalid ``blocks`` or ``parts`` raise
     DomainError, and a partition or composition row whose planned work
     (:meth:`Levels.plan`, after the levels the report evaluates) is over
     BOUNDS_MAX_WORK Glynn products raises FeasibilityError. So does a row
@@ -665,8 +665,9 @@ def report_rows(
     z, n = mi.z, mi.n
     if n > BOUNDS_MAX_N:
         raise FeasibilityError(f"bounds limit n <= {BOUNDS_MAX_N}, got {n}")
-    for option, given in (("s_perm", s_perm is not None), ("theta", theta)):
-        if given and mi.form != "unit_circle":
+    for option, refused in (("s_perm", s_perm is not None and mi.t is None),
+                            ("theta", theta and mi.form != "unit_circle")):
+        if refused:
             raise DomainError(f"{option} needs the unit_circle form, got {mi.form}")
     if s_perm is not None and sorted(s_perm) != list(range(n)):
         raise DomainError(f"s_perm {list(s_perm)} is not a permutation of range({n})")
@@ -678,7 +679,7 @@ def report_rows(
     levels = Levels(z)
     # the levels the report evaluates, before any block: avg_cos's (not
     # limited) and the composition's; a block of one of them is free
-    ks = ({2, n % 2} - {0} if mi.form == "unit_circle" and n >= 2 else set())
+    ks = ({2, n % 2} - {0} if mi.t is not None and n >= 2 else set())
     ks |= set(parts or ())
     works = {"partition": levels.plan(ks, blocks or ())[1],
              "composition": levels.plan(parts or ())[0]}
@@ -698,13 +699,13 @@ def report_rows(
     values.append(("singular_mean_power", {}, _exp(_log_singular(sv))))
     column_norm = _exp(_log_hadamard(z))
     values.append(("hadamard_column_norm", {}, column_norm))
-    if mi.form == "unit_circle":
+    if mi.t is not None:
         t = mi.t
         params = {"t": t}
         if s_perm is not None:
             params = {"t": t, "s": [v + 1 for v in s_perm]}
-        # z is exp(i t x), so the pair rows read it; only theta needs x. All
-        # three need a pair of columns.
+        # the pair rows read z, a matrix of characteristic functions at t;
+        # only theta needs the phases x. All three need a pair of columns.
         pairs = n >= 2
         values.append(("pair_cos", params, pair_bound(levels, s_perm) if pairs else None))
         values.append(("avg_cos", {"t": t}, avg_pair_bound(levels) if pairs else None))

@@ -7,7 +7,9 @@ Subcommands:
 * ``table1``: run the embedded eight-dimensional phase-matrix benchmark and
   compare all cells against the frozen reference strings,
 * ``verify``: run the randomized property suites,
-* ``charfn``: characteristic-function report for a distribution grid.
+* ``charfn``: for a distribution grid, the exact column and the pair rows of
+  the ``bounds`` report on its characteristic-function matrix at each t,
+  with optional Monte Carlo columns.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (including
 non-finite numbers), 3 feasibility limit.
@@ -19,7 +21,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 import time
 
@@ -31,6 +32,7 @@ from .matrixio import (
     cells_to_json,
     load_json,
     matrix_from_json,
+    parse_t,
     report_to_csv,
     report_to_json,
     round_up_decimals,
@@ -273,30 +275,21 @@ _CHARFN_COLUMNS = (
 
 def cmd_charfn(args) -> int:
     model = charfn.load_model(args.input)
-    ts = args.t if args.t else [0.0]
-    if not all(math.isfinite(t) for t in ts):
-        raise ParseError("'t' must be finite", position="--t")
+    ts = [parse_t(t, "--t") for t in args.t or [0.0]]
     if args.mc * model.n**2 > MC_MAX_DRAWS:
         raise FeasibilityError(
             f"Monte Carlo limit trials * n^2 <= {MC_MAX_DRAWS},"
             f" got {args.mc} * {model.n}^2"
         )
     s_perm = parse_perm(args.s_perm, model.n) if args.s_perm is not None else None
-    # the pair bounds need a pair of columns; a 1 x 1 model reports them n.a.
-    pairs = model.n >= 2
     rows = []
     for t in ts:
-        row: dict = {"t": t}
-        row["exact_abs"] = (
-            abs(charfn.exact_charfn(model, t))
-            if model.n <= exact.EXACT_COLUMN_MAX_N
-            else None
+        report = bounds.report_rows(
+            MatrixInput(model.charfn_matrix(t), "entries", t=t), s_perm=s_perm
         )
-        # the averaged bound first: the pairing reads its level 2
-        levels = bounds.Levels(model.charfn_matrix(t))
-        avg = bounds.avg_pair_bound(levels) if pairs else None
-        row["pair_bound"] = bounds.pair_bound(levels, s_perm) if pairs else None
-        row["avg_bound"] = avg
+        by_name = {r.name: r.raw_value for r in report}
+        row: dict = {"t": t, "exact_abs": report[0].exact_norm,
+                     "pair_bound": by_name["pair_cos"], "avg_bound": by_name["avg_cos"]}
         if args.mc:
             mc = charfn.monte_carlo_charfn(
                 model, t, trials=args.mc, seed=args.seed

@@ -114,7 +114,7 @@ def _parse_real_grid(raw, where: str) -> np.ndarray:
     return grid
 
 
-def _parse_t(raw, where: str) -> float:
+def parse_t(raw, where: str) -> float:
     try:
         t = float(raw)
     except (TypeError, ValueError):
@@ -129,8 +129,8 @@ class MatrixInput:
     """A complex matrix together with how it was specified.
 
     ``phases`` and ``moduli`` are populated for the unit_circle and polar
-    forms (unit_circle implies moduli identically 1); ``t`` only for
-    unit_circle.
+    forms (unit_circle implies moduli identically 1); ``t`` is the argument
+    of exp(itx) or of a characteristic-function matrix, and the pair rows need it.
     """
 
     z: np.ndarray
@@ -149,7 +149,7 @@ def with_t(loaded, t: float) -> MatrixInput:
     other input, another form or a tensor array, has no argument to set."""
     if not isinstance(loaded, MatrixInput) or loaded.form != "unit_circle":
         raise ParseError("--t override requires the unit_circle form")
-    return from_unit_circle(loaded.phases, _parse_t(t, "--t"))
+    return from_unit_circle(loaded.phases, parse_t(t, "--t"))
 
 
 def from_entries(z) -> MatrixInput:
@@ -188,7 +188,7 @@ def matrix_from_json(data: dict) -> MatrixInput:
         if not isinstance(spec, dict) or "x" not in spec or "t" not in spec:
             raise ParseError("unit_circle needs 'x' and 't'", position="unit_circle")
         x = _parse_real_grid(spec["x"], "unit_circle.x")
-        return from_unit_circle(x, _parse_t(spec["t"], "unit_circle.t"))
+        return from_unit_circle(x, parse_t(spec["t"], "unit_circle.t"))
     if "polar" in data:
         spec = data["polar"]
         if not isinstance(spec, dict) or "a" not in spec or "x" not in spec:
@@ -201,15 +201,6 @@ def matrix_from_json(data: dict) -> MatrixInput:
         shape = tuple(_parse_size(data.get(key), key) for key in ("rows", "cols"))
         return from_entries(_cells_from_json(data["entries"], shape, "entries"))
     raise ParseError("matrix file needs 'entries', 'unit_circle' or 'polar'")
-
-
-def matrix_to_json(mi: MatrixInput) -> dict:
-    if mi.form == "unit_circle":
-        return {"unit_circle": {"x": mi.phases.tolist(), "t": mi.t}}
-    if mi.form == "polar":
-        return {"polar": {"a": mi.moduli.tolist(), "x": mi.phases.tolist()}}
-    rows, cols = mi.z.shape
-    return {"rows": rows, "cols": cols, "entries": cells_to_json(mi.z)}
 
 
 def load_json(path):
@@ -230,11 +221,6 @@ def tensor_from_json(data: dict) -> np.ndarray:
         _parse_size(size, f"shape[{k}]") for k, size in enumerate(data["shape"])
     )
     return _cells_from_json(data["entries"], shape, "entries")
-
-
-def tensor_to_json(t) -> dict:
-    a = np.asarray(t, dtype=complex)
-    return {"shape": list(a.shape), "entries": cells_to_json(a)}
 
 
 # ---------------------------------------------------------------------------

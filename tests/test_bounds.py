@@ -16,7 +16,7 @@ from permbound.exact import (
     permanent,
     permanent_D,
 )
-from permbound.matrixio import from_entries, from_polar, from_unit_circle
+from permbound.matrixio import MatrixInput, from_entries, from_polar, from_unit_circle
 from oracles import (
     f_set_fraction,
     multidim_permanent_direct,
@@ -1155,6 +1155,25 @@ def test_report_rows_pair_options_apply_before_any_row(monkeypatch, mi, options,
         monkeypatch.setattr(bounds, name, refuse)
     with pytest.raises(DomainError, match=message):
         bounds.report_rows(mi, **options)
+
+
+def test_report_rows_pair_rows_follow_the_argument_t():
+    # an input that carries its argument t, such as charfn's matrix of
+    # characteristic functions, gets the pair rows and accepts s_perm; theta
+    # still reads the phases of a unit_circle input
+    rng = np.random.default_rng(34)
+    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    names = [r.name for r in bounds.report_rows(from_entries(z))]
+    assert "pair_cos" not in names and "avg_cos" not in names
+    mi = MatrixInput(z, "entries", t=0.5)
+    s = (4, 2, 0, 1, 3)
+    rows = {r.name: r for r in bounds.report_rows(mi, s_perm=s)}
+    levels = bounds.Levels(z)
+    assert rows["avg_cos"].raw_value == bounds.avg_pair_bound(levels)
+    assert rows["pair_cos"].raw_value == bounds.pair_bound(levels, s)
+    assert rows["pair_cos"].params == {"t": 0.5, "s": [5, 3, 1, 2, 4]}
+    with pytest.raises(DomainError, match="theta needs the unit_circle form, got entries"):
+        bounds.report_rows(mi, theta=True)
 
 
 def test_table1_report_evaluates_each_level_once(monkeypatch):

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from permbound import bounds, charfn, cli, exact, table1, verify
-from permbound.matrixio import (
-    from_entries, from_unit_circle, matrix_to_json, tensor_to_json
-)
+from permbound.matrixio import from_entries, from_unit_circle
 from oracles import f_set_fraction
+from writers import matrix_to_json, tensor_to_json
 
 
 def run_cli(*argv, env=None):
@@ -301,6 +300,15 @@ def test_t_override_rule_has_one_home():
     # one check, matrixio.with_t
     src = pathlib.Path(cli.__file__).parent
     found = {p.name: p.read_text(encoding="utf-8").count("requires the unit_circle form")
+             for p in sorted(src.glob("*.py"))}
+    assert {name: count for name, count in found.items() if count} == {"matrixio.py": 1}
+
+
+def test_finite_t_rule_has_one_home():
+    # a unit_circle file's t, --t of exact and bounds and every --t of
+    # charfn exit 2 through one check, matrixio.parse_t
+    src = pathlib.Path(cli.__file__).parent
+    found = {p.name: p.read_text(encoding="utf-8").count("'t' must be finite")
              for p in sorted(src.glob("*.py"))}
     assert {name: count for name, count in found.items() if count} == {"matrixio.py": 1}
 
@@ -891,6 +899,64 @@ def test_charfn_bad_model(tmp_path):
     proc = run_cli("charfn", "--input", str(path))
     assert proc.returncode == 2
     assert "cells[0][0]" in proc.stderr
+
+
+def test_charfn_over_the_bounds_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # charfn's rows come from the bounds report, so its n limit holds: a
+    # 171 x 171 model is refused before any row and any Monte Carlo draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran past the limit")
+
+    monkeypatch.setattr(bounds, "_minor_means", refuse)
+    monkeypatch.setattr(charfn, "monte_carlo_charfn", refuse)
+    path = tmp_path / "big.json"
+    cell = {"family": "bernoulli", "params": {"p": 0.5}}
+    path.write_text(json.dumps({"cells": [[cell] * 171] * 171}))
+    assert cli.main(["charfn", "--input", str(path), "--t", "0.5", "--mc", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bounds limit n <= 170, got 171" in err
+
+
+def test_charfn_computes_no_bound_itself():
+    # charfn reads its exact column and pair bounds from bounds.report_rows;
+    # its JSON keys are strings, not names
+    import ast
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.asname or node.name)
+    own = {"EXACT_COLUMN_MAX_N", "exact_charfn", "Levels", "pair_bound", "avg_pair_bound"}
+    assert read & own == set()
+
+
+def test_charfn_exact_column_is_the_bounds_report(tmp_path, capsys):
+    # exact_abs is, bit for bit, the exact column of the bounds report on the
+    # characteristic-function matrix at t: |per| / n!, within one ulp of
+    # exact_charfn's |per / n!|
+    model_path = tmp_path / "model.json"
+    matrix_path = tmp_path / "phi.json"
+    ts = (0.3, 1.7, -4.1)
+    for n in range(1, 9):
+        model = verify._random_model(np.random.default_rng(n), n)
+        model_path.write_text(json.dumps(model.to_json()))
+        argv = ["charfn", "--input", str(model_path), "--format", "json"]
+        assert cli.main([*argv, *(f"--t={t}" for t in ts)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        for t, row in zip(ts, rows):
+            phi = from_entries(model.charfn_matrix(t))
+            matrix_path.write_text(json.dumps(matrix_to_json(phi)))
+            assert cli.main(["bounds", "--input", str(matrix_path), "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)["rows"]
+            assert row["exact_abs"] == report[0]["exact_norm"], (n, t)
+            before = abs(charfn.exact_charfn(model, t))
+            assert abs(row["exact_abs"] - before) <= math.ulp(before), (n, t)
 
 
 def _bounds_json(capsys, argv):

@@ -20,16 +20,15 @@ from permbound.matrixio import (
     from_unit_circle,
     load_json,
     matrix_from_json,
-    matrix_to_json,
     report_to_csv,
     report_to_json,
     round_up_6dp,
     round_up_decimals,
     round_up_scientific,
     tensor_from_json,
-    tensor_to_json,
     with_t,
 )
+from writers import matrix_to_json, tensor_to_json
 
 
 def test_entries_roundtrip():
